@@ -2,12 +2,10 @@
 /// Collector throughput scaling: runs the full four-round protocol over a
 /// generated Trace-style fleet and records reports/sec per configuration
 /// into BENCH_collector.json (the repo's perf baseline; later scaling PRs
-/// regress against it). Three sweeps:
+/// regress against it). Two sweeps:
 ///
-///   1. thread scaling with streaming ingestion (1, 2, 4, ... threads),
-///   2. streaming vs. barrier ingestion at each thread count (streaming
-///      must be no slower at equal thread counts),
-///   3. multi-collector scaling (1, 2, 4 merged sites at the max thread
+///   1. thread scaling (1, 2, 4, ... threads),
+///   2. multi-collector scaling (1, 2, 4 merged sites at the max thread
 ///      count) — the exact cross-collector merge must cost ~nothing.
 ///
 ///   bench_collector_throughput --users 100000 --threads 8
@@ -130,8 +128,8 @@ int Main(int argc, char** argv) {
     bench::PrintTitle(
         "NOTE: 1 hardware thread — thread-scaling speedups not measurable");
   }
-  bench::PrintHeader({"threads", "collectors", "ingest", "accepted/s",
-                      "seconds", "speedup", "shapes"});
+  bench::PrintHeader({"threads", "collectors", "accepted/s", "seconds",
+                      "speedup", "shapes"});
 
   std::vector<size_t> thread_counts;
   for (size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
@@ -145,12 +143,11 @@ int Main(int argc, char** argv) {
   size_t completed = 0;
 
   auto record = [&](size_t threads, size_t collectors,
-                    const std::string& ingest,
                     const collector::CollectorOptions& options,
                     const RunResult& run) {
     if (!run.ok) {
       bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                       ingest, "-", "-", "-", run.error});
+                       "-", "-", "-", run.error});
       return;
     }
     ++completed;
@@ -165,7 +162,7 @@ int Main(int argc, char** argv) {
     // speedup of ~1 is an artifact of the machine, not the code — print
     // and record it as not-applicable instead of a misleading number.
     bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                     ingest, FormatDouble(run.rate, 6),
+                     FormatDouble(run.rate, 6),
                      FormatDouble(run.seconds, 4),
                      can_scale ? FormatDouble(speedup, 3) : "n/a",
                      run.shapes});
@@ -183,7 +180,6 @@ int Main(int argc, char** argv) {
           {{"threads", std::to_string(threads)},
            {"shards", std::to_string(options.num_shards)},
            {"collectors", std::to_string(collectors)},
-           {"ingest", ingest},
            {"queue_depth", std::to_string(options.queue_depth)},
            {"users", std::to_string(scale.users)},
            {"dataset", "trace"}},
@@ -191,23 +187,19 @@ int Main(int argc, char** argv) {
     }
   };
 
-  // Sweeps 1+2: streaming and barrier ingestion at every thread count.
+  // Sweep 1: thread scaling.
   for (size_t threads : thread_counts) {
     ThreadPool pool(threads);
     collector::CollectorOptions options;
     // 4 shards per worker keeps stripes small enough to load-balance.
     options.num_shards = threads * 4;
-    for (bool streaming : {true, false}) {
-      options.streaming = streaming;
-      RunResult run =
-          RunBest(config, fleet, options, &pool, 1, scale.trials);
-      record(threads, 1, streaming ? "streaming" : "barrier", options, run);
-    }
+    record(threads, 1, options,
+           RunBest(config, fleet, options, &pool, 1, scale.trials));
   }
 
-  // Sweep 3: multi-collector scaling at the max thread count. The
-  // collectors=1 point is sweep 1's max-thread streaming record — not
-  // repeated here, so every record's params are unique in the baseline.
+  // Sweep 2: multi-collector scaling at the max thread count. The
+  // collectors=1 point is sweep 1's max-thread record — not repeated
+  // here, so every record's params are unique in the baseline.
   {
     ThreadPool pool(max_threads);
     collector::CollectorOptions options;
@@ -215,13 +207,13 @@ int Main(int argc, char** argv) {
     for (size_t collectors : {size_t{2}, size_t{4}}) {
       RunResult run =
           RunBest(config, fleet, options, &pool, collectors, scale.trials);
-      record(max_threads, collectors, "streaming", options, run);
+      record(max_threads, collectors, options, run);
     }
   }
 
   if (!deterministic) {
     bench::PrintRow({"WARNING", "shapes varied across configurations", "",
-                     "", "", "", ""});
+                     "", "", ""});
     return 1;
   }
   if (completed == 0) {

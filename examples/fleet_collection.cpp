@@ -55,8 +55,7 @@ int main() {
   //    streaming ingestion: answering workers push report batches into
   //    bounded queues while drainer threads aggregate concurrently
   //    (queue_depth bounds the in-flight batches — that is the
-  //    backpressure). Set options.streaming = false for the old
-  //    answer-then-aggregate barrier path; the shapes cannot change.
+  //    backpressure).
   ThreadPool pool(4);
   collector::CollectorOptions options;
   options.num_shards = 8;

@@ -46,8 +46,8 @@ ClientFleet ClientFleet::FromWords(std::vector<Sequence> words,
 }
 
 proto::ClientSession ClientFleet::MakeSession(size_t user) const {
-  return proto::ClientSession(word_fn_(user), metric_,
-                              DeriveSeed(seed_, user), LabelFor(user));
+  return proto::ClientSession(word_fn_(user), DeriveSeed(seed_, user),
+                              LabelFor(user));
 }
 
 std::vector<Sequence> ClientFleet::MaterializeWords() const {

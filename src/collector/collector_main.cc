@@ -2,8 +2,8 @@
 /// `privshape_collector` — end-to-end collection server over a simulated
 /// fleet. Synthesizes (or loads) a fleet of users, runs the full
 /// Algorithm 2 protocol through the sharded multi-threaded
-/// RoundCoordinator (streaming ingestion by default, optionally merged
-/// across several independent collectors), prints the extracted shapes
+/// RoundCoordinator (streaming ingestion, optionally merged across
+/// several independent collectors), prints the extracted shapes
 /// and throughput metrics, and optionally verifies the determinism
 /// contract against the single-threaded core pipeline.
 ///
@@ -13,7 +13,6 @@
 ///       --json metrics.json
 ///   privshape_collector --csv data.csv --epsilon 2 --users 50000
 ///   privshape_collector --users 100000 --collectors 4 --queue-depth 16
-///   privshape_collector --users 100000 --ingest barrier   # old path
 ///   privshape_collector --num-classes 3 --users 50000     # labeled shapes
 ///   privshape_collector --csv data.csv --labels labels.csv --num-classes 4
 ///   privshape_collector --csv data.csv --label-column 0 --num-classes 4
@@ -317,12 +316,6 @@ int Main(int argc, char** argv) {
   options.batch_size = *batch_flag;
   options.queue_depth = *queue_flag;
   size_t threads = ThreadsFromArgs(args);
-  std::string ingest = args.GetString("ingest", "streaming");
-  if (ingest != "streaming" && ingest != "barrier") {
-    std::cerr << "privshape_collector: --ingest must be streaming|barrier\n";
-    return 1;
-  }
-  options.streaming = ingest == "streaming";
   if (collectors == 0) {
     // 0 is meaningful for --shards (one per thread) and --queue-depth
     // (unbounded) but has no sane reading for collection sites.
@@ -365,10 +358,10 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "privshape_collector: %s, %zu users, %zu threads, %zu shards, "
-      "%zu collector(s), %s ingest (queue depth %zu)\n",
+      "%zu collector(s), queue depth %zu\n",
       setup->description.c_str(), users, pool.num_threads(),
       options.num_shards > 0 ? options.num_shards : pool.num_threads(),
-      collectors, ingest.c_str(), options.queue_depth);
+      collectors, options.queue_depth);
   collector::CollectorMetrics metrics;
   auto result =
       Serve(setup->config, options, &pool, collectors, fleet, &metrics);
@@ -415,11 +408,10 @@ int Main(int argc, char** argv) {
 
   if (check_determinism) {
     // Contract: byte-identical shapes vs. the single-threaded core
-    // pipeline on the same words — for the barrier path, for streaming
-    // at queue depths {1, 8, default}, for shard counts {1, 4, 16}, and
-    // for {1, 3} merged collectors. `fleet` is already the materialized
-    // word list, so the reference and every re-run below reuse the one
-    // synthesis pass from above.
+    // pipeline on the same words — at queue depths {1, 8, default}, for
+    // shard counts {1, 4, 16}, and for {1, 3} merged collectors. `fleet`
+    // is already the materialized word list, so the reference and every
+    // re-run below reuse the one synthesis pass from above.
     core::PrivShape reference(setup->config);
     auto expected = reference.Run(words, labeled ? &labels : nullptr);
     if (!expected.ok()) {
@@ -439,17 +431,11 @@ int Main(int argc, char** argv) {
                   ok ? "OK" : "MISMATCH");
       all_ok = all_ok && ok;
     };
-    {
-      collector::CollectorOptions opt = options;
-      opt.streaming = false;
-      check(opt, 1, "ingest=barrier");
-    }
     std::vector<size_t> depths = {size_t{1}, size_t{8},
                                   collector::CollectorOptions{}.queue_depth};
     depths.erase(std::unique(depths.begin(), depths.end()), depths.end());
     for (size_t depth : depths) {
       collector::CollectorOptions opt = options;
-      opt.streaming = true;
       opt.queue_depth = depth;
       check(opt, 1, "queue-depth=" + std::to_string(depth));
     }

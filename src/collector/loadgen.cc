@@ -96,32 +96,6 @@ Status SendFrame(int fd, net::MsgType type, std::string_view body,
   return WriteAll(fd, frame);
 }
 
-/// Decodes a round's broadcast request into the shared RoundContext every
-/// assigned user answers against — the same pre-decode the in-process
-/// coordinator does once per round.
-Result<proto::RoundContext> ContextFor(const net::RoundBeginMsg& msg,
-                                       dist::Metric metric) {
-  switch (msg.kind) {
-    case proto::ReportKind::kLength: {
-      auto request = proto::DecodeLengthRequest(msg.request);
-      if (!request.ok()) return request.status();
-      return proto::RoundContext::Length(*request);
-    }
-    case proto::ReportKind::kSubShape: {
-      auto request = proto::DecodeSubShapeRequest(msg.request);
-      if (!request.ok()) return request.status();
-      return proto::RoundContext::SubShape(*request);
-    }
-    case proto::ReportKind::kSelection:
-      return proto::RoundContext::Selection(msg.request, metric);
-    case proto::ReportKind::kRefinement:
-      return proto::RoundContext::Refinement(msg.request, metric);
-    case proto::ReportKind::kClassRefine:
-      return proto::RoundContext::ClassRefinement(msg.request, metric);
-  }
-  return Status::InvalidArgument("unknown round kind");
-}
-
 /// One connection's whole lifecycle: handshake, rounds, Complete.
 Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
                                   const LoadgenOptions& options) {
@@ -198,7 +172,10 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
     if (round->kind == proto::ReportKind::kSelection) ++selection_rounds;
     telemetry::TraceSpan round_span(telemetry::GlobalTrace(), stage,
                                     "client");
-    auto ctx = ContextFor(*round, fleet.metric());
+    // The shared context every assigned user answers against, built from
+    // the broadcast bytes exactly as the in-process coordinator builds it.
+    auto ctx = proto::RoundContext::FromRequest(round->kind, round->request,
+                                                fleet.metric());
     if (!ctx.ok()) return ctx.status();
 
     // Same zero-allocation answer path as the in-process stripes: one

@@ -50,7 +50,7 @@ struct CollectorMetrics {
   size_t num_threads = 0;
   size_t num_collectors = 1;  ///< independent merged collection sites
   size_t queue_depth = 0;     ///< streaming queue capacity (0 = unbounded)
-  std::string ingest = "streaming";  ///< "streaming", "barrier", "socket"
+  std::string ingest = "streaming";  ///< "streaming" (in process), "socket"
   double total_seconds = 0.0;
   std::vector<RoundStats> rounds;
 

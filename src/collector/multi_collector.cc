@@ -30,9 +30,6 @@ Result<core::MechanismResult> MultiCollector::Collect(
     metrics->num_threads = coordinators_.front().EffectiveThreads();
     metrics->num_collectors = coordinators_.size();
     metrics->queue_depth = coordinators_.front().options().queue_depth;
-    metrics->ingest = coordinators_.front().options().streaming
-                          ? "streaming"
-                          : "barrier";
   }
   auto run_round = [this, &fleet](const std::vector<size_t>& population,
                                   const StageSpec& spec, const std::string&,

@@ -9,9 +9,8 @@
 
 #include "common/batch_queue.h"
 #include "common/shutdown.h"
-#include "core/population.h"
-#include "core/subshape.h"
 #include "protocol/messages.h"
+#include "protocol/round_context.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -47,6 +46,56 @@ struct ShardBatch {
   size_t shard = 0;
   proto::ReportBatch reports;
 };
+
+/// The round's broadcast request, encoded once — the bytes a wire
+/// deployment ships to each of its users, and what bytes_down counts —
+/// with the report kind it asks for.
+std::pair<proto::ReportKind, std::string> EncodeRequest(
+    const core::Round& round, const core::MechanismConfig& config) {
+  switch (round.stage) {
+    case core::Stage::kLength:
+      return {proto::ReportKind::kLength,
+              proto::EncodeLengthRequest(
+                  {config.ell_low, config.ell_high, config.epsilon})};
+    case core::Stage::kSubShape:
+      // The level window [1, ell_S) announces ell_S.
+      return {proto::ReportKind::kSubShape,
+              proto::EncodeSubShapeRequest(
+                  {config.t,
+                   static_cast<int>(round.min_level + round.num_levels),
+                   config.epsilon, config.allow_repeats})};
+    case core::Stage::kSelection:
+      return {proto::ReportKind::kSelection,
+              proto::EncodeCandidateRequest(
+                  {round.min_level, config.epsilon, round.candidates})};
+    case core::Stage::kRefinement:
+      return {proto::ReportKind::kRefinement,
+              proto::EncodeCandidateRequest(
+                  {round.min_level, config.epsilon, round.candidates})};
+    case core::Stage::kClassRefine:
+      return {proto::ReportKind::kClassRefine,
+              proto::EncodeClassRefineRequest(
+                  {config.epsilon, static_cast<uint64_t>(config.num_classes),
+                   round.candidates})};
+  }
+  return {proto::ReportKind::kLength, std::string()};
+}
+
+/// What the server aggregates, read off the context the clients answer
+/// against: exactly the domain and levels the broadcast announced.
+StageSpec SpecFor(const proto::RoundContext& ctx) {
+  StageSpec spec;
+  spec.kind = ctx.kind();
+  spec.domain = ctx.domain();
+  spec.epsilon = ctx.epsilon();
+  if (ctx.kind() == proto::ReportKind::kSubShape) {
+    spec.min_level = 1;  // one level per adjacent pair: [1, ell_s)
+    spec.num_levels = static_cast<size_t>(ctx.ell_s() - 1);
+  } else {
+    spec.min_level = ctx.level();
+  }
+  return spec;
+}
 
 /// Times one round, runs it (under a chrome-trace span when tracing is
 /// on), folds its telemetry into the process registry, and appends its
@@ -117,15 +166,6 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
   return outcome;
 }
 
-/// A set shutdown flag turns the partial round just recorded into a
-/// Cancelled protocol result — never into a server-side decision.
-Status CheckShutdown() {
-  if (ShutdownRequested()) {
-    return Status::Cancelled("shutdown requested mid-protocol");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 RoundCoordinator::RoundCoordinator(core::MechanismConfig config,
@@ -151,17 +191,66 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
   size_t batch_size = options_.batch_size > 0 ? options_.batch_size : 1;
   RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}};
   std::atomic<size_t> client_errors{0};
-  // One live histogram per round, shared by every ingesting thread
-  // (Record is relaxed atomics — per-BATCH, never per-report, so the
-  // zero-allocation report path stays untouched). Snapshotted into the
-  // outcome at the end; heap-allocated because it is ~24KB of atomics.
+  // One live histogram per round, shared by every drainer (Record is
+  // relaxed atomics — per-BATCH, never per-report, so the zero-allocation
+  // report path stays untouched). Snapshotted into the outcome at the
+  // end; heap-allocated because it is ~24KB of atomics.
   auto ingest_hist = std::make_unique<telemetry::Histogram>();
+
+  // Producers (pool workers) answer sessions and push batches into
+  // bounded MPSC queues; dedicated drainer threads aggregate
+  // concurrently. Drainer d is the only consumer of queue d and the only
+  // writer of lanes {s : s % D == d}, preserving the one-writer-per-lane
+  // rule without locks on the aggregation state itself. Drainers must be
+  // dedicated threads (pool tasks could be starved by producers blocked
+  // on full queues), but they count against the thread budget:
+  // ceil(threads/2) of them, so a T-thread round schedules at most 1.5T
+  // runnable threads — decode+count is far cheaper than answering, so
+  // half the workers absorb it.
+  size_t num_drainers = std::min(num_shards, (EffectiveThreads() + 1) / 2);
+  if (num_drainers == 0) num_drainers = 1;
+  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
+  queues.reserve(num_drainers);
+  for (size_t d = 0; d < num_drainers; ++d) {
+    queues.push_back(
+        std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
+    // Live backpressure visibility: queue d mirrors its depth into the
+    // collector_queue_depth_d<d> gauge, so a mid-round scrape shows
+    // which drainers are saturated.
+    queues.back()->set_depth_gauge(QueueDepthGauge(d));
+  }
+  std::vector<std::exception_ptr> drain_errors(num_drainers);
+  std::vector<std::thread> drainers;
+  drainers.reserve(num_drainers);
+  for (size_t d = 0; d < num_drainers; ++d) {
+    drainers.emplace_back([&, d] {
+      // An exception escaping a std::thread body would terminate the
+      // process; capture it for the post-join rethrow. The dying
+      // drainer closes its own queue so producers blocked on a full
+      // queue unblock (their remaining pushes are discarded — fine,
+      // the whole round is being abandoned).
+      try {
+        ShardBatch item;
+        while (queues[d]->Pop(&item)) {
+          uint64_t t0 = NowNs();
+          outcome.agg.ConsumeBatch(item.shard, item.reports);
+          ingest_hist->Record(NowNs() - t0);
+        }
+      } catch (...) {
+        drain_errors[d] = std::current_exception();
+        queues[d]->Close();
+      }
+    });
+  }
+  auto shutdown = [&] {
+    for (auto& queue : queues) queue->Close();
+    for (auto& drainer : drainers) drainer.join();
+  };
 
   // Shard s owns the contiguous stripe [n*s/S, n*(s+1)/S) of the
   // population. Integer-count merging makes the final estimates
-  // independent of this partition (and of which lane ingests what), so
-  // both ingestion modes below are free to route batches as they like.
-  auto produce_stripe = [&](size_t shard, auto&& emit_batch) {
+  // independent of this partition (and of which lane ingests what).
+  auto produce_stripe = [&](size_t shard) {
     size_t n = population.size();
     size_t begin = n * shard / num_shards;
     size_t end = n * (shard + 1) / num_shards;
@@ -172,9 +261,12 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
+    auto push = [&] {
+      queues[shard % num_drainers]->Push(ShardBatch{shard, std::move(batch)});
+    };
     for (size_t i = begin; i < end; ++i) {
       // Graceful shutdown: stop producing new reports mid-stripe. The
-      // already-emitted batches drain normally, so the partial round's
+      // already-pushed batches drain normally, so the partial round's
       // accounting stays exact; DriveProtocol turns the flag into a
       // Cancelled status before any server-side decision.
       if (ShutdownRequested()) break;
@@ -186,100 +278,30 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
         continue;
       }
       if (batch.size() >= batch_size) {
-        emit_batch(shard, std::move(batch));
+        push();
         batch = proto::ReportBatch();
         batch.Reserve(batch_size);
       }
     }
-    if (!batch.empty()) emit_batch(shard, std::move(batch));
+    if (!batch.empty()) push();
     client_errors.fetch_add(errors);
   };
-
-  auto for_each_shard = [&](const std::function<void(size_t)>& body) {
+  try {
     if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, body);
+      pool_->ParallelFor(num_shards, produce_stripe);
     } else {
-      for (size_t shard = 0; shard < num_shards; ++shard) body(shard);
+      for (size_t shard = 0; shard < num_shards; ++shard) {
+        produce_stripe(shard);
+      }
     }
-  };
-
-  if (!options_.streaming) {
-    // Barrier mode: the worker that answers a stripe also aggregates it,
-    // so a round is answer-then-ingest per report with no overlap across
-    // the two phases beyond what sharding gives.
-    for_each_shard([&](size_t shard) {
-      produce_stripe(shard, [&](size_t s, proto::ReportBatch batch) {
-        uint64_t t0 = NowNs();
-        outcome.agg.ConsumeBatch(s, batch);
-        ingest_hist->Record(NowNs() - t0);
-      });
-    });
-  } else {
-    // Streaming mode: producers answer sessions and push batches into
-    // bounded MPSC queues; dedicated drainer threads aggregate
-    // concurrently. Drainer d is the only consumer of queue d and the
-    // only writer of lanes {s : s % D == d}, preserving the one-writer-
-    // per-lane rule without locks on the aggregation state itself.
-    // Drainers must be dedicated threads (pool tasks could be starved by
-    // producers blocked on full queues), but they count against the
-    // thread budget: ceil(threads/2) of them, so a T-thread streaming
-    // round schedules at most 1.5T runnable threads — decode+count is
-    // far cheaper than answering, so half the workers absorb it.
-    size_t num_drainers =
-        std::min(num_shards, (EffectiveThreads() + 1) / 2);
-    if (num_drainers == 0) num_drainers = 1;
-    std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
-    queues.reserve(num_drainers);
-    for (size_t d = 0; d < num_drainers; ++d) {
-      queues.push_back(
-          std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
-      // Live backpressure visibility: queue d mirrors its depth into the
-      // collector_queue_depth_d<d> gauge, so a mid-round scrape shows
-      // which drainers are saturated.
-      queues.back()->set_depth_gauge(QueueDepthGauge(d));
-    }
-    std::vector<std::exception_ptr> drain_errors(num_drainers);
-    std::vector<std::thread> drainers;
-    drainers.reserve(num_drainers);
-    for (size_t d = 0; d < num_drainers; ++d) {
-      drainers.emplace_back([&, d] {
-        // An exception escaping a std::thread body would terminate the
-        // process; capture it for the post-join rethrow. The dying
-        // drainer closes its own queue so producers blocked on a full
-        // queue unblock (their remaining pushes are discarded — fine,
-        // the whole round is being abandoned).
-        try {
-          ShardBatch item;
-          while (queues[d]->Pop(&item)) {
-            uint64_t t0 = NowNs();
-            outcome.agg.ConsumeBatch(item.shard, item.reports);
-            ingest_hist->Record(NowNs() - t0);
-          }
-        } catch (...) {
-          drain_errors[d] = std::current_exception();
-          queues[d]->Close();
-        }
-      });
-    }
-    auto shutdown = [&] {
-      for (auto& queue : queues) queue->Close();
-      for (auto& drainer : drainers) drainer.join();
-    };
-    try {
-      for_each_shard([&](size_t shard) {
-        produce_stripe(shard, [&](size_t s, proto::ReportBatch batch) {
-          queues[s % num_drainers]->Push(ShardBatch{s, std::move(batch)});
-        });
-      });
-    } catch (...) {
-      // Drainers must be joined before the queues (and `outcome`) unwind.
-      shutdown();
-      throw;
-    }
+  } catch (...) {
+    // Drainers must be joined before the queues (and `outcome`) unwind.
     shutdown();
-    for (const auto& error : drain_errors) {
-      if (error) std::rethrow_exception(error);
-    }
+    throw;
+  }
+  shutdown();
+  for (const auto& error : drain_errors) {
+    if (error) std::rethrow_exception(error);
   }
 
   outcome.client_errors = client_errors.load();
@@ -290,185 +312,47 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
 Result<core::MechanismResult> DriveProtocol(
     const core::MechanismConfig& config, size_t num_users,
     const RoundRunner& run_round, CollectorMetrics* metrics) {
-  double start = Now();
-  if (num_users == 0) {
-    return Status::InvalidArgument("empty fleet");
-  }
-  auto server = core::PrivShapeServer::Create(config);
-  if (!server.ok()) return server.status();
   if (metrics != nullptr) metrics->num_users = num_users;
-
-  // Same split, same shared-engine usage as the core pipeline: the stage
-  // assignment is the server's only draw from the shared seed.
-  Rng rng(config.seed);
-  core::FourWaySplit split =
-      core::SplitFourWay(num_users, config.frac_a, config.frac_b,
-                         config.frac_c, config.frac_d, &rng);
-
-  // Round P_a: frequent length. The coordinator pre-builds the shared
-  // RoundContext once (GRR tables and all); every client answers against
-  // it with per-worker scratch — the zero-allocation report path.
-  {
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kLength;
-    spec.domain = static_cast<size_t>(config.ell_high - config.ell_low + 1);
-    spec.epsilon = config.epsilon;
-    if (split.pa.empty()) {
-      return Status::InvalidArgument(
-          "length estimation requires a non-empty population");
-    }
-    proto::LengthRequest request;
-    request.ell_low = config.ell_low;
-    request.ell_high = config.ell_high;
-    request.epsilon = config.epsilon;
-    // Encoded once per round, like every broadcast: these are the bytes a
-    // wire deployment ships to each P_a user, and what bytes_down counts.
-    std::string encoded_request = proto::EncodeLengthRequest(request);
-    auto context = proto::RoundContext::Length(request);
-    if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pa, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pa", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishLength(outcome.agg.DebiasedCounts(0)));
-  }
-  int ell_s = server->frequent_length();
-
-  // Round P_b: frequent sub-shape transitions.
-  size_t num_levels = server->NumSubShapeLevels();
-  if (num_levels == 0) {
-    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes({}));
-  } else {
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kSubShape;
-    spec.domain = core::SubShapeDomainSize(config.t, config.allow_repeats);
-    spec.epsilon = config.epsilon;
-    spec.min_level = 1;
-    spec.num_levels = num_levels;
-    proto::SubShapeRequest request;
-    request.alphabet = config.t;
-    request.ell_s = ell_s;
-    request.epsilon = config.epsilon;
-    request.allow_repeats = config.allow_repeats;
-    std::string encoded_request = proto::EncodeSubShapeRequest(request);
-    auto context = proto::RoundContext::SubShape(request);
-    if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pb, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pb", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    std::vector<std::vector<double>> level_counts(num_levels);
-    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      level_counts[lvl] = outcome.agg.DebiasedCounts(lvl);
-    }
-    PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(level_counts));
-  }
-
-  // Rounds P_c: one candidate broadcast + EM selection per trie level.
-  std::vector<std::vector<size_t>> level_groups =
-      core::PartitionGroups(split.pc, static_cast<size_t>(ell_s));
-  for (int level = 0; level < ell_s; ++level) {
-    auto candidates = server->BeginTrieLevel(level);
-    if (!candidates.ok()) return candidates.status();
-    proto::CandidateRequest request;
-    request.level = static_cast<uint64_t>(level);
-    request.epsilon = config.epsilon;
-    request.candidates = *candidates;
-    // Still encoded once per round: the broadcast bytes are what a wire
-    // deployment ships, and the metrics account for them — but no client
-    // decodes it anymore; they all share the pre-decoded context.
-    std::string encoded_request = proto::EncodeCandidateRequest(request);
+  // The wire runner: one encode, one context and one spec per round, and
+  // the same AnswerTo for every user of it.
+  auto wire_round =
+      [&](const core::Round& round) -> Result<core::RoundCounts> {
+    auto [kind, request] = EncodeRequest(round, config);
     auto context =
-        proto::RoundContext::Selection(std::move(request), config.metric);
+        proto::RoundContext::FromRequest(kind, request, config.metric);
     if (!context.ok()) return context.status();
     const proto::RoundContext& ctx = *context;
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kSelection;
-    spec.domain = candidates->size();
-    spec.epsilon = config.epsilon;
-    spec.min_level = static_cast<uint64_t>(level);
+    StageSpec spec = SpecFor(ctx);
     RoundOutcome outcome = RunTimedRound(
-        run_round, level_groups[static_cast<size_t>(level)], spec,
-        encoded_request,
+        run_round, round.population, spec, request,
         [&ctx](proto::ClientSession& session, size_t,
                proto::AnswerScratch& scratch, proto::ReportBatch& out) {
           return session.AnswerTo(ctx, &scratch, &out);
         },
-        "Pc.level" + std::to_string(level), metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    PRIVSHAPE_RETURN_IF_ERROR(
-        server->FinishTrieLevel(outcome.agg.DebiasedCounts(0)));
+        round.label, metrics);
+    // A set shutdown flag turns the partial round just recorded into a
+    // Cancelled protocol result — never into a server-side decision.
+    if (ShutdownRequested()) {
+      return Status::Cancelled("shutdown requested mid-protocol");
+    }
+    core::RoundCounts counts;
+    for (size_t bucket = 0; bucket < spec.num_levels; ++bucket) {
+      counts.push_back(outcome.agg.DebiasedCounts(bucket));
+    }
+    return counts;
+  };
+  double start = Now();
+  auto stamp_total = [&] {
+    if (metrics != nullptr) metrics->total_seconds = Now() - start;
+  };
+  try {
+    auto result = core::RunProtocol(config, num_users, wire_round);
+    stamp_total();
+    return result;
+  } catch (...) {
+    stamp_total();  // a transport abort unwinding through the runner
+    throw;
   }
-
-  // Round P_d / P_e: refinement over the surviving candidates — GRR over
-  // candidate indices for clustering (P_d), or the OUE candidate x class
-  // round (P_e, §V-E) when the mechanism runs the classification task.
-  auto candidates = server->BeginRefinement();
-  if (!candidates.ok()) return candidates.status();
-  Result<core::MechanismResult> result = Status::Internal("unreachable");
-  if (config.disable_refinement) {
-    result = server->FinishWithoutRefinement();
-  } else if (config.num_classes > 0) {
-    proto::ClassRefineRequest request;
-    request.epsilon = config.epsilon;
-    request.num_classes = static_cast<uint64_t>(config.num_classes);
-    request.candidates = *candidates;
-    std::string encoded_request = proto::EncodeClassRefineRequest(request);
-    auto context = proto::RoundContext::ClassRefinement(std::move(request),
-                                                        config.metric);
-    if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kClassRefine;
-    spec.domain = ctx.cells();
-    spec.epsilon = config.epsilon;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pd, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pe", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    result = server->FinishClassRefinement(outcome.agg.DebiasedCounts(0));
-  } else {
-    proto::CandidateRequest request;
-    request.level = 0;
-    request.epsilon = config.epsilon;
-    request.candidates = *candidates;
-    std::string encoded_request = proto::EncodeCandidateRequest(request);
-    auto context =
-        proto::RoundContext::Refinement(std::move(request), config.metric);
-    if (!context.ok()) return context.status();
-    const proto::RoundContext& ctx = *context;
-    StageSpec spec;
-    spec.kind = proto::ReportKind::kRefinement;
-    spec.domain = std::max<size_t>(candidates->size(), 2);
-    spec.epsilon = config.epsilon;
-    RoundOutcome outcome = RunTimedRound(
-        run_round, split.pd, spec, encoded_request,
-        [&ctx](proto::ClientSession& session, size_t,
-               proto::AnswerScratch& scratch, proto::ReportBatch& out) {
-          return session.AnswerTo(ctx, &scratch, &out);
-        },
-        "Pd", metrics);
-    PRIVSHAPE_RETURN_IF_ERROR(CheckShutdown());
-    result = server->FinishRefinement(outcome.agg.DebiasedCounts(0));
-  }
-
-  if (metrics != nullptr) metrics->total_seconds = Now() - start;
-  return result;
 }
 
 Result<core::MechanismResult> RoundCoordinator::Collect(
@@ -482,7 +366,6 @@ Result<core::MechanismResult> RoundCoordinator::Collect(
     metrics->num_threads = EffectiveThreads();
     metrics->num_collectors = 1;
     metrics->queue_depth = options_.queue_depth;
-    metrics->ingest = options_.streaming ? "streaming" : "barrier";
   }
   return DriveProtocol(
       config_, fleet.num_users(),

@@ -25,13 +25,8 @@ struct CollectorOptions {
   /// Encoded reports buffered per shard before they are handed to the
   /// aggregation side (one queue item / ConsumeBatch call per batch).
   size_t batch_size = 256;
-  /// Streaming ingestion (the default): fleet workers push report batches
-  /// into bounded per-drainer queues while dedicated drainer threads
-  /// aggregate concurrently, so answering and ConsumeBatch overlap.
-  /// false = barrier mode: each worker aggregates its own shard inline.
-  bool streaming = true;
-  /// Batches buffered per drainer queue before Push blocks (streaming
-  /// backpressure); 0 means unbounded.
+  /// Batches buffered per drainer queue before Push blocks
+  /// (backpressure); 0 means unbounded.
   size_t queue_depth = 8;
 };
 
@@ -70,14 +65,17 @@ using RoundRunner = std::function<RoundOutcome(
     const std::vector<size_t>& population, const StageSpec& spec,
     const std::string& encoded_request, const AnswerFn& answer)>;
 
-/// Drives the full Algorithm 2 protocol (P_a -> P_b -> ell_S x P_c ->
-/// P_d, or the OUE classification round P_e when config.num_classes > 0
-/// -> post-processing) against `run_round`, delegating every server-side
-/// decision to core::PrivShapeServer — the same state machine the
-/// single-threaded pipeline drives. `num_users` is the whole population
-/// (the stage split is the server's only draw from the shared seed).
-/// Per-round metrics (stage timings, accepted/rejected/bytes, client
-/// errors) are recorded into `metrics` when non-null.
+/// Drives the full Algorithm 2 protocol — core::RunProtocol's schedule,
+/// with every server-side decision in core::PrivShapeServer, exactly as
+/// the single-threaded pipeline runs it — against `run_round`. Each
+/// round's request is encoded once (the bytes a deployment broadcasts,
+/// and what bytes_down counts), its shared RoundContext is built from
+/// those bytes as every wire client builds it, and the round's StageSpec
+/// is read off that context. `num_users` is the whole population (the
+/// stage split is the server's only draw from the shared seed). Per-round
+/// metrics (stage timings, accepted/rejected/bytes, client errors) and
+/// the run's total_seconds are recorded into `metrics` when non-null, on
+/// every exit — failed and cancelled runs included.
 ///
 /// Graceful shutdown: DriveProtocol polls common/shutdown.h's flag after
 /// every round (and RunRound's stripe workers poll it per user), so a
@@ -106,14 +104,11 @@ class RoundCoordinator {
   Result<core::MechanismResult> Collect(const ClientFleet& fleet,
                                         CollectorMetrics* metrics = nullptr);
 
-  /// Broadcasts one round to `population` and ingests the answers.
-  ///
-  /// Streaming mode: population stripes are answered by pool workers that
-  /// push encoded batches into bounded MPSC queues, drained concurrently
-  /// by dedicated aggregation threads (one queue per drainer, lanes
-  /// striped across drainers so each lane keeps a single writer). Barrier
-  /// mode: each worker aggregates its own stripe inline. Both modes
-  /// produce identical aggregation state.
+  /// Broadcasts one round to `population` and ingests the answers:
+  /// population stripes are answered by pool workers that push encoded
+  /// batches into bounded MPSC queues, drained concurrently by dedicated
+  /// aggregation threads (one queue per drainer, lanes striped across
+  /// drainers so each lane keeps a single writer).
   RoundOutcome RunRound(const ClientFleet& fleet,
                         const std::vector<size_t>& population,
                         const StageSpec& spec, const AnswerFn& answer) const;

@@ -29,7 +29,7 @@ Result<int> EstimateFrequentLength(const std::vector<Sequence>& sequences,
     if (user >= sequences.size()) {
       return Status::OutOfRange("population index outside dataset");
     }
-    // Shared user-side logic (same as ClientSession / LocalLengthRound),
+    // Shared user-side logic (same as ClientSession and PrivShape::Run),
     // here drawing from the caller's shared engine (baseline semantics).
     counts[AnswerLengthValue(sequences[user], ell_low, ell_high, *grr,
                              rng)]++;

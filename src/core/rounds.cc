@@ -5,15 +5,11 @@
 #include <numeric>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
-#include "core/em_selection.h"
+#include "core/population.h"
 #include "eval/agglomerative.h"
-#include "ldp/estimator_utils.h"
-#include "ldp/exponential.h"
-#include "ldp/grr.h"
-#include "ldp/unary_encoding.h"
 
 namespace privshape::core {
 
@@ -326,172 +322,102 @@ std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
 }
 
 PS_REPORT_PATH
-Result<std::vector<double>> LocalLengthRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_low, int ell_high,
-    double epsilon, uint64_t seed) {
-  if (population.empty()) {
+Result<size_t> AnswerSelectionValue(const Sequence& word,
+                                    const dist::CandidateTable& table,
+                                    const dist::SequenceDistance& distance,
+                                    const ldp::ExponentialMechanism& em,
+                                    SelectionScratch* scratch, Rng* rng) {
+  table.MatchInto(word, distance, /*prefix_compare=*/true, &scratch->table,
+                  &scratch->distances);
+  ldp::ScoresFromDistancesInto(scratch->distances, &scratch->scores);
+  return em.Select(scratch->scores, rng, &scratch->probs);
+}
+
+PS_REPORT_PATH
+size_t AnswerRefinementValue(const Sequence& word,
+                             const dist::CandidateTable& table,
+                             const dist::SequenceDistance& distance,
+                             const ldp::Grr& grr, dist::TableScratch* scratch,
+                             Rng* rng) {
+  return grr.PerturbValue(table.Closest(word, distance, scratch), rng);
+}
+
+PS_REPORT_PATH
+Result<size_t> ClassRefineCell(const Sequence& word, int label,
+                               int num_classes,
+                               const dist::CandidateTable& table,
+                               const dist::SequenceDistance& distance,
+                               dist::TableScratch* scratch) {
+  if (label < 0 || label >= num_classes) {
+    return Status::FailedPrecondition(
+        "session label outside [0, num_classes)");
+  }
+  return table.Closest(word, distance, scratch) *
+             static_cast<size_t>(num_classes) +
+         static_cast<size_t>(label);
+}
+
+Result<MechanismResult> RunProtocol(const MechanismConfig& config,
+                                    size_t num_users,
+                                    const RoundFn& run_round) {
+  auto server = PrivShapeServer::Create(config);
+  if (!server.ok()) return server.status();
+  Rng rng(config.seed);
+  FourWaySplit split = SplitFourWay(num_users, config.frac_a, config.frac_b,
+                                    config.frac_c, config.frac_d, &rng);
+  if (split.pa.empty()) {
     return Status::InvalidArgument(
         "length estimation requires a non-empty population");
   }
-  if (ell_low < 1 || ell_high < ell_low) {
-    return Status::InvalidArgument("need 1 <= ell_low <= ell_high");
-  }
-  size_t domain = static_cast<size_t>(ell_high - ell_low + 1);
-  std::vector<size_t> counts(domain, 0);
-  if (domain == 1) {
-    // Clients report the single bucket deterministically (no perturbation
-    // possible over a one-value domain) — mirror ClientSession.
-    for (size_t user : population) {
-      if (user >= sequences.size()) {
-        return Status::OutOfRange("population index outside dataset");
-      }
-      counts[0]++;
+  // A runner must answer every level of the round's window.
+  auto run = [&run_round](const Round& round) -> Result<RoundCounts> {
+    auto counts = run_round(round);
+    if (counts.ok() && counts->size() != round.num_levels) {
+      return Status::Internal(round.label + ": runner answered " +
+                              std::to_string(counts->size()) + " levels");
     }
-    return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
+    return counts;
+  };
+
+  auto lengths = run(Round{Stage::kLength, "Pa", split.pa, 0, 1, {}});
+  if (!lengths.ok()) return lengths.status();
+  PRIVSHAPE_RETURN_IF_ERROR(server->FinishLength(lengths->front()));
+  int ell_s = server->frequent_length();
+
+  // With ell_S = 1 no adjacent pair exists, so P_b is skipped.
+  RoundCounts transitions;
+  if (size_t levels = server->NumSubShapeLevels(); levels > 0) {
+    auto counts = run(Round{Stage::kSubShape, "Pb", split.pb, 1, levels, {}});
+    if (!counts.ok()) return counts.status();
+    transitions = std::move(*counts);
   }
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    Rng user_rng(DeriveSeed(seed, user));
-    counts[AnswerLengthValue(sequences[user], ell_low, ell_high, *grr,
-                             &user_rng)]++;
-  }
-  return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
-}
+  PRIVSHAPE_RETURN_IF_ERROR(server->FinishSubShapes(transitions));
 
-PS_REPORT_PATH
-Result<std::vector<std::vector<double>>> LocalSubShapeRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, double epsilon,
-    bool allow_repeats, uint64_t seed) {
-  if (ell_s < 1) return Status::InvalidArgument("ell_s must be >= 1");
-  std::vector<std::vector<double>> level_counts;
-  if (ell_s == 1) return level_counts;  // no adjacent pairs exist
-
-  size_t num_levels = static_cast<size_t>(ell_s - 1);
-  size_t domain = SubShapeDomainSize(t, allow_repeats);
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-
-  std::vector<std::vector<size_t>> counts(num_levels,
-                                          std::vector<size_t>(domain, 0));
-  std::vector<size_t> reports(num_levels, 0);
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    Rng user_rng(DeriveSeed(seed, user));
-    auto [level, value] = AnswerSubShapeValue(
-        sequences[user], ell_s, t, allow_repeats, *grr, &user_rng);
-    counts[level - 1][value]++;
-    reports[level - 1]++;
+  std::vector<std::vector<size_t>> level_groups =
+      PartitionGroups(split.pc, static_cast<size_t>(ell_s));
+  for (int level = 0; level < ell_s; ++level) {
+    auto candidates = server->BeginTrieLevel(level);
+    if (!candidates.ok()) return candidates.status();
+    auto counts = run(Round{Stage::kSelection,
+                            "Pc.level" + std::to_string(level),
+                            level_groups[static_cast<size_t>(level)],
+                            static_cast<uint64_t>(level), 1,
+                            std::move(*candidates)});
+    if (!counts.ok()) return counts.status();
+    PRIVSHAPE_RETURN_IF_ERROR(server->FinishTrieLevel(counts->front()));
   }
 
-  level_counts.resize(num_levels);
-  for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-    level_counts[lvl] =
-        ldp::DebiasGrrCounts(counts[lvl], reports[lvl], epsilon);
-  }
-  return level_counts;
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalSelectionRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to select among");
-  }
-  auto em = ldp::ExponentialMechanism::Create(epsilon);
-  if (!em.ok()) return em.status();
-  auto distance = dist::MakeDistance(metric);
-
-  // One SoA table per round: the whole population matches against the
-  // same broadcast list, through the same vectorized kernels (and hence
-  // the same bits) as a wire-level ClientSession.
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  std::vector<double> counts(candidates.size(), 0.0);
-  SelectionScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    table.MatchInto(sequences[user], *distance, /*prefix_compare=*/true,
-                    &scratch.table, &scratch.distances);
-    ldp::ScoresFromDistancesInto(scratch.distances, &scratch.scores);
-    Rng user_rng(DeriveSeed(seed, user));
-    auto pick = em->Select(scratch.scores, &user_rng, &scratch.probs);
-    if (!pick.ok()) return pick.status();
-    counts[*pick] += 1.0;
-  }
-  return counts;
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to refine");
-  }
-  size_t domain = std::max<size_t>(candidates.size(), 2);
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-  auto distance = dist::MakeDistance(metric);
-
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  std::vector<size_t> counts(domain, 0);
-  dist::TableScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    size_t pick = table.Closest(sequences[user], *distance, &scratch);
-    Rng user_rng(DeriveSeed(seed, user));
-    counts[grr->PerturbValue(pick, &user_rng)]++;
-  }
-  return ldp::DebiasGrrCounts(counts, population.size(), epsilon);
-}
-
-PS_REPORT_PATH
-Result<std::vector<double>> LocalClassRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences, const std::vector<int>& labels,
-    const std::vector<size_t>& population, dist::Metric metric,
-    int num_classes, double epsilon, uint64_t seed) {
-  if (candidates.empty()) {
-    return Status::InvalidArgument("no candidates to refine");
-  }
-  if (num_classes <= 0) {
-    return Status::InvalidArgument("num_classes must be positive");
-  }
-  // Classification: OUE over candidate x class cells (§V-E).
-  size_t cells = candidates.size() * static_cast<size_t>(num_classes);
-  auto oue = ldp::UnaryEncoding::Create(
-      cells, epsilon, ldp::UnaryEncoding::Variant::kOptimized);
-  if (!oue.ok()) return oue.status();
-  auto distance = dist::MakeDistance(metric);
-  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
-  dist::TableScratch scratch;
-  for (size_t user : population) {
-    if (user >= sequences.size() || user >= labels.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    size_t pick = table.Closest(sequences[user], *distance, &scratch);
-    size_t cell = pick * static_cast<size_t>(num_classes) +
-                  static_cast<size_t>(labels[user]);
-    Rng user_rng(DeriveSeed(seed, user));
-    PRIVSHAPE_RETURN_IF_ERROR(oue->SubmitUser(cell, &user_rng));
-  }
-  return oue->EstimateCounts();
+  auto candidates = server->BeginRefinement();
+  if (!candidates.ok()) return candidates.status();
+  if (config.disable_refinement) return server->FinishWithoutRefinement();
+  bool classify = config.num_classes > 0;
+  auto counts =
+      run(Round{classify ? Stage::kClassRefine : Stage::kRefinement,
+                classify ? "Pe" : "Pd", split.pd, 0, 1,
+                std::move(*candidates)});
+  if (!counts.ok()) return counts.status();
+  return classify ? server->FinishClassRefinement(counts->front())
+                  : server->FinishRefinement(counts->front());
 }
 
 }  // namespace privshape::core

@@ -1,23 +1,30 @@
 /// \file
-/// Algorithm 2 as explicit server-side rounds. `PrivShapeServer` is the
-/// single implementation of every server-side decision (length argmax,
-/// transition gating, trie pruning, refinement, post-processing) — both the
-/// in-process `core::PrivShape` mechanism and the multi-threaded
-/// `collector::RoundCoordinator` drive it, which is what makes their
-/// outputs byte-identical. The Local*Round functions are the in-process
-/// "fleet": they answer each round exactly as a wire-level ClientSession
-/// would, deriving every user's randomness from DeriveSeed(seed, user) so
-/// results do not depend on iteration or thread order.
+/// Algorithm 2 as one schedule of explicit rounds. `RunProtocol` is the
+/// only place the P_a -> P_b -> ell_S x P_c -> P_d/P_e order is written,
+/// and `PrivShapeServer` the single implementation of every server-side
+/// decision (length argmax, transition gating, trie pruning, refinement,
+/// post-processing). The in-process `core::PrivShape` and the wire-level
+/// `collector::DriveProtocol` are that schedule plus a round runner, which
+/// is what makes their outputs byte-identical. The Answer* helpers are the
+/// user-side step of each stage, shared by both runners; every user's
+/// randomness comes from DeriveSeed(seed, user), so results do not depend
+/// on iteration or thread order.
 
 #ifndef PRIVSHAPE_CORE_ROUNDS_H_
 #define PRIVSHAPE_CORE_ROUNDS_H_
 
+#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/analysis_annotations.h"
+#include "common/rng.h"
 #include "core/config.h"
+#include "core/em_selection.h"
 #include "core/subshape.h"
+#include "distance/candidate_table.h"
+#include "ldp/exponential.h"
 #include "ldp/grr.h"
 #include "trie/trie.h"
 
@@ -113,10 +120,10 @@ class PrivShapeServer {
   std::vector<Sequence> candidates_;  ///< refinement candidates
 };
 
-/// Per-user answer computations shared by the in-process rounds and the
+/// Per-user answer computations shared by the in-process runner and the
 /// wire-level ClientSession, so one user produces the same perturbed
 /// report (same draws, same order) on either path. These are the only
-/// implementations of the P_a/P_b user-side logic.
+/// implementations of the user-side logic.
 ///
 /// P_a: length clipped into [ell_low, ell_high], GRR-perturbed. `grr`
 /// must span the (ell_high - ell_low + 1)-value domain, which must have
@@ -136,48 +143,76 @@ std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
                                                 const ldp::Grr& grr,
                                                 Rng* rng);
 
-/// In-process round runners: each answers one collection round for a
-/// population exactly as the wire-level ClientSession would, with user
-/// `u`'s randomness drawn from Rng(DeriveSeed(seed, u)).
-///
-/// P_a — returns debiased GRR counts over the clipped length domain.
+/// P_c: matches the word against every candidate (a longer word through
+/// its equally long prefix, Lemma 1), scores the distances, and returns
+/// the EM-selected candidate index.
 PS_REPORT_PATH
-Result<std::vector<double>> LocalLengthRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_low, int ell_high,
-    double epsilon, uint64_t seed);
+Result<size_t> AnswerSelectionValue(const Sequence& word,
+                                    const dist::CandidateTable& table,
+                                    const dist::SequenceDistance& distance,
+                                    const ldp::ExponentialMechanism& em,
+                                    SelectionScratch* scratch, Rng* rng);
 
-/// P_b — returns per-level debiased pair counts (empty when ell_s == 1).
+/// P_d (clustering): GRR over the index of the closest candidate. `grr`
+/// must span max(|candidates|, 2) values; `scratch` may be nullptr.
 PS_REPORT_PATH
-Result<std::vector<std::vector<double>>> LocalSubShapeRound(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, double epsilon,
-    bool allow_repeats, uint64_t seed);
+size_t AnswerRefinementValue(const Sequence& word,
+                             const dist::CandidateTable& table,
+                             const dist::SequenceDistance& distance,
+                             const ldp::Grr& grr, dist::TableScratch* scratch,
+                             Rng* rng);
 
-/// P_c — returns raw EM selection counts per candidate.
+/// P_e (classification): the (closest candidate, label) cell of the
+/// row-major candidate x class grid, which the user's OUE report encodes.
+/// Fails when `label` is outside [0, num_classes): no report may leave an
+/// unlabeled or mislabeled device. `scratch` may be nullptr.
 PS_REPORT_PATH
-Result<std::vector<double>> LocalSelectionRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed);
+Result<size_t> ClassRefineCell(const Sequence& word, int label,
+                               int num_classes,
+                               const dist::CandidateTable& table,
+                               const dist::SequenceDistance& distance,
+                               dist::TableScratch* scratch);
 
-/// P_d (clustering) — returns debiased GRR counts over candidate indices.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, uint64_t seed);
+/// The collection stages of Algorithm 2.
+enum class Stage {
+  kLength,       ///< P_a: GRR over the clipped length
+  kSubShape,     ///< P_b: GRR over one sampled adjacent pair
+  kSelection,    ///< P_c: EM over one trie level's candidates
+  kRefinement,   ///< P_d: GRR over the refinement candidates
+  kClassRefine,  ///< P_e: OUE over candidate x class cells
+};
 
-/// P_d (classification) — returns debiased OUE counts over candidate x
-/// class cells, row-major.
-PS_REPORT_PATH
-Result<std::vector<double>> LocalClassRefinementRound(
-    const std::vector<Sequence>& candidates,
-    const std::vector<Sequence>& sequences, const std::vector<int>& labels,
-    const std::vector<size_t>& population, dist::Metric metric,
-    int num_classes, double epsilon, uint64_t seed);
+/// One round of the schedule, as RunProtocol hands it to a runner.
+struct Round {
+  Stage stage;
+  std::string label;  ///< "Pa", "Pb", "Pc.level<i>", "Pd" or "Pe"
+  /// The users who answer; disjoint from every other round's population.
+  const std::vector<size_t>& population;
+  /// Report levels the round accepts, [min_level, min_level + num_levels):
+  /// [1, ell_S) for P_b, [i, i + 1) for P_c level i, [0, 1) otherwise.
+  uint64_t min_level;
+  size_t num_levels;
+  /// The broadcast candidates of P_c, P_d and P_e; empty otherwise.
+  std::vector<Sequence> candidates;
+};
+
+/// A runner's result for one round: one debiased count vector per level
+/// of the round's window (raw selection counts for P_c).
+using RoundCounts = std::vector<std::vector<double>>;
+using RoundFn = std::function<Result<RoundCounts>(const Round&)>;
+
+/// Algorithm 2's schedule, the one place its round order is written.
+/// Splits `num_users` into the disjoint P_a, P_b, P_c and P_d populations
+/// (the split is the only draw from the shared seed), then runs P_a -> P_b
+/// (skipped when ell_S = 1) -> ell_S x P_c -> P_d, or P_e when
+/// config.num_classes > 0 (neither with disable_refinement), handing each
+/// round to `run_round` and its counts to a PrivShapeServer. Every user
+/// answers at most one round, so the result is eps-LDP at the user level
+/// (Theorem 3). A runner error ends the protocol with that status before
+/// any further server decision.
+Result<MechanismResult> RunProtocol(const MechanismConfig& config,
+                                    size_t num_users,
+                                    const RoundFn& run_round);
 
 }  // namespace privshape::core
 

@@ -82,7 +82,7 @@ Result<SubShapeEstimates> EstimateSubShapes(
     if (user >= sequences.size()) {
       return Status::OutOfRange("population index outside dataset");
     }
-    // Shared user-side logic (same as ClientSession / LocalSubShapeRound),
+    // Shared user-side logic (same as ClientSession and PrivShape::Run),
     // here drawing from the caller's shared engine (baseline semantics).
     auto [level, value] = AnswerSubShapeValue(sequences[user], ell_s, t,
                                               allow_repeats, *grr, rng);

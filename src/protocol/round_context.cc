@@ -9,6 +9,30 @@
 
 namespace privshape::proto {
 
+Result<RoundContext> RoundContext::FromRequest(ReportKind kind,
+                                               std::string_view encoded_request,
+                                               dist::Metric metric) {
+  switch (kind) {
+    case ReportKind::kLength: {
+      auto request = DecodeLengthRequest(encoded_request);
+      if (!request.ok()) return request.status();
+      return Length(*request);
+    }
+    case ReportKind::kSubShape: {
+      auto request = DecodeSubShapeRequest(encoded_request);
+      if (!request.ok()) return request.status();
+      return SubShape(*request);
+    }
+    case ReportKind::kSelection:
+      return Selection(encoded_request, metric);
+    case ReportKind::kRefinement:
+      return Refinement(encoded_request, metric);
+    case ReportKind::kClassRefine:
+      return ClassRefinement(encoded_request, metric);
+  }
+  return Status::InvalidArgument("unknown round kind");
+}
+
 Result<RoundContext> RoundContext::Length(int ell_low, int ell_high,
                                           double epsilon) {
   if (ell_low < 1 || ell_high < ell_low) {
@@ -20,6 +44,7 @@ Result<RoundContext> RoundContext::Length(int ell_low, int ell_high,
   ctx.ell_low_ = ell_low;
   ctx.ell_high_ = ell_high;
   size_t domain = static_cast<size_t>(ell_high - ell_low + 1);
+  ctx.domain_ = domain;
   if (domain > 1) {
     auto grr = ldp::Grr::Create(domain, epsilon);
     if (!grr.ok()) return grr.status();
@@ -47,6 +72,7 @@ Result<RoundContext> RoundContext::SubShape(int alphabet, int ell_s,
   size_t domain = core::SubShapeDomainSize(alphabet, allow_repeats);
   auto grr = ldp::Grr::Create(domain, epsilon);
   if (!grr.ok()) return grr.status();
+  ctx.domain_ = domain;
   ctx.grr_ = std::move(*grr);
   return ctx;
 }
@@ -67,6 +93,7 @@ Result<RoundContext> RoundContext::Selection(CandidateRequest request,
   ctx.kind_ = ReportKind::kSelection;
   ctx.level_ = request.level;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = request.candidates.size();
   ctx.em_ = std::move(*em);
   ctx.distance_ = dist::MakeDistance(metric);
   ctx.table_ = dist::CandidateTable::Build(std::move(request.candidates));
@@ -85,13 +112,14 @@ Result<RoundContext> RoundContext::Refinement(CandidateRequest request,
   if (request.candidates.empty()) {
     return Status::InvalidArgument("empty candidate list");
   }
-  auto grr = ldp::Grr::Create(
-      std::max<size_t>(request.candidates.size(), 2), request.epsilon);
+  size_t domain = std::max<size_t>(request.candidates.size(), 2);
+  auto grr = ldp::Grr::Create(domain, request.epsilon);
   if (!grr.ok()) return grr.status();
   RoundContext ctx;
   ctx.kind_ = ReportKind::kRefinement;
   ctx.level_ = request.level;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = domain;
   ctx.grr_ = std::move(*grr);
   ctx.distance_ = dist::MakeDistance(metric);
   ctx.table_ = dist::CandidateTable::Build(std::move(request.candidates));
@@ -127,8 +155,8 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
   }
   size_t cells = static_cast<size_t>(wide_cells);
   // Validation and p/q come from the one OUE implementation, so the
-  // context-path Bernoulli draws use bit-identical probabilities to
-  // core::LocalClassRefinementRound's ldp::UnaryEncoding oracle.
+  // context-path Bernoulli draws use bit-identical probabilities to the
+  // in-process runner's ldp::UnaryEncoding oracle.
   auto oue = ldp::UnaryEncoding::Create(
       cells, request.epsilon, ldp::UnaryEncoding::Variant::kOptimized);
   if (!oue.ok()) return oue.status();
@@ -136,6 +164,7 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
   ctx.kind_ = ReportKind::kClassRefine;
   ctx.level_ = 0;
   ctx.epsilon_ = request.epsilon;
+  ctx.domain_ = cells;
   ctx.num_classes_ = static_cast<int>(request.num_classes);
   ctx.oue_p_ = oue->p();
   ctx.oue_q_ = oue->q();

@@ -1,16 +1,17 @@
 /// \file
-/// The shared per-round client context. The paper's P_a..P_d rounds
+/// The shared per-round client context. The paper's P_a..P_e rounds
 /// broadcast ONE identical request to the whole population (PrivShape
 /// §IV, Algorithm 2), so everything derivable from the request alone —
-/// the decoded candidate list, the GRR/EM perturbation parameters, the
-/// distance kernel — is round-constant. RoundContext materializes that
+/// the decoded candidate list, the GRR/EM/OUE perturbation parameters,
+/// the distance kernel — is round-constant. RoundContext materializes that
 /// work exactly once; every client answer then runs against a
 /// `const RoundContext&` plus a per-worker `AnswerScratch`, and the
 /// per-report hot path performs no heap allocation at all.
 ///
-/// Determinism: a context-path answer draws the same randomness in the
-/// same order as the string-decoding entry points (which are now thin
-/// wrappers over this), so reports are byte-identical on either path.
+/// Every client builds its context from the round's broadcast bytes
+/// (FromRequest) — the in-process collector once per round, each socket
+/// client from the RoundBegin it receives — so all of them answer against
+/// the state a deployed client would hold.
 
 #ifndef PRIVSHAPE_PROTOCOL_ROUND_CONTEXT_H_
 #define PRIVSHAPE_PROTOCOL_ROUND_CONTEXT_H_
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/em_selection.h"
 #include "distance/candidate_table.h"
 #include "distance/distance.h"
 #include "ldp/exponential.h"
@@ -39,27 +41,28 @@ namespace privshape::proto {
 /// candidates x tens of classes — orders of magnitude below this.
 inline constexpr uint64_t kMaxClassRefineCells = 1u << 20;
 
-/// Reusable per-worker buffers for the zero-allocation answer path: DP
-/// rows for the distance kernel, the distance/score/probability vectors
-/// of the EM selection chain, and the Report the answer is written into.
-/// One instance per worker thread (or per population stripe); never
-/// shared across threads.
-struct AnswerScratch {
-  dist::TableScratch table;
-  std::vector<double> distances;
-  std::vector<double> scores;
-  std::vector<double> probs;
+/// Reusable per-worker buffers for the zero-allocation answer path: the
+/// EM selection chain's table DP rows and distance/score/probability
+/// vectors (core::SelectionScratch), the raw engine block of an OUE bit
+/// fill, and the Report the answer is written into. One instance per
+/// worker thread (or per population stripe); never shared across threads.
+struct AnswerScratch : core::SelectionScratch {
   std::vector<uint64_t> words;  ///< raw engine block for batched OUE bits
   Report report;
 };
 
-/// Immutable, shareable state of one collection round, built once by the
-/// coordinator (or by a legacy string entry point) and read concurrently
-/// by every client answer. Construction does all the validation the
-/// string entry points used to do per call, with identical Status
-/// results; answering against a context of the wrong kind fails.
+/// Immutable, shareable state of one collection round, built once per
+/// round and read concurrently by every client answer. Construction
+/// validates the request; answering against a context of the wrong kind
+/// fails.
 class RoundContext {
  public:
+  /// The context of a round from its broadcast bytes: decodes the request
+  /// a `kind` round carries and builds the matching context below.
+  static Result<RoundContext> FromRequest(ReportKind kind,
+                                          std::string_view encoded_request,
+                                          dist::Metric metric);
+
   /// P_a: GRR over the clipped length range [ell_low, ell_high]. A
   /// one-value range is served deterministically (no mechanism).
   static Result<RoundContext> Length(int ell_low, int ell_high,
@@ -95,6 +98,9 @@ class RoundContext {
   ReportKind kind() const { return kind_; }
   uint64_t level() const { return level_; }
   double epsilon() const { return epsilon_; }
+  /// One level's report domain: the value range of the GRR/EM kinds; for
+  /// kClassRefine the OUE bit-vector length, candidates x num_classes.
+  size_t domain() const { return domain_; }
   const std::vector<Sequence>& candidates() const {
     return table_.candidates();
   }
@@ -112,10 +118,6 @@ class RoundContext {
 
   // Classification-refinement parameters (kClassRefine only).
   int num_classes() const { return num_classes_; }
-  /// candidates().size() * num_classes() — the OUE bit-vector length.
-  size_t cells() const {
-    return candidates().size() * static_cast<size_t>(num_classes_);
-  }
   double oue_p() const { return oue_p_; }
   double oue_q() const { return oue_q_; }
 
@@ -135,6 +137,7 @@ class RoundContext {
   ReportKind kind_ = ReportKind::kLength;
   uint64_t level_ = 0;
   double epsilon_ = 0.0;
+  size_t domain_ = 0;
   int ell_low_ = 0;
   int ell_high_ = 0;
   int alphabet_ = 0;

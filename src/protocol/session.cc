@@ -2,22 +2,15 @@
 
 #include <algorithm>
 
-#include "core/em_selection.h"
 #include "core/rounds.h"
-#include "core/subshape.h"
 #include "ldp/estimator_utils.h"
-#include "ldp/exponential.h"
-#include "ldp/grr.h"
 #include "ldp/unary_encoding.h"
 
 namespace privshape::proto {
 
-// --- Shared-context hot path ---------------------------------------------
-//
-// These four are the one implementation of the user-side answer logic;
-// the string entry points below are thin wrappers that build a throwaway
-// RoundContext, so both paths draw identical randomness in identical
-// order and produce byte-identical reports.
+// Each Answer* runs its stage's user-side helper from core/rounds.h, the
+// one the in-process runner calls too, so both paths draw identical
+// randomness in identical order and produce the same tallies.
 
 PS_REPORT_PATH
 Status ClientSession::AnswerLength(const RoundContext& ctx,
@@ -33,7 +26,6 @@ Status ClientSession::AnswerLength(const RoundContext& ctx,
     out->value = 0;
     return Status::Ok();
   }
-  // Shared user-side logic: same draws as core::LocalLengthRound.
   out->value = core::AnswerLengthValue(word_, ctx.ell_low(), ctx.ell_high(),
                                        *ctx.grr(), &rng_);
   return Status::Ok();
@@ -46,7 +38,6 @@ Status ClientSession::AnswerSubShape(const RoundContext& ctx,
   if (ctx.kind() != ReportKind::kSubShape) {
     return Status::InvalidArgument("context is not a sub-shape round");
   }
-  // Shared user-side logic: same draws as core::LocalSubShapeRound.
   auto [level, value] =
       core::AnswerSubShapeValue(word_, ctx.ell_s(), ctx.alphabet(),
                                 ctx.allow_repeats(), *ctx.grr(), &rng_);
@@ -64,14 +55,9 @@ Status ClientSession::AnswerSelection(const RoundContext& ctx,
     return Status::InvalidArgument("context is not a selection round");
   }
   AnswerScratch local;
-  AnswerScratch* s = scratch != nullptr ? scratch : &local;
-  // Shared matching path: the SoA table kernels produce bit-identical
-  // distance vectors (and hence identical EM draws) to the in-process
-  // core::LocalSelectionRound, which matches through the same table.
-  ctx.table().MatchInto(word_, *ctx.distance(), /*prefix_compare=*/true,
-                        &s->table, &s->distances);
-  ldp::ScoresFromDistancesInto(s->distances, &s->scores);
-  auto pick = ctx.em()->Select(s->scores, &rng_, &s->probs);
+  auto pick = core::AnswerSelectionValue(
+      word_, ctx.table(), *ctx.distance(), *ctx.em(),
+      scratch != nullptr ? scratch : &local, &rng_);
   if (!pick.ok()) return pick.status();
   out->kind = ReportKind::kSelection;
   out->level = ctx.level();
@@ -86,11 +72,11 @@ Status ClientSession::AnswerRefinement(const RoundContext& ctx,
   if (ctx.kind() != ReportKind::kRefinement) {
     return Status::InvalidArgument("context is not a refinement round");
   }
-  size_t best_idx = ctx.table().Closest(
-      word_, *ctx.distance(), scratch != nullptr ? &scratch->table : nullptr);
   out->kind = ReportKind::kRefinement;
   out->level = 0;
-  out->value = ctx.grr()->PerturbValue(best_idx, &rng_);
+  out->value = core::AnswerRefinementValue(
+      word_, ctx.table(), *ctx.distance(), *ctx.grr(),
+      scratch != nullptr ? &scratch->table : nullptr, &rng_);
   out->bits.clear();
   return Status::Ok();
 }
@@ -103,26 +89,20 @@ Status ClientSession::AnswerClassRefinement(const RoundContext& ctx,
     return Status::InvalidArgument(
         "context is not a class-refinement round");
   }
-  if (label_ < 0 || label_ >= ctx.num_classes()) {
-    // No report leaves an unlabeled (or mislabeled) device: the OUE cell
-    // index would be undefined, and a fabricated one would bias the
-    // per-class estimates instead of showing up as a client error.
-    return Status::FailedPrecondition(
-        "session label outside [0, num_classes)");
-  }
   AnswerScratch local;
   AnswerScratch* s = scratch != nullptr ? scratch : &local;
-  size_t best_idx =
-      ctx.table().Closest(word_, *ctx.distance(), &s->table);
-  size_t cell = best_idx * static_cast<size_t>(ctx.num_classes()) +
-                static_cast<size_t>(label_);
+  // An unlabeled or mislabeled session fails here: a fabricated cell would
+  // bias the per-class estimates instead of showing up as a client error.
+  auto cell = core::ClassRefineCell(word_, label_, ctx.num_classes(),
+                                    ctx.table(), *ctx.distance(), &s->table);
+  if (!cell.ok()) return cell.status();
   out->kind = ReportKind::kClassRefine;
   out->level = 0;
   out->value = 0;
   // The one canonical OUE bit fill — same draws in the same order as
   // ldp::UnaryEncoding::PerturbValue (one raw engine word per cell,
   // threshold-compared in bulk), written into the reusable bits buffer.
-  ctx.oue()->EncodeInto(cell, &rng_, &s->words, &out->bits);
+  ctx.oue()->EncodeInto(*cell, &rng_, &s->words, &out->bits);
   return Status::Ok();
 }
 
@@ -152,56 +132,6 @@ Status ClientSession::AnswerTo(const RoundContext& ctx,
   PRIVSHAPE_RETURN_IF_ERROR(Answer(ctx, scratch, report));
   out->Append(*report);
   return Status::Ok();
-}
-
-// --- String-decoding wire API (thin wrappers) ----------------------------
-
-Result<std::string> ClientSession::AnswerLengthRequest(int ell_low,
-                                                       int ell_high,
-                                                       double epsilon) {
-  auto ctx = RoundContext::Length(ell_low, ell_high, epsilon);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerLength(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerSubShapeRequest(int alphabet,
-                                                         int ell_s,
-                                                         double epsilon,
-                                                         bool allow_repeats) {
-  auto ctx = RoundContext::SubShape(alphabet, ell_s, epsilon, allow_repeats);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerSubShape(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerCandidateRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::Selection(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerSelection(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerRefinementRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::Refinement(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerRefinement(*ctx, nullptr, &report));
-  return EncodeReport(report);
-}
-
-Result<std::string> ClientSession::AnswerClassRefineRequest(
-    const std::string& request) {
-  auto ctx = RoundContext::ClassRefinement(request, metric_);
-  if (!ctx.ok()) return ctx.status();
-  Report report;
-  PRIVSHAPE_RETURN_IF_ERROR(AnswerClassRefinement(*ctx, nullptr, &report));
-  return EncodeReport(report);
 }
 
 ReportAggregator::ReportAggregator(ReportKind kind, size_t domain,

@@ -24,54 +24,26 @@ namespace privshape::proto {
 
 /// The user-side endpoint of the collection protocol. Owns the user's
 /// private compressed word; every Answer* method performs the stage's
-/// local perturbation and returns an encoded Report — the only bytes that
-/// ever leave the device. All privacy-relevant randomness comes from the
-/// client's own Rng.
-///
-/// Two entry-point families produce byte-identical reports:
-///  - the string-decoding AnswerXxxRequest methods (the wire API), which
-///    rebuild the round state per call, and
-///  - the Answer*(const RoundContext&, ...) hot-path overloads, which run
-///    against a shared pre-decoded context plus per-worker scratch and
-///    allocate nothing per report.
+/// local perturbation — the stage's user-side helper from core/rounds.h,
+/// which the in-process runner calls too — against a shared pre-decoded
+/// RoundContext plus per-worker scratch, allocating nothing per report.
+/// The Report it writes is the only data that ever leaves the device, and
+/// all privacy-relevant randomness comes from the client's own Rng.
 class ClientSession {
  public:
   /// `label` is the user's private class label, required only for the
   /// classification refinement round (P_e); -1 means unlabeled. Like the
   /// word, it is only ever read inside this session's local perturbation.
-  ClientSession(Sequence word, dist::Metric metric, uint64_t seed,
-                int label = -1)
-      : word_(std::move(word)), metric_(metric), rng_(seed), label_(label) {}
+  /// The distance metric is a round property: the RoundContext carries it.
+  ClientSession(Sequence word, uint64_t seed, int label = -1)
+      : word_(std::move(word)), rng_(seed), label_(label) {}
 
   int label() const { return label_; }
 
-  /// P_a stage: GRR over the clipped length range.
-  Result<std::string> AnswerLengthRequest(int ell_low, int ell_high,
-                                          double epsilon);
-
-  /// P_b stage: padding-and-sampling sub-shape report at budget epsilon.
-  /// `alphabet` is the SAX alphabet size; ell_s the announced trie height.
-  Result<std::string> AnswerSubShapeRequest(int alphabet, int ell_s,
-                                            double epsilon,
-                                            bool allow_repeats);
-
-  /// P_c stage: EM selection over the server's candidate list.
-  Result<std::string> AnswerCandidateRequest(const std::string& request);
-
-  /// P_d stage (clustering): GRR over the candidate index.
-  Result<std::string> AnswerRefinementRequest(const std::string& request);
-
-  /// P_e stage (classification): OUE bit vector over candidate x class
-  /// cells. Fails (no report leaves the device) when the session is
-  /// unlabeled or the label falls outside the announced class count.
-  Result<std::string> AnswerClassRefineRequest(const std::string& request);
-
-  // --- Shared-context hot path -------------------------------------------
-  //
-  // All overloads write the answer into *out (bits cleared, every field
-  // set) and fail with InvalidArgument if ctx.kind() does not match the
-  // method. `scratch` may be nullptr for the stages that need none (P_a,
-  // P_b); the selection/refinement stages then allocate locally.
+  // Every Answer* writes the answer into *out (bits cleared, every field
+  // set) and fails with InvalidArgument if ctx.kind() does not match the
+  // method. `scratch` may be nullptr; the stages that need buffers then
+  // allocate locally.
 
   /// P_a against a shared context.
   PS_REPORT_PATH
@@ -97,7 +69,9 @@ class ClientSession {
 
   /// P_e against a shared context: closest-candidate argmin, then the OUE
   /// perturbation of the (candidate, label) cell written straight into
-  /// out->bits (whose capacity is reused across reports).
+  /// out->bits (whose capacity is reused across reports). Fails (no report
+  /// leaves the device) when the session is unlabeled or the label falls
+  /// outside the announced class count.
   PS_REPORT_PATH
   Status AnswerClassRefinement(const RoundContext& ctx,
                                AnswerScratch* scratch, Report* out);
@@ -114,7 +88,6 @@ class ClientSession {
 
  private:
   Sequence word_;
-  dist::Metric metric_;
   Rng rng_;
   int label_ = -1;
 };

@@ -1,7 +1,7 @@
 /// Classification over the wire: the labeled-fleet collector path must be
 /// byte-identical to core::PrivShapeLabeledShapes (same words, same
-/// labels, same seed) across the whole determinism matrix — ingest modes,
-/// shard counts, collector counts — and the new P_e protocol pieces must
+/// labels, same seed) across the whole determinism matrix — shard counts,
+/// collector counts — and the new P_e protocol pieces must
 /// hold up under label errors and merge partitioning.
 
 #include <gtest/gtest.h>
@@ -106,19 +106,15 @@ TEST(CollectorClassificationTest, MatchesCoreAcrossDeterminismMatrix) {
   ASSERT_FALSE(expected->shapes.empty());
 
   ThreadPool pool(4);
-  for (bool streaming : {true, false}) {
-    for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-      for (size_t collectors : {size_t{1}, size_t{3}}) {
-        CollectorOptions options;
-        options.streaming = streaming;
-        options.num_shards = shards;
-        MultiCollector sites(config, options, &pool, collectors);
-        auto got = sites.Collect(fleet);
-        ASSERT_TRUE(got.ok())
-            << got.status() << " streaming=" << streaming
-            << " shards=" << shards << " collectors=" << collectors;
-        ExpectSameResult(*expected, *got);
-      }
+  for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
+    for (size_t collectors : {size_t{1}, size_t{3}}) {
+      CollectorOptions options;
+      options.num_shards = shards;
+      MultiCollector sites(config, options, &pool, collectors);
+      auto got = sites.Collect(fleet);
+      ASSERT_TRUE(got.ok()) << got.status() << " shards=" << shards
+                            << " collectors=" << collectors;
+      ExpectSameResult(*expected, *got);
     }
   }
 }
@@ -216,8 +212,7 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
   for (uint64_t user = 0; user < 100; ++user) {
     Sequence word = PlantedWord(user);
     int label = PlantedLabel(user);
-    proto::ClientSession session(word, dist::Metric::kSed,
-                                 DeriveSeed(5, user), label);
+    proto::ClientSession session(word, DeriveSeed(5, user), label);
     proto::Report report;
     ASSERT_TRUE(
         session.AnswerClassRefinement(*ctx, &scratch, &report).ok());
@@ -295,11 +290,11 @@ TEST(CollectorClassificationTest, UnlabeledSessionFailsClassRefinement) {
   request.candidates = {{0, 1}, {1, 0}};
   auto ctx = proto::RoundContext::ClassRefinement(request, dist::Metric::kSed);
   ASSERT_TRUE(ctx.ok());
-  proto::ClientSession unlabeled({0, 1}, dist::Metric::kSed, 7);
+  proto::ClientSession unlabeled({0, 1}, 7);
   proto::Report report;
   auto st = unlabeled.AnswerClassRefinement(*ctx, nullptr, &report);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  proto::ClientSession mislabeled({0, 1}, dist::Metric::kSed, 7, 2);
+  proto::ClientSession mislabeled({0, 1}, 7, 2);
   EXPECT_EQ(mislabeled.AnswerClassRefinement(*ctx, nullptr, &report).code(),
             StatusCode::kFailedPrecondition);
 }

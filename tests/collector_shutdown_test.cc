@@ -89,8 +89,11 @@ TEST_F(ShutdownTest, InProcessCollectReturnsCancelledMidProtocol) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
       << result.status();
-  // The rounds that finished before the cancel stay on the books.
+  // The rounds that finished before the cancel stay on the books, and so
+  // does the time they took.
   EXPECT_GT(answered->load(), kUsers / 2);
+  EXPECT_FALSE(metrics.rounds.empty());
+  EXPECT_GT(metrics.total_seconds, 0.0);
 }
 
 TEST_F(ShutdownTest, CollectBeforeAnyRoundIsCancelledImmediately) {
@@ -152,9 +155,12 @@ TEST_F(ShutdownTest, DaemonServeCancelsCleanlyWithMetricsPopulated) {
   ASSERT_FALSE(served.ok());
   EXPECT_EQ(served.status().code(), StatusCode::kCancelled)
       << served.status();
-  // Metrics survive the cancel: the operator still gets a JSON report.
+  // Metrics survive the cancel: the operator still gets a JSON report,
+  // with the rounds served so far and the time they took.
   EXPECT_EQ(metrics.ingest, "socket");
   EXPECT_EQ(daemon.stats().handshakes, 1u);
+  EXPECT_FALSE(metrics.rounds.empty());
+  EXPECT_GT(metrics.total_seconds, 0.0);
 }
 
 TEST_F(ShutdownTest, DaemonServeBeforeAcceptIsCancelled) {

@@ -2,7 +2,7 @@
 /// the multi-collector merge: client errors mid-stream, backpressure
 /// under tiny queue depths, and the determinism contract (byte-identical
 /// shapes AND exact accepted/rejected/bytes tallies) across
-/// {queue depth} x {collector count} vs. the barrier path and the
+/// {queue depth} x {collector count} vs. a single-site baseline and the
 /// single-threaded core pipeline.
 
 #include <gtest/gtest.h>
@@ -100,7 +100,6 @@ TEST(StreamingFailureTest, ClientErrorsMidStreamAreCountedNotIngested) {
   ClientFleet fleet = PlantedFleet(kUsers, config);
   ThreadPool pool(4);
   CollectorOptions options;
-  options.streaming = true;
   options.num_shards = 8;
   options.batch_size = 16;
   options.queue_depth = 2;
@@ -140,19 +139,18 @@ TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
   StageSpec spec = LengthSpec(config);
   AnswerFn answer = LengthAnswer(config);
 
-  // Reference: barrier ingestion, no queues involved.
-  CollectorOptions barrier;
-  barrier.streaming = false;
-  barrier.num_shards = 4;
+  // Reference: few shards, unbounded queues — no Push ever blocks.
+  CollectorOptions roomy;
+  roomy.num_shards = 4;
+  roomy.queue_depth = 0;
   ThreadPool pool(4);
   RoundOutcome expected =
-      RoundCoordinator(config, barrier, &pool)
+      RoundCoordinator(config, roomy, &pool)
           .RunRound(fleet, population, spec, answer);
 
-  // Hostile streaming config: many producers per drainer queue,
-  // depth-1 queues, batch size 1 — every Push can block.
+  // Hostile config: many producers per drainer queue, depth-1 queues,
+  // batch size 1 — every Push can block.
   CollectorOptions hostile;
-  hostile.streaming = true;
   hostile.num_shards = 32;
   hostile.batch_size = 1;
   hostile.queue_depth = 1;
@@ -181,21 +179,19 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   ThreadPool pool(4);
-  // The barrier path is the tallies baseline the streaming runs must hit.
-  CollectorOptions barrier_options;
-  barrier_options.streaming = false;
-  barrier_options.num_shards = 8;
-  CollectorMetrics barrier_metrics;
-  auto barrier = RoundCoordinator(config, barrier_options, &pool)
-                     .Collect(fleet, &barrier_metrics);
-  ASSERT_TRUE(barrier.ok()) << barrier.status();
-  ExpectSameResult(*expected, *barrier);
+  // One default-depth site is the tallies baseline every run must hit.
+  CollectorOptions baseline_options;
+  baseline_options.num_shards = 8;
+  CollectorMetrics baseline_metrics;
+  auto baseline = RoundCoordinator(config, baseline_options, &pool)
+                      .Collect(fleet, &baseline_metrics);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ExpectSameResult(*expected, *baseline);
 
   // Queue depths {1, 8, 0 = unbounded} x collectors {1, 3}.
   for (size_t depth : {size_t{1}, size_t{8}, size_t{0}}) {
     for (size_t collectors : {size_t{1}, size_t{3}}) {
       CollectorOptions options;
-      options.streaming = true;
       options.num_shards = 8;
       options.queue_depth = depth;
       options.batch_size = 64;
@@ -206,13 +202,13 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
           << got.status() << " depth=" << depth << " c=" << collectors;
       ExpectSameResult(*expected, *got);
 
-      // Exact round-by-round tallies vs. the barrier path: same stages,
-      // same accepted/rejected/bytes per stage — streaming and merging
+      // Exact round-by-round tallies vs. the baseline: same stages, same
+      // accepted/rejected/bytes per stage — queue depth and merging
       // change scheduling, never counts.
-      ASSERT_EQ(metrics.rounds.size(), barrier_metrics.rounds.size());
+      ASSERT_EQ(metrics.rounds.size(), baseline_metrics.rounds.size());
       for (size_t r = 0; r < metrics.rounds.size(); ++r) {
         const auto& got_round = metrics.rounds[r];
-        const auto& want_round = barrier_metrics.rounds[r];
+        const auto& want_round = baseline_metrics.rounds[r];
         EXPECT_EQ(got_round.stage, want_round.stage);
         EXPECT_EQ(got_round.users, want_round.users) << got_round.stage;
         EXPECT_EQ(got_round.accepted, want_round.accepted)
@@ -236,7 +232,6 @@ TEST(StreamingDeterminismTest, InlineExecutionStillStreams) {
   MechanismConfig config = TestConfig();
   ClientFleet fleet = PlantedFleet(1500, config);
   CollectorOptions options;
-  options.streaming = true;
   options.num_shards = 4;
   options.queue_depth = 1;
   auto inline_run =

@@ -193,12 +193,13 @@ TEST(RoundCoordinatorTest, MetricsCoverEveryRound) {
 TEST(ClientFleetTest, SessionsAreReproducible) {
   MechanismConfig config = TestConfig();
   ClientFleet fleet = PlantedFleet(50, config);
+  auto ctx = proto::RoundContext::Length(1, 6, 4.0);
+  ASSERT_TRUE(ctx.ok());
   for (size_t user : {size_t{0}, size_t{7}, size_t{49}}) {
-    auto a = fleet.MakeSession(user).AnswerLengthRequest(1, 6, 4.0);
-    auto b = fleet.MakeSession(user).AnswerLengthRequest(1, 6, 4.0);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << "user " << user;
+    Report a, b;
+    ASSERT_TRUE(fleet.MakeSession(user).Answer(*ctx, nullptr, &a).ok());
+    ASSERT_TRUE(fleet.MakeSession(user).Answer(*ctx, nullptr, &b).ok());
+    EXPECT_EQ(a, b) << "user " << user;
   }
 }
 

@@ -1,6 +1,7 @@
-/// RoundContext hot path vs the string-decoding wire API: for all four
-/// report kinds the two paths must emit byte-identical reports for the
-/// same user (same seed, same word), errors must match, and the batched
+/// RoundContext hot path vs the broadcast bytes: for every report kind, a
+/// context shared across users must emit byte-identical reports to one
+/// rebuilt from the encoded request for each answer (same seed, same
+/// word), malformed broadcasts must fail construction, and the batched
 /// ReportBatch codec must round-trip through the aggregation side.
 
 #include <gtest/gtest.h>
@@ -36,8 +37,8 @@ Sequence WordFor(uint64_t user) {
   return word;
 }
 
-ClientSession SessionFor(uint64_t user, dist::Metric metric) {
-  return ClientSession(WordFor(user), metric, DeriveSeed(7, user));
+ClientSession SessionFor(uint64_t user) {
+  return ClientSession(WordFor(user), DeriveSeed(7, user));
 }
 
 CandidateRequest SampleRequest(double epsilon) {
@@ -51,8 +52,8 @@ CandidateRequest SampleRequest(double epsilon) {
 /// The context-path report for one user (scratch shared across calls to
 /// prove reuse does not leak state between users).
 std::string ContextAnswer(const RoundContext& ctx, uint64_t user,
-                          dist::Metric metric, AnswerScratch* scratch) {
-  ClientSession session = SessionFor(user, metric);
+                          AnswerScratch* scratch) {
+  ClientSession session = SessionFor(user);
   ReportBatch batch;
   Status st = session.AnswerTo(ctx, scratch, &batch);
   EXPECT_TRUE(st.ok()) << st;
@@ -60,16 +61,30 @@ std::string ContextAnswer(const RoundContext& ctx, uint64_t user,
   return std::string(batch.view(0));
 }
 
+/// A fresh session's report against a context rebuilt from the broadcast
+/// bytes for this one answer — the string path a wire client that only
+/// heard this round takes.
+std::string WireAnswer(ReportKind kind, const std::string& request,
+                       uint64_t user, dist::Metric metric, int label = -1) {
+  auto ctx = RoundContext::FromRequest(kind, request, metric);
+  EXPECT_TRUE(ctx.ok()) << ctx.status();
+  if (!ctx.ok()) return "";
+  ClientSession session(WordFor(user), DeriveSeed(7, user), label);
+  ReportBatch batch;
+  Status st = session.AnswerTo(*ctx, nullptr, &batch);
+  EXPECT_TRUE(st.ok()) << st;
+  return batch.empty() ? "" : std::string(batch.view(0));
+}
+
 TEST(RoundContextTest, LengthAnswersByteIdenticalToStringPath) {
   auto ctx = RoundContext::Length(1, 10, 4.0);
   ASSERT_TRUE(ctx.ok());
+  std::string request = proto::EncodeLengthRequest({1, 10, 4.0});
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 200; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerLengthRequest(1, 10, 4.0);
-    ASSERT_TRUE(wire.ok());
-    EXPECT_EQ(ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch),
-              *wire)
+    EXPECT_EQ(ContextAnswer(*ctx, user, &scratch),
+              WireAnswer(ReportKind::kLength, request, user,
+                         dist::Metric::kSed))
         << "user " << user;
   }
 }
@@ -78,14 +93,13 @@ TEST(RoundContextTest, OneValueLengthDomainIsDeterministicZero) {
   auto ctx = RoundContext::Length(3, 3, 4.0);
   ASSERT_TRUE(ctx.ok());
   EXPECT_EQ(ctx->grr(), nullptr);
+  std::string request = proto::EncodeLengthRequest({3, 3, 4.0});
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 20; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerLengthRequest(3, 3, 4.0);
-    ASSERT_TRUE(wire.ok());
     std::string got =
-        ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch);
-    EXPECT_EQ(got, *wire);
+        ContextAnswer(*ctx, user, &scratch);
+    EXPECT_EQ(got, WireAnswer(ReportKind::kLength, request, user,
+                              dist::Metric::kSed));
     auto report = proto::DecodeReport(got);
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report->value, 0u);
@@ -95,13 +109,12 @@ TEST(RoundContextTest, OneValueLengthDomainIsDeterministicZero) {
 TEST(RoundContextTest, SubShapeAnswersByteIdenticalToStringPath) {
   auto ctx = RoundContext::SubShape(4, 6, 4.0, false);
   ASSERT_TRUE(ctx.ok());
+  std::string request = proto::EncodeSubShapeRequest({4, 6, 4.0, false});
   AnswerScratch scratch;
   for (uint64_t user = 0; user < 200; ++user) {
-    auto wire = SessionFor(user, dist::Metric::kSed)
-                    .AnswerSubShapeRequest(4, 6, 4.0, false);
-    ASSERT_TRUE(wire.ok());
-    EXPECT_EQ(ContextAnswer(*ctx, user, dist::Metric::kSed, &scratch),
-              *wire)
+    EXPECT_EQ(ContextAnswer(*ctx, user, &scratch),
+              WireAnswer(ReportKind::kSubShape, request, user,
+                         dist::Metric::kSed))
         << "user " << user;
   }
 }
@@ -116,9 +129,8 @@ TEST(RoundContextTest, SelectionAnswersByteIdenticalToStringPath) {
     ASSERT_TRUE(ctx.ok());
     AnswerScratch scratch;
     for (uint64_t user = 0; user < 150; ++user) {
-      auto wire = SessionFor(user, metric).AnswerCandidateRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      EXPECT_EQ(ContextAnswer(*ctx, user, metric, &scratch), *wire)
+      EXPECT_EQ(ContextAnswer(*ctx, user, &scratch),
+                WireAnswer(ReportKind::kSelection, encoded, user, metric))
           << dist::MetricName(metric) << " user " << user;
     }
   }
@@ -134,9 +146,8 @@ TEST(RoundContextTest, RefinementAnswersByteIdenticalToStringPath) {
     ASSERT_TRUE(ctx.ok());
     AnswerScratch scratch;
     for (uint64_t user = 0; user < 150; ++user) {
-      auto wire = SessionFor(user, metric).AnswerRefinementRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      EXPECT_EQ(ContextAnswer(*ctx, user, metric, &scratch), *wire)
+      EXPECT_EQ(ContextAnswer(*ctx, user, &scratch),
+                WireAnswer(ReportKind::kRefinement, encoded, user, metric))
           << dist::MetricName(metric) << " user " << user;
     }
   }
@@ -152,19 +163,16 @@ TEST(RoundContextTest, ClassRefinementAnswersByteIdenticalToStringPath) {
     auto ctx = RoundContext::ClassRefinement(encoded, metric);
     ASSERT_TRUE(ctx.ok()) << ctx.status();
     EXPECT_EQ(ctx->kind(), ReportKind::kClassRefine);
-    EXPECT_EQ(ctx->cells(), request.candidates.size() * 4);
+    EXPECT_EQ(ctx->domain(), request.candidates.size() * 4);
     AnswerScratch scratch;
     for (uint64_t user = 0; user < 150; ++user) {
       int label = static_cast<int>(user % 4);
-      ClientSession wire_session(WordFor(user), metric, DeriveSeed(7, user),
-                                 label);
-      auto wire = wire_session.AnswerClassRefineRequest(encoded);
-      ASSERT_TRUE(wire.ok());
-      ClientSession ctx_session(WordFor(user), metric, DeriveSeed(7, user),
-                                label);
+      ClientSession ctx_session(WordFor(user), DeriveSeed(7, user), label);
       ReportBatch batch;
       ASSERT_TRUE(ctx_session.AnswerTo(*ctx, &scratch, &batch).ok());
-      EXPECT_EQ(std::string(batch.view(0)), *wire)
+      EXPECT_EQ(std::string(batch.view(0)),
+                WireAnswer(ReportKind::kClassRefine, encoded, user, metric,
+                           label))
           << dist::MetricName(metric) << " user " << user;
     }
   }
@@ -205,7 +213,8 @@ TEST(RoundContextTest, ClassRefinementConstructionValidates) {
 }
 
 TEST(RoundContextTest, ConstructionValidatesLikeTheWireApi) {
-  // Same failures the string entry points produce.
+  // Malformed or out-of-range broadcasts fail whichever factory builds
+  // the context, the byte-decoding FromRequest included.
   EXPECT_FALSE(RoundContext::Length(0, 10, 4.0).ok());
   EXPECT_FALSE(RoundContext::Length(5, 4, 4.0).ok());
   EXPECT_FALSE(RoundContext::Length(1, 10, -1.0).ok());  // bad epsilon
@@ -218,6 +227,14 @@ TEST(RoundContextTest, ConstructionValidatesLikeTheWireApi) {
       RoundContext::Selection("garbage", dist::Metric::kSed).ok());
   EXPECT_FALSE(
       RoundContext::Refinement("garbage", dist::Metric::kSed).ok());
+  EXPECT_FALSE(RoundContext::FromRequest(ReportKind::kLength, "garbage",
+                                         dist::Metric::kSed)
+                   .ok());
+  EXPECT_FALSE(RoundContext::FromRequest(
+                   ReportKind::kSubShape,
+                   proto::EncodeSubShapeRequest({3, 1, 4.0, false}),
+                   dist::Metric::kSed)
+                   .ok());
   CandidateRequest bad_eps = SampleRequest(-2.0);
   EXPECT_FALSE(
       RoundContext::Selection(std::move(bad_eps), dist::Metric::kSed).ok());
@@ -229,7 +246,7 @@ TEST(RoundContextTest, AnswerRejectsKindMismatch) {
       RoundContext::Selection(SampleRequest(4.0), dist::Metric::kSed);
   ASSERT_TRUE(length_ctx.ok());
   ASSERT_TRUE(select_ctx.ok());
-  ClientSession session = SessionFor(0, dist::Metric::kSed);
+  ClientSession session = SessionFor(0);
   Report report;
   EXPECT_FALSE(session.AnswerLength(*select_ctx, nullptr, &report).ok());
   EXPECT_FALSE(session.AnswerSelection(*length_ctx, nullptr, &report).ok());
@@ -246,7 +263,7 @@ TEST(RoundContextTest, ReportReuseClearsStaleBits) {
   ASSERT_TRUE(ctx.ok());
   AnswerScratch scratch;
   scratch.report.bits = {1, 0, 1};
-  ClientSession session = SessionFor(3, dist::Metric::kSed);
+  ClientSession session = SessionFor(3);
   ReportBatch batch;
   ASSERT_TRUE(session.AnswerTo(*ctx, &scratch, &batch).ok());
   auto decoded = proto::DecodeReport(batch.view(0));

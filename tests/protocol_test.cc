@@ -2,6 +2,7 @@
 
 #include "protocol/codec.h"
 #include "protocol/messages.h"
+#include "protocol/round_context.h"
 #include "protocol/session.h"
 
 namespace privshape {
@@ -18,6 +19,18 @@ using proto::Encoder;
 using proto::Report;
 using proto::ReportAggregator;
 using proto::ReportKind;
+
+/// One client's encoded answer to a `kind` round broadcast as `request`,
+/// through the context every wire client builds from those bytes.
+Result<std::string> AnswerBroadcast(ClientSession& client, ReportKind kind,
+                                    const std::string& request) {
+  auto ctx =
+      proto::RoundContext::FromRequest(kind, request, dist::Metric::kSed);
+  if (!ctx.ok()) return ctx.status();
+  proto::ReportBatch batch;
+  PRIVSHAPE_RETURN_IF_ERROR(client.AnswerTo(*ctx, nullptr, &batch));
+  return std::string(batch.view(0));
+}
 
 TEST(CodecTest, VarintRoundTrip) {
   Encoder enc;
@@ -195,8 +208,9 @@ TEST(MessagesTest, CandidateRequestRoundTrip) {
 }
 
 TEST(SessionTest, LengthAnswerIsValidReport) {
-  ClientSession client({0, 1, 2}, dist::Metric::kSed, 7);
-  auto wire = client.AnswerLengthRequest(1, 10, 4.0);
+  ClientSession client({0, 1, 2}, 7);
+  auto wire = AnswerBroadcast(client, ReportKind::kLength,
+                              proto::EncodeLengthRequest({1, 10, 4.0}));
   ASSERT_TRUE(wire.ok());
   auto report = DecodeReport(*wire);
   ASSERT_TRUE(report.ok());
@@ -205,8 +219,10 @@ TEST(SessionTest, LengthAnswerIsValidReport) {
 }
 
 TEST(SessionTest, SubShapeAnswerCarriesLevel) {
-  ClientSession client({0, 1, 2, 0}, dist::Metric::kSed, 8);
-  auto wire = client.AnswerSubShapeRequest(3, 4, 4.0, false);
+  ClientSession client({0, 1, 2, 0}, 8);
+  auto wire =
+      AnswerBroadcast(client, ReportKind::kSubShape,
+                      proto::EncodeSubShapeRequest({3, 4, 4.0, false}));
   ASSERT_TRUE(wire.ok());
   auto report = DecodeReport(*wire);
   ASSERT_TRUE(report.ok());
@@ -216,17 +232,21 @@ TEST(SessionTest, SubShapeAnswerCarriesLevel) {
 }
 
 TEST(SessionTest, SubShapeRequiresTwoLevels) {
-  ClientSession client({0}, dist::Metric::kSed, 9);
-  EXPECT_FALSE(client.AnswerSubShapeRequest(3, 1, 4.0, false).ok());
+  ClientSession client({0}, 9);
+  EXPECT_FALSE(
+      AnswerBroadcast(client, ReportKind::kSubShape,
+                      proto::EncodeSubShapeRequest({3, 1, 4.0, false}))
+          .ok());
 }
 
 TEST(SessionTest, CandidateAnswerSelectsWithinRange) {
-  ClientSession client({0, 1}, dist::Metric::kSed, 10);
+  ClientSession client({0, 1}, 10);
   CandidateRequest request;
   request.level = 1;
   request.epsilon = 6.0;
   request.candidates = {{0, 1}, {2, 0}, {1, 2}};
-  auto wire = client.AnswerCandidateRequest(EncodeCandidateRequest(request));
+  auto wire = AnswerBroadcast(client, ReportKind::kSelection,
+                              EncodeCandidateRequest(request));
   ASSERT_TRUE(wire.ok());
   auto report = DecodeReport(*wire);
   ASSERT_TRUE(report.ok());
@@ -235,11 +255,12 @@ TEST(SessionTest, CandidateAnswerSelectsWithinRange) {
 }
 
 TEST(SessionTest, RefinementAnswerUsesGrr) {
-  ClientSession client({0, 1, 2}, dist::Metric::kSed, 11);
+  ClientSession client({0, 1, 2}, 11);
   CandidateRequest request;
   request.epsilon = 8.0;
   request.candidates = {{0, 1, 2}, {2, 1, 0}};
-  auto wire = client.AnswerRefinementRequest(EncodeCandidateRequest(request));
+  auto wire = AnswerBroadcast(client, ReportKind::kRefinement,
+                              EncodeCandidateRequest(request));
   ASSERT_TRUE(wire.ok());
   auto report = DecodeReport(*wire);
   ASSERT_TRUE(report.ok());
@@ -248,12 +269,14 @@ TEST(SessionTest, RefinementAnswerUsesGrr) {
 }
 
 TEST(SessionTest, MalformedRequestsRejected) {
-  ClientSession client({0, 1}, dist::Metric::kSed, 12);
-  EXPECT_FALSE(client.AnswerCandidateRequest("garbage").ok());
+  ClientSession client({0, 1}, 12);
+  EXPECT_FALSE(
+      AnswerBroadcast(client, ReportKind::kSelection, "garbage").ok());
   CandidateRequest empty;
   empty.epsilon = 1.0;
-  EXPECT_FALSE(
-      client.AnswerCandidateRequest(EncodeCandidateRequest(empty)).ok());
+  EXPECT_FALSE(AnswerBroadcast(client, ReportKind::kSelection,
+                               EncodeCandidateRequest(empty))
+                   .ok());
 }
 
 TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
@@ -263,15 +286,15 @@ TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
   const double kEps = 4.0;
   ReportAggregator agg(ReportKind::kLength,
                        static_cast<size_t>(kHigh - kLow + 1), kEps);
+  std::string request = proto::EncodeLengthRequest({kLow, kHigh, kEps});
   for (int i = 0; i < 400; ++i) {
     Sequence word;
     size_t len = (i % 10) < 7 ? 3 : 5;
     for (size_t j = 0; j < len; ++j) {
       word.push_back(static_cast<Symbol>(j % 3));
     }
-    ClientSession client(std::move(word), dist::Metric::kSed,
-                         100 + static_cast<uint64_t>(i));
-    auto wire = client.AnswerLengthRequest(kLow, kHigh, kEps);
+    ClientSession client(std::move(word), 100 + static_cast<uint64_t>(i));
+    auto wire = AnswerBroadcast(client, ReportKind::kLength, request);
     ASSERT_TRUE(wire.ok());
     agg.Consume(*wire);
   }

@@ -37,10 +37,12 @@ DESCRIPTION = ("engine words are consumed only through blessed batched "
 
 # The closure surface for R4: every randomness-consuming function here
 # must be annotated. Whole modules, plus the core files that implement
-# the per-user report logic (population/pem/baseline are server-side
-# orchestration and stay outside).
+# the per-user report logic, the in-process round runner included
+# (population/pem/baseline are server-side orchestration and stay
+# outside).
 CLOSURE_MODULES = {"ldp", "protocol"}
 CLOSURE_FILES = {
+    "src/core/privshape.cc",
     "src/core/rounds.cc",
     "src/core/em_selection.cc",
     "src/core/subshape.cc",
