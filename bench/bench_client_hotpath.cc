@@ -134,8 +134,7 @@ int Main(int argc, char** argv) {
 #endif
     json->SetMeta("cxx_flags", PRIVSHAPE_BENCH_FLAGS);
     json->SetMeta("simd_level", simd::kLevelName);
-    json->SetMeta("simd_double_lanes",
-                  static_cast<uint64_t>(simd::kDoubleLanes));
+    json->SetMeta("simd_dp_lanes", static_cast<uint64_t>(simd::kI16Lanes));
   }
   const double epsilon = args.GetDouble("epsilon", 4.0);
   const dist::Metric metric = dist::Metric::kSed;  // Trace default
@@ -215,7 +214,7 @@ int Main(int argc, char** argv) {
   // eliminated.
   bench::PrintTitle(std::string("Per-kernel micro-records (simd level: ") +
                     simd::kLevelName + ", " +
-                    std::to_string(simd::kDoubleLanes) + " double lanes)");
+                    std::to_string(simd::kI16Lanes) + " int16 DP lanes)");
   bench::PrintHeader({"kernel", "path", "ops/s", "seconds", "speedup"});
   double sink = 0.0;
 

@@ -6,8 +6,12 @@
 /// the metric, and the prefix mode; the harness then requires
 /// bit-identical distances from CandidateTable::MatchInto vs
 /// core::MatchDistances and an identical argmin (with tie-breaking)
-/// from Closest vs core::ClosestCandidate. Any divergence or crash in
-/// the lane/padding math aborts.
+/// from Closest vs core::ClosestCandidate. Symbols span the whole byte
+/// (the largest DTW cell costs), up to 80 candidates fill groups past
+/// two AVX2 sweeps, and word and candidate lengths of up to 255 cross
+/// n + m = 129, where groups leave the int16 lanes for the scalar kernel,
+/// and reach DTW distances that int16 cannot hold. Any divergence or
+/// crash in the lane/padding math aborts.
 
 #include <cstdint>
 #include <cstdlib>
@@ -40,18 +44,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
       (selector & 1) ? dist::Metric::kSed : dist::Metric::kDtw;
   bool prefix = (selector & 2) != 0;
 
-  size_t word_len = data[pos++] % 17;  // 0..16, empty words included
+  size_t word_len = data[pos++];  // 0..255, empty words included
   Sequence word;
   for (size_t i = 0; i < word_len && pos < size; ++i) {
-    word.push_back(static_cast<Symbol>(data[pos++] % 8));
+    word.push_back(data[pos++]);
   }
 
   std::vector<Sequence> candidates;
-  while (pos < size && candidates.size() < 24) {
-    size_t len = data[pos++] % 13;  // 0..12, empty candidates included
+  while (pos < size && candidates.size() < 80) {
+    size_t len = data[pos++];  // 0..255, empty candidates included
     Sequence cand;
     for (size_t i = 0; i < len && pos < size; ++i) {
-      cand.push_back(static_cast<Symbol>(data[pos++] % 8));
+      cand.push_back(data[pos++]);
     }
     candidates.push_back(std::move(cand));
   }

@@ -203,7 +203,8 @@ bool EmitCandidateTableSeeds(const std::string& dir) {
   // Format: selector (metric/prefix), word length + symbols, then a
   // run of length-prefixed candidates. Seeds target the grouping and
   // padding arithmetic: mixed lengths, non-lane-multiple group sizes,
-  // empties, duplicates, and exact ties.
+  // empties, duplicates, exact ties, a group wider than two lane blocks
+  // and the int16 range guard.
   bool ok = true;
   auto seq = [](std::initializer_list<uint8_t> bytes) {
     return std::string(bytes.begin(), bytes.end());
@@ -232,6 +233,32 @@ bool EmitCandidateTableSeeds(const std::string& dir) {
                   Steered(1, seq({2, 2, 2,
                                   2, 1, 3, 2, 1, 3, 2, 1, 3,
                                   2, 1, 3, 2, 1, 3})));
+  // One group of 40 length-3 candidates over the byte extremes: two
+  // full SSE2 sweeps plus a tail block, or an AVX2 pair plus a tail.
+  const uint8_t kExtremes[] = {0, 1, 254, 255};
+  std::string wide = seq({5, 0, 255, 1, 254, 3});
+  for (size_t c = 0; c < 40; ++c) {
+    wide.push_back(3);
+    for (size_t j = 0; j < 3; ++j) {
+      wide.push_back(static_cast<char>(kExtremes[(c >> (2 * j)) & 3]));
+    }
+  }
+  ok &= WriteSeed(dir, "wide_group", Steered(0, wide));
+  // All-255 word (n = 64) and candidate (m = 65): n + m = 129, the
+  // first size past the int16 range guard.
+  std::string guard(1, 64);
+  guard.append(64, static_cast<char>(255));
+  guard.push_back(65);
+  guard.append(65, static_cast<char>(255));
+  ok &= WriteSeed(dir, "guard_boundary", Steered(0, guard));
+  // All-255 word against an all-0 candidate, 130 symbols each: a DTW
+  // distance of 130 * 255, past INT16_MAX, which only the guard keeps
+  // off the int16 lanes.
+  std::string beyond(1, static_cast<char>(130));
+  beyond.append(130, static_cast<char>(255));
+  beyond.push_back(static_cast<char>(130));
+  beyond.append(130, '\0');
+  ok &= WriteSeed(dir, "past_int16", Steered(0, beyond));
   return ok;
 }
 

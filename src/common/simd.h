@@ -2,27 +2,28 @@
 /// PS_SIMD dispatch: the one place that decides which vector width the
 /// hot-path kernels compile to. Consumers (the SoA distance kernels in
 /// `src/distance/candidate_table.cc`, the batched LDP bit fills in
-/// `src/ldp`) write their inner loops once against `simd::VecD` /
+/// `src/ldp`) write their inner loops once against `simd::VecI16` /
 /// `simd::LessThanU64` and get the widest instruction set the build
 /// allows:
 ///
-///   PS_SIMD_LEVEL 2 — AVX2, 4 double lanes   (needs -march=native /
+///   PS_SIMD_LEVEL 2 — AVX2, 16 int16 lanes (needs -march=native /
 ///                     -mavx2; `PRIVSHAPE_NATIVE=ON` in CMake)
-///   PS_SIMD_LEVEL 1 — SSE2/SSE4.2, 2 double lanes (the x86-64
-///                     baseline, so default builds vectorize 2-wide)
-///   PS_SIMD_LEVEL 0 — scalar (non-x86, or `PRIVSHAPE_SIMD=OFF`, which
-///                     defines PRIVSHAPE_SIMD_DISABLED)
+///   PS_SIMD_LEVEL 1 — SSE2, 8 int16 lanes (the x86-64 baseline, so
+///                     default builds vectorize 8-wide)
+///   PS_SIMD_LEVEL 0 — scalar, 1 lane (non-x86, or `PRIVSHAPE_SIMD=OFF`,
+///                     which defines PRIVSHAPE_SIMD_DISABLED)
 ///
-/// Contract: every lane of every VecD operation performs EXACTLY the
-/// scalar IEEE-754 double operation (min/add/sub/|x|/==), so a kernel
-/// vectorized *across independent problems* (one candidate per lane)
-/// produces bit-identical results at every level. The scalar kernels in
-/// `src/distance/distance.cc` remain the always-built reference; the
-/// bit-exactness suite (tests/distance_simd_test.cc) and the fuzz
-/// differential harness (fuzz/fuzz_candidate_table.cc) enforce the
-/// match. None of the inputs here can be NaN (costs are |a-b| of small
-/// integers, accumulators are sums of those and +inf), which is what
-/// makes min() ordering and |x| bit-masking exact.
+/// Contract: every lane of every VecI16 operation performs EXACTLY the
+/// scalar int16 operation of `ScalarI16` (min, saturating add, |a-b| of
+/// non-negative values, != as a 0/1 cost). Integer operations have no
+/// rounding, so a kernel vectorized *across independent problems* (one
+/// candidate per lane) produces identical results at every level. The
+/// caller owns the range: the DP kernels keep every finite value below
+/// INT16_MAX, which they use as +infinity (see candidate_table.cc). The
+/// scalar double kernels in `src/distance/distance.cc` remain the
+/// always-built reference; the exactness suite
+/// (tests/distance_simd_test.cc) and the fuzz differential harness
+/// (fuzz/fuzz_candidate_table.cc) enforce the match.
 ///
 /// The level is a compile-time constant on purpose: runtime dispatch
 /// would put an indirect branch in a loop that runs millions of times
@@ -70,87 +71,101 @@ inline constexpr const char* kLevelName =
 
 /// One-lane fallback; also the reference semantics every wider type
 /// must match lane-for-lane.
-struct ScalarD {
+struct ScalarI16 {
   static constexpr size_t kLanes = 1;
-  double v;
+  int16_t v;
 
-  static ScalarD Load(const double* p) { return {*p}; }
-  void Store(double* p) const { *p = v; }
-  static ScalarD Set1(double x) { return {x}; }
-  static ScalarD Min(ScalarD a, ScalarD b) { return {a.v < b.v ? a.v : b.v}; }
-  static ScalarD Add(ScalarD a, ScalarD b) { return {a.v + b.v}; }
-  static ScalarD Sub(ScalarD a, ScalarD b) { return {a.v - b.v}; }
-  /// |x| by clearing the sign bit — fabs semantics, exact.
-  static ScalarD Abs(ScalarD a) {
-    uint64_t bits;
-    std::memcpy(&bits, &a.v, sizeof(bits));
-    bits &= ~(uint64_t{1} << 63);
-    double out;
-    std::memcpy(&out, &bits, sizeof(out));
-    return {out};
+  static ScalarI16 Load(const int16_t* p) { return {*p}; }
+  void Store(int16_t* p) const { *p = v; }
+  static ScalarI16 Set1(int16_t x) { return {x}; }
+  static ScalarI16 Min(ScalarI16 a, ScalarI16 b) {
+    return {a.v < b.v ? a.v : b.v};
   }
-  /// 0.0 where a == b, 1.0 elsewhere (the SED substitution cost).
-  static ScalarD NeqCost(ScalarD a, ScalarD b) {
-    return {a.v == b.v ? 0.0 : 1.0};
+  /// a + b clamped to [INT16_MIN, INT16_MAX] (paddsw semantics).
+  static ScalarI16 AddSat(ScalarI16 a, ScalarI16 b) {
+    int32_t sum = int32_t{a.v} + int32_t{b.v};
+    sum = sum > INT16_MAX ? INT16_MAX : (sum < INT16_MIN ? INT16_MIN : sum);
+    return {static_cast<int16_t>(sum)};
+  }
+  /// |a - b| for non-negative a and b (the DTW cell cost).
+  static ScalarI16 AbsDiff(ScalarI16 a, ScalarI16 b) {
+    return {static_cast<int16_t>(a.v > b.v ? a.v - b.v : b.v - a.v)};
+  }
+  /// 0 where a == b, 1 elsewhere (the SED substitution cost).
+  static ScalarI16 NeqCost(ScalarI16 a, ScalarI16 b) {
+    return {static_cast<int16_t>(a.v == b.v ? 0 : 1)};
   }
 };
 
 #if PS_SIMD_LEVEL >= 1
-struct SseD {
-  static constexpr size_t kLanes = 2;
-  __m128d v;
+struct SseI16 {
+  static constexpr size_t kLanes = 8;
+  __m128i v;
 
-  static SseD Load(const double* p) { return {_mm_loadu_pd(p)}; }
-  void Store(double* p) const { _mm_storeu_pd(p, v); }
-  static SseD Set1(double x) { return {_mm_set1_pd(x)}; }
-  // _mm_min_pd(a, b) = a < b ? a : b per lane; identical to the scalar
-  // `b < a ? b : a` for every non-NaN pair with at most one ±0.0 sign
-  // (our values are all >= 0 or +inf).
-  static SseD Min(SseD a, SseD b) { return {_mm_min_pd(a.v, b.v)}; }
-  static SseD Add(SseD a, SseD b) { return {_mm_add_pd(a.v, b.v)}; }
-  static SseD Sub(SseD a, SseD b) { return {_mm_sub_pd(a.v, b.v)}; }
-  static SseD Abs(SseD a) {
-    return {_mm_andnot_pd(_mm_set1_pd(-0.0), a.v)};
+  static SseI16 Load(const int16_t* p) {
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
   }
-  static SseD NeqCost(SseD a, SseD b) {
-    return {_mm_andnot_pd(_mm_cmpeq_pd(a.v, b.v), _mm_set1_pd(1.0))};
+  void Store(int16_t* p) const {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  static SseI16 Set1(int16_t x) { return {_mm_set1_epi16(x)}; }
+  static SseI16 Min(SseI16 a, SseI16 b) { return {_mm_min_epi16(a.v, b.v)}; }
+  static SseI16 AddSat(SseI16 a, SseI16 b) {
+    return {_mm_adds_epi16(a.v, b.v)};
+  }
+  // SSE2 has no 16-bit |x|; for non-negative lanes the two unsigned
+  // saturating differences are max(a - b, 0) and max(b - a, 0), and at
+  // most one of them is non-zero.
+  static SseI16 AbsDiff(SseI16 a, SseI16 b) {
+    return {_mm_or_si128(_mm_subs_epu16(a.v, b.v), _mm_subs_epu16(b.v, a.v))};
+  }
+  static SseI16 NeqCost(SseI16 a, SseI16 b) {
+    return {_mm_andnot_si128(_mm_cmpeq_epi16(a.v, b.v), _mm_set1_epi16(1))};
   }
 };
 #endif
 
 #if PS_SIMD_LEVEL >= 2
-struct AvxD {
-  static constexpr size_t kLanes = 4;
-  __m256d v;
+struct AvxI16 {
+  static constexpr size_t kLanes = 16;
+  __m256i v;
 
-  static AvxD Load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  void Store(double* p) const { _mm256_storeu_pd(p, v); }
-  static AvxD Set1(double x) { return {_mm256_set1_pd(x)}; }
-  static AvxD Min(AvxD a, AvxD b) { return {_mm256_min_pd(a.v, b.v)}; }
-  static AvxD Add(AvxD a, AvxD b) { return {_mm256_add_pd(a.v, b.v)}; }
-  static AvxD Sub(AvxD a, AvxD b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  static AvxD Abs(AvxD a) {
-    return {_mm256_andnot_pd(_mm256_set1_pd(-0.0), a.v)};
+  static AvxI16 Load(const int16_t* p) {
+    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
   }
-  static AvxD NeqCost(AvxD a, AvxD b) {
-    return {_mm256_andnot_pd(_mm256_cmp_pd(a.v, b.v, _CMP_EQ_OQ),
-                             _mm256_set1_pd(1.0))};
+  void Store(int16_t* p) const {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static AvxI16 Set1(int16_t x) { return {_mm256_set1_epi16(x)}; }
+  static AvxI16 Min(AvxI16 a, AvxI16 b) {
+    return {_mm256_min_epi16(a.v, b.v)};
+  }
+  static AvxI16 AddSat(AvxI16 a, AvxI16 b) {
+    return {_mm256_adds_epi16(a.v, b.v)};
+  }
+  // Non-negative lanes: a - b cannot overflow, so |a - b| is exact.
+  static AvxI16 AbsDiff(AvxI16 a, AvxI16 b) {
+    return {_mm256_abs_epi16(_mm256_sub_epi16(a.v, b.v))};
+  }
+  static AvxI16 NeqCost(AvxI16 a, AvxI16 b) {
+    return {_mm256_andnot_si256(_mm256_cmpeq_epi16(a.v, b.v),
+                                _mm256_set1_epi16(1))};
   }
 };
 #endif
 
 /// The widest vector the build allows — what the kernels instantiate.
 #if PS_SIMD_LEVEL == 2
-using VecD = AvxD;
+using VecI16 = AvxI16;
 #elif PS_SIMD_LEVEL == 1
-using VecD = SseD;
+using VecI16 = SseI16;
 #else
-using VecD = ScalarD;
+using VecI16 = ScalarI16;
 #endif
 
-/// Doubles processed per VecD operation (= candidates per DP sweep in
+/// int16 lanes per VecI16 operation (= candidates per DP lane block in
 /// the SoA kernels, and the padding granularity of CandidateTable).
-inline constexpr size_t kDoubleLanes = VecD::kLanes;
+inline constexpr size_t kI16Lanes = VecI16::kLanes;
 
 /// out[i] = (in[i] < threshold) for i in [0, n) — the batched Bernoulli
 /// threshold compare over a block of raw u64 engine outputs (the OUE
@@ -168,12 +183,15 @@ inline void LessThanU64(const uint64_t* in, size_t n, uint64_t threshold,
   for (; i + 4 <= n; i += 4) {
     __m256i u = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
     __m256i lt = _mm256_cmpgt_epi64(biased_t, _mm256_xor_si256(u, sign));
-    // One byte per lane: the mask lanes are all-ones (or all-zero), so
-    // the low byte of each 64-bit lane is the 0/1 answer after & 1.
-    out[i + 0] = static_cast<uint8_t>(_mm256_extract_epi64(lt, 0) & 1);
-    out[i + 1] = static_cast<uint8_t>(_mm256_extract_epi64(lt, 1) & 1);
-    out[i + 2] = static_cast<uint8_t>(_mm256_extract_epi64(lt, 2) & 1);
-    out[i + 3] = static_cast<uint8_t>(_mm256_extract_epi64(lt, 3) & 1);
+    // The mask lanes are all-ones (or all-zero), so each lane's sign bit
+    // is its 0/1 answer. The four bytes go out as one block: GCC 12's
+    // -Wstringop-overflow misreads four single-byte stores here.
+    const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(lt));
+    const uint8_t bytes[4] = {static_cast<uint8_t>(mask & 1),
+                              static_cast<uint8_t>((mask >> 1) & 1),
+                              static_cast<uint8_t>((mask >> 2) & 1),
+                              static_cast<uint8_t>((mask >> 3) & 1)};
+    std::memcpy(out + i, bytes, sizeof(bytes));
   }
 #endif
   for (; i < n; ++i) out[i] = in[i] < threshold ? 1 : 0;

@@ -3,20 +3,26 @@
 /// round broadcasts ONE candidate list that millions of users match
 /// against, so the table is built once per round: candidates are grouped
 /// by equal length and each group's symbols are transposed into a
-/// contiguous, lane-padded double plane (`plane[j * padded + c]` =
-/// symbol j of the group's c-th candidate). One user's word then runs
-/// the two-row DTW/SED dynamic program against `simd::kDoubleLanes`
-/// candidates at once — the DP's sequential j-dependency stays inside
-/// each lane, and lanes are independent candidates, so every lane
-/// executes exactly the scalar kernel's operation sequence.
+/// contiguous int16 plane padded to whole lane blocks (`plane[j * padded
+/// + c]` = symbol j of the group's c-th candidate). One user's word then
+/// runs the two-row DTW/SED dynamic program against `simd::kI16Lanes`
+/// candidates per lane block, two blocks per sweep — the DP's sequential
+/// j-dependency stays inside each lane, and lanes are independent
+/// candidates, so every lane executes the scalar kernel's recurrence.
 ///
 /// Contract: MatchInto/Closest are bit-identical to the scalar reference
 /// path (`MatchDistances` over `dist::SequenceDistance`) at every SIMD
-/// level, including first-index tie-breaking in Closest. The scalar
-/// kernels in distance.cc are the reference; tests/distance_simd_test.cc
-/// and fuzz/fuzz_candidate_table.cc enforce the match. Metrics without a
-/// vectorized kernel (Euclidean/Hausdorff ablations) transparently fall
-/// back to the per-candidate scalar loop inside the same entry points.
+/// level, including first-index tie-breaking in Closest. Symbols are
+/// bytes, so every DTW cell is an integer of at most (n + m - 1) * 255 and
+/// every SED cell at most n + m; while (n + m) * 255 < INT16_MAX the int16
+/// lanes hold each cell exactly (INT16_MAX standing for +infinity), and
+/// converting the result to double gives the reference's bytes. Longer
+/// pairs (n + m >= 129, which no paper configuration reaches) and DTW's
+/// empty-word case take the per-candidate scalar kernel, as do metrics
+/// without a vectorized kernel (Euclidean/Hausdorff ablations). The
+/// scalar kernels in distance.cc are the reference;
+/// tests/distance_simd_test.cc and fuzz/fuzz_candidate_table.cc enforce
+/// the match.
 
 #ifndef PRIVSHAPE_DISTANCE_CANDIDATE_TABLE_H_
 #define PRIVSHAPE_DISTANCE_CANDIDATE_TABLE_H_
@@ -30,15 +36,15 @@
 
 namespace privshape::dist {
 
-/// Caller-owned scratch for the table kernels: the two lane-blocked DP
-/// rows, a distance buffer for Closest, and a scalar-kernel scratch for
-/// the fallback metrics. One instance per worker thread; grown
+/// Caller-owned scratch for the table kernels: the two int16 DP rows of
+/// one sweep, a distance buffer for Closest, and a scalar-kernel scratch
+/// for the per-candidate fallback. One instance per worker thread; grown
 /// monotonically, so steady-state matching allocates nothing.
 struct TableScratch {
-  std::vector<double> prev;    ///< (m + 1) * kDoubleLanes DP row
-  std::vector<double> curr;    ///< (m + 1) * kDoubleLanes DP row
+  std::vector<int16_t> prev;   ///< (m + 1) * 2 * kI16Lanes DP row
+  std::vector<int16_t> curr;   ///< (m + 1) * 2 * kI16Lanes DP row
   std::vector<double> dists;   ///< per-candidate distances for Closest
-  DtwScratch dtw;              ///< scalar fallback (non-DP metrics)
+  DtwScratch dtw;              ///< scalar fallback kernel rows
 };
 
 /// Immutable SoA view of one round's candidate list. Move-only by being
@@ -79,20 +85,20 @@ class CandidateTable {
 
  private:
   /// One equal-length stripe of the table. `padded` is `count` rounded
-  /// up to the lane width; padding lanes hold symbol 0.0 and their DP
-  /// results are computed and discarded (costs stay finite, so no lane
-  /// can poison another — there is no cross-lane arithmetic at all).
+  /// up to whole lane blocks; padding lanes hold symbol 0 and their DP
+  /// results are computed and discarded (they obey the same range bound,
+  /// and there is no cross-lane arithmetic at all).
   struct Group {
     size_t length;        ///< candidate length m (the DP's column count)
     size_t count;         ///< real candidates in this group
-    size_t padded;        ///< count rounded up to simd::kDoubleLanes
+    size_t padded;        ///< count rounded up to simd::kI16Lanes
     size_t plane_offset;  ///< start of this group in symbols_
     size_t index_offset;  ///< start of this group in original_index_
   };
 
   std::vector<Sequence> candidates_;     ///< original order, original data
   std::vector<Group> groups_;            ///< ascending by length
-  std::vector<double> symbols_;          ///< concatenated padded planes
+  std::vector<int16_t> symbols_;         ///< concatenated padded planes
   std::vector<uint32_t> original_index_; ///< group slot -> original index
 };
 

@@ -5,8 +5,11 @@
 // reference path (core::MatchDistances / core::ClosestCandidate over
 // dist::SequenceDistance). The shapes below are chosen adversarially:
 // odd lengths, length-1 candidates, empty words, all-equal distances,
-// candidate counts that are not a multiple of the lane width, and
-// mixed-length lists that exercise the grouping and padding arithmetic.
+// candidate counts around one and two lane blocks per sweep, mixed-length
+// lists that exercise the grouping and padding arithmetic, the extreme
+// byte symbols 0/1/254/255, and word + candidate lengths on both sides
+// of the int16 range guard (n + m = 128 runs in int16 lanes, 129 and up
+// takes the scalar kernel).
 
 #include "distance/candidate_table.h"
 
@@ -74,10 +77,14 @@ TEST(CandidateTableTest, MatchesReferenceOnMixedAdversarialLengths) {
   }
 }
 
+// CandidateTable runs up to two lane blocks per DP sweep.
+constexpr size_t kLanesPerSweep = 2 * simd::kI16Lanes;
+
 TEST(CandidateTableTest, NonLaneMultipleCandidateCounts) {
-  // Sweep group sizes 1..2*lanes+1 around the lane width so the padded
-  // tail lanes (and the lane < count guard) are exercised directly.
-  for (size_t count = 1; count <= 2 * simd::kDoubleLanes + 1; ++count) {
+  // Sweep group sizes 1..2*(lanes x blocks)+1 so one-block and two-block
+  // sweeps, the padded tail lanes (and the lane < count guard) run at
+  // every level.
+  for (size_t count = 1; count <= 2 * kLanesPerSweep + 1; ++count) {
     std::vector<Sequence> candidates;
     for (size_t c = 0; c < count; ++c) {
       candidates.push_back(
@@ -87,6 +94,35 @@ TEST(CandidateTableTest, NonLaneMultipleCandidateCounts) {
     Sequence word = {2, 4, 1};
     for (Metric metric : VectorizedMetrics()) {
       ExpectBitIdentical(word, candidates, metric, /*prefix=*/false);
+    }
+  }
+}
+
+TEST(CandidateTableTest, RangeGuardBoundaryWithAllMaxSymbols) {
+  // (n + m) * 255 < INT16_MAX holds up to n + m = 128; from 129 on the
+  // group takes the scalar kernel. An all-255 word against all-0
+  // candidates puts cells near the int16 limit (n = 1, m = 127 gives
+  // 127 * 255 = 32385); n + m = 300 would saturate int16 without the
+  // guard. With n = 1 and n = 64 the word is no longer than the
+  // candidates, so the prefix-on runs keep these sums; with
+  // n = total - 1 the prefix cut shortens the word to m.
+  for (size_t total : {size_t{128}, size_t{129}, size_t{300}}) {
+    for (size_t n : {size_t{1}, size_t{64}, total - 1}) {
+      size_t m = total - n;
+      Sequence alternating(m, 0);
+      for (size_t j = 0; j < m; j += 2) alternating[j] = 255;
+      std::vector<Sequence> candidates = {Sequence(m, 255), Sequence(m, 0),
+                                          alternating, Sequence(m, 254)};
+      // Fill past one sweep so the guard covers whole groups.
+      while (candidates.size() <= kLanesPerSweep) {
+        candidates.push_back(Sequence(m, candidates.size() % 2 ? 0 : 255));
+      }
+      for (const Sequence& word : {Sequence(n, 255), Sequence(n, 0)}) {
+        for (Metric metric : VectorizedMetrics()) {
+          ExpectBitIdentical(word, candidates, metric, /*prefix=*/false);
+          ExpectBitIdentical(word, candidates, metric, /*prefix=*/true);
+        }
+      }
     }
   }
 }
@@ -137,23 +173,25 @@ TEST(CandidateTableTest, CutoffBoundaryShapesAgreeWithEarlyAbandon) {
 }
 
 TEST(CandidateTableTest, RandomizedSweepStaysBitIdentical) {
+  // SAX-sized symbols, then the byte extremes 0/1/254/255: the largest
+  // per-cell DTW costs, and SED's compare at both ends of the byte.
+  const std::vector<Symbol> alphabets[] = {{0, 1, 2, 3, 4},
+                                           {0, 1, 254, 255}};
   Rng rng(0xC0FFEE);
-  for (int trial = 0; trial < 60; ++trial) {
-    size_t n_cand = 1 + rng.Index(12);
-    std::vector<Sequence> candidates(n_cand);
-    for (auto& c : candidates) {
-      size_t len = 1 + rng.Index(9);
-      for (size_t j = 0; j < len; ++j) {
-        c.push_back(static_cast<Symbol>(rng.Index(5)));
+  for (const std::vector<Symbol>& alphabet : alphabets) {
+    auto draw = [&] { return alphabet[rng.Index(alphabet.size())]; };
+    for (int trial = 0; trial < 60; ++trial) {
+      std::vector<Sequence> candidates(1 + rng.Index(2 * kLanesPerSweep + 1));
+      for (auto& c : candidates) {
+        size_t len = 1 + rng.Index(15);
+        for (size_t j = 0; j < len; ++j) c.push_back(draw());
       }
-    }
-    Sequence word;
-    size_t word_len = rng.Index(10);
-    for (size_t j = 0; j < word_len; ++j) {
-      word.push_back(static_cast<Symbol>(rng.Index(5)));
-    }
-    for (Metric metric : VectorizedMetrics()) {
-      ExpectBitIdentical(word, candidates, metric, trial % 2 == 0);
+      Sequence word;
+      size_t word_len = rng.Index(31);
+      for (size_t j = 0; j < word_len; ++j) word.push_back(draw());
+      for (Metric metric : VectorizedMetrics()) {
+        ExpectBitIdentical(word, candidates, metric, trial % 2 == 0);
+      }
     }
   }
 }
