@@ -50,6 +50,23 @@ proto::ClientSession ClientFleet::MakeSession(size_t user) const {
                               LabelFor(user));
 }
 
+void ClientFleet::MakeSessions(const size_t* users, size_t count,
+                               proto::ReportKind kind, size_t domain,
+                               SessionBlock* block) const {
+  if (count > kSessionBlock) {
+    PS_LOG(kError) << "MakeSessions: " << count << " users for a block of "
+                   << kSessionBlock;
+    std::abort();
+  }
+  proto::ClientSession* sessions[kSessionBlock];
+  for (size_t i = 0; i < count; ++i) {
+    size_t user = users[i];
+    sessions[i] = &(*block)[i].emplace(word_fn_(user), DeriveSeed(seed_, user),
+                                       LabelFor(user));
+  }
+  proto::ClientSession::SeedFresh(sessions, count, kind, domain);
+}
+
 std::vector<Sequence> ClientFleet::MaterializeWords() const {
   std::vector<Sequence> words;
   words.reserve(num_users_);

@@ -8,11 +8,14 @@
 #ifndef PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 #define PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/status.h"
 #include "core/config.h"
 #include "distance/distance.h"
@@ -24,11 +27,26 @@ namespace privshape::collector {
 /// A simulated fleet of `num_users` clients, materialized lazily: the
 /// fleet holds only a word-synthesis function and a base seed, and builds
 /// user u's ClientSession on demand with randomness derived from
-/// DeriveSeed(seed, u). Memory per in-flight user is O(word length), so a
-/// million-user fleet costs nothing until its users are asked to answer —
-/// and every materialization of the same user yields the same session.
+/// DeriveSeed(seed, u). A session is 5064 bytes on x86-64 whatever its
+/// word length — two 312-word engine states, LazyMt64's prefix array and
+/// its std::optional<std::mt19937_64> fallback — plus the word's heap
+/// buffer. Only sessions in flight exist: a serving loop holds one
+/// SessionBlock of kSessionBlock of them (~40 KB) per population stripe or
+/// loadgen connection, so a million-user fleet costs nothing until its
+/// users are asked to answer — and every materialization of the same user
+/// yields the same session.
 class ClientFleet {
  public:
+  /// Users a serving loop builds, seeds and answers together: one
+  /// interleaved seeding group of LazyMt64::SeedFresh.
+  static constexpr size_t kSessionBlock = LazyMt64::kSeedLanes;
+
+  /// Caller-owned storage for one block of sessions, reused across
+  /// blocks: MakeSessions builds each session in place, so no engine is
+  /// moved or copied per user.
+  using SessionBlock =
+      std::array<std::optional<proto::ClientSession>, kSessionBlock>;
+
   /// Synthesizes user u's private compressed word. Must be deterministic
   /// in u and thread-safe (it is called concurrently from round workers).
   using WordFn = std::function<Sequence(size_t user)>;
@@ -80,6 +98,17 @@ class ClientFleet {
   /// caller drives exactly one Answer* call on it (each user belongs to
   /// one round's population).
   proto::ClientSession MakeSession(size_t user) const;
+
+  /// Block form of MakeSession for the serving loops: builds the sessions
+  /// of users[0..count) (count <= kSessionBlock) in place in
+  /// (*block)[0..count) — each the session MakeSession returns — and
+  /// seeds their engines together as deep as one answer to a round of
+  /// `kind` over `domain` reads (proto::ClientSession::SeedFresh). The
+  /// seeding draws nothing, so every answer is the one MakeSession's
+  /// session gives.
+  void MakeSessions(const size_t* users, size_t count,
+                    proto::ReportKind kind, size_t domain,
+                    SessionBlock* block) const;
 
   /// User u's word alone (used by the determinism check, which feeds the
   /// same words to the single-threaded core pipeline).

@@ -148,6 +148,7 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
   }
 
   size_t batch_size = options.batch_size > 0 ? options.batch_size : 1;
+  auto block = std::make_unique<ClientFleet::SessionBlock>();
   size_t selection_rounds = 0;
   while (true) {
     auto frame = ReadFrame(fd.get(), &reader, &outcome.bytes_down);
@@ -178,32 +179,45 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
                                                 fleet.metric());
     if (!ctx.ok()) return ctx.status();
 
-    // Same zero-allocation answer path as the in-process stripes: one
-    // scratch and one flat batch buffer reused across the assignment.
-    proto::AnswerScratch scratch;
-    proto::ReportBatch batch;
-    batch.Reserve(batch_size);
-    size_t errors = 0;
+    // Sessions are built a block ahead of answering, so the whole
+    // assignment is checked before the first one is built.
     for (uint64_t user : round->users) {
       if (user >= fleet.num_users()) {
         return Status::Internal("assigned out-of-range user " +
                                 std::to_string(user));
       }
-      proto::ClientSession session =
-          fleet.MakeSession(static_cast<size_t>(user));
-      Status answered = session.AnswerTo(*ctx, &scratch, &batch);
-      if (!answered.ok()) {
-        ++errors;
-        continue;
-      }
-      if (batch.size() >= batch_size) {
-        outcome.reports_sent += batch.size();
-        PRIVSHAPE_RETURN_IF_ERROR(
-            SendFrame(fd.get(), net::MsgType::kBatchUpload,
-                      net::EncodeBatchUpload(round->round_id, batch),
-                      &outcome.bytes_up));
-        batch = proto::ReportBatch();
-        batch.Reserve(batch_size);
+    }
+
+    // Same answer path as the in-process stripes: one scratch, one flat
+    // batch buffer and one session block reused across the assignment,
+    // answered in assignment order.
+    proto::AnswerScratch scratch;
+    proto::ReportBatch batch;
+    batch.Reserve(batch_size);
+    size_t errors = 0;
+    const std::vector<uint64_t>& users = round->users;
+    for (size_t first = 0; first < users.size();
+         first += ClientFleet::kSessionBlock) {
+      size_t count = std::min(ClientFleet::kSessionBlock, users.size() - first);
+      size_t ids[ClientFleet::kSessionBlock];
+      std::copy(users.begin() + first, users.begin() + first + count, ids);
+      fleet.MakeSessions(ids, count, ctx->kind(), ctx->domain(),
+                         block.get());
+      for (size_t j = 0; j < count; ++j) {
+        Status answered = (*block)[j]->AnswerTo(*ctx, &scratch, &batch);
+        if (!answered.ok()) {
+          ++errors;
+          continue;
+        }
+        if (batch.size() >= batch_size) {
+          outcome.reports_sent += batch.size();
+          PRIVSHAPE_RETURN_IF_ERROR(
+              SendFrame(fd.get(), net::MsgType::kBatchUpload,
+                        net::EncodeBatchUpload(round->round_id, batch),
+                        &outcome.bytes_up));
+          batch = proto::ReportBatch();
+          batch.Reserve(batch_size);
+        }
       }
     }
     if (!batch.empty()) {

@@ -257,30 +257,42 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     size_t errors = 0;
     // One scratch per stripe: the answer path reuses its DP rows and
     // score buffers across every user of the stripe, and reports encode
-    // into the batch's flat buffer — no per-report allocation.
+    // into the batch's flat buffer — no per-report allocation. Sessions
+    // are built a block at a time into one reused block, which seeds
+    // their engines together; users still answer in population order.
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
+    auto block = std::make_unique<ClientFleet::SessionBlock>();
     auto push = [&] {
       queues[shard % num_drainers]->Push(ShardBatch{shard, std::move(batch)});
     };
-    for (size_t i = begin; i < end; ++i) {
-      // Graceful shutdown: stop producing new reports mid-stripe. The
-      // already-pushed batches drain normally, so the partial round's
-      // accounting stays exact; DriveProtocol turns the flag into a
-      // Cancelled status before any server-side decision.
-      if (ShutdownRequested()) break;
-      size_t user = population[i];
-      proto::ClientSession session = fleet.MakeSession(user);
-      Status answered = answer(session, user, scratch, batch);
-      if (!answered.ok()) {
-        ++errors;
-        continue;
-      }
-      if (batch.size() >= batch_size) {
-        push();
-        batch = proto::ReportBatch();
-        batch.Reserve(batch_size);
+    bool stopped = false;
+    for (size_t first = begin; first < end && !stopped;
+         first += ClientFleet::kSessionBlock) {
+      size_t count = std::min(ClientFleet::kSessionBlock, end - first);
+      fleet.MakeSessions(&population[first], count, spec.kind, spec.domain,
+                         block.get());
+      for (size_t j = 0; j < count; ++j) {
+        // Graceful shutdown: stop producing new reports mid-stripe. The
+        // already-pushed batches drain normally, so the partial round's
+        // accounting stays exact; DriveProtocol turns the flag into a
+        // Cancelled status before any server-side decision.
+        if (ShutdownRequested()) {
+          stopped = true;
+          break;
+        }
+        size_t user = population[first + j];
+        Status answered = answer(*(*block)[j], user, scratch, batch);
+        if (!answered.ok()) {
+          ++errors;
+          continue;
+        }
+        if (batch.size() >= batch_size) {
+          push();
+          batch = proto::ReportBatch();
+          batch.Reserve(batch_size);
+        }
       }
     }
     if (!batch.empty()) push();

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace privshape {
@@ -40,11 +41,55 @@ inline uint64_t DeriveSeed(uint64_t base, uint64_t stream) {
 /// pay for state they do not consume; heavy consumers (series generators,
 /// shuffles) transparently materialize a real std::mt19937_64 at output
 /// 156 and continue from it, so long streams cost what they always did.
+///
+/// Even the lazy first output needs 157 seeded words, and seeding them is
+/// one serial chain of 156 multiply/xor/shift steps: ~320 ns per engine
+/// on a 4-vCPU x86-64 Xeon VM (gcc 12). SeedFresh runs the chains of up
+/// to kSeedLanes fresh engines side by side, so the core overlaps them
+/// (~80 ns per engine at 8 there). It writes exactly the words SeedTo
+/// would and consumes no output, so every stream is unchanged.
 class LazyMt64 {
  public:
   using result_type = uint64_t;
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~uint64_t{0}; }
+
+  /// Seeding chains SeedFresh interleaves. At 16 the compiler runs out of
+  /// registers; the chain's 64-bit multiply has no SSE2/AVX2 lane form, so
+  /// this is plain scalar code at every SIMD level.
+  static constexpr size_t kSeedLanes = 8;
+
+  /// Seeded words the first `outputs` draws of a fresh engine read
+  /// (output k reads up to word k + m), or 0 when there is nothing worth
+  /// seeding ahead: no draws, or more than the lazy prefix, which FillU64
+  /// serves from a full engine anyway.
+  static constexpr size_t SeedWordsFor(size_t outputs) {
+    return outputs == 0 || outputs > kLazyOutputs ? 0 : outputs + kM;
+  }
+
+  /// Seeds the first `words` state words (clamped to n = 312) of every
+  /// fresh engine among engines[0..count) — fresh meaning constructed and
+  /// untouched since — with the chains of up to kSeedLanes of them
+  /// interleaved. Writes exactly the words SeedTo would and consumes no
+  /// output. Any other engine (already drawn from, already seeded, or
+  /// materialized) is left as it is; its own lazy SeedTo still serves it.
+  static void SeedFresh(LazyMt64* const* engines, size_t count,
+                        size_t words) {
+    words = std::min(words, kN);
+    if (words <= 1) return;
+    LazyMt64* lanes[kSeedLanes];
+    for (size_t e = 0; e < count;) {
+      size_t used = 0;
+      for (; e < count && used < kSeedLanes; ++e) {
+        // Any draw seeds past word 156 or builds the full engine.
+        bool fresh = engines[e]->seeded_ == 1 && !engines[e]->full_;
+        if (fresh) lanes[used++] = engines[e];
+      }
+      if (used > 0) {
+        SeedLanes(lanes, used, words, std::make_index_sequence<kSeedLanes>());
+      }
+    }
+  }
 
   explicit LazyMt64(uint64_t seed) : seed_(seed), seeded_(1) {
     state_[0] = seed;
@@ -111,6 +156,22 @@ class LazyMt64 {
           kF * (state_[seeded_ - 1] ^ (state_[seeded_ - 1] >> 62)) +
           seeded_;
     }
+  }
+
+  /// SeedTo(words) for `used` (<= kSeedLanes) fresh engines at once. The
+  /// group is padded to the full width with chains into a throwaway
+  /// buffer, and each step is one statement per lane (a fold over the
+  /// lane indices L), so every chain value stays in a register at -O2.
+  template <size_t... L>
+  static void SeedLanes(LazyMt64* const* lanes, size_t used, size_t words,
+                        std::index_sequence<L...>) {
+    uint64_t sink[kN];
+    uint64_t* out[] = {(L < used ? lanes[L]->state_ : sink)...};
+    uint64_t x[] = {(L < used ? lanes[L]->state_[0] : 0)...};
+    for (size_t i = 1; i < words; ++i) {
+      ((x[L] = kF * (x[L] ^ (x[L] >> 62)) + i, out[L][i] = x[L]), ...);
+    }
+    for (size_t l = 0; l < used; ++l) lanes[l]->seeded_ = words;
   }
 
   uint64_t state_[kN];  // seeded prefix only; filled on demand
@@ -206,6 +267,20 @@ class Rng {
   /// block of words) consume randomness through this instead of one
   /// distribution call per bit.
   void FillU64(uint64_t* out, size_t n) { engine_.FillU64(out, n); }
+
+  /// Seeds the engines of Rngs built together (rngs[0..count), typically
+  /// one per user of a serving block) ahead of their first `outputs` draws
+  /// each, through LazyMt64::SeedFresh. Draws nothing: every stream stays
+  /// exactly what it would be unseeded.
+  static void SeedFresh(Rng* const* rngs, size_t count, size_t outputs) {
+    size_t words = LazyMt64::SeedWordsFor(outputs);
+    LazyMt64* engines[LazyMt64::kSeedLanes];
+    for (size_t begin = 0; begin < count; begin += LazyMt64::kSeedLanes) {
+      size_t n = std::min(LazyMt64::kSeedLanes, count - begin);
+      for (size_t i = 0; i < n; ++i) engines[i] = &rngs[begin + i]->engine_;
+      LazyMt64::SeedFresh(engines, n, words);
+    }
+  }
 
   /// Derives an independent child engine; used to give each simulated user
   /// or worker thread its own stream.

@@ -134,6 +134,40 @@ Status ClientSession::AnswerTo(const RoundContext& ctx,
   return Status::Ok();
 }
 
+namespace {
+
+/// Engine outputs one Answer of `kind` over `domain` draws: the GRR pair
+/// (P_a, P_d; none for a one-value P_a domain), the level index plus the
+/// GRR pair (P_b), the EM draw (P_c), one word per OUE cell (P_e).
+size_t AnswerOutputs(ReportKind kind, size_t domain) {
+  switch (kind) {
+    case ReportKind::kLength:
+      return domain >= 2 ? 2 : 0;
+    case ReportKind::kSubShape:
+      return 3;
+    case ReportKind::kSelection:
+      return 1;
+    case ReportKind::kRefinement:
+      return 2;
+    case ReportKind::kClassRefine:
+      return domain;
+  }
+  return 0;
+}
+
+}  // namespace
+
+void ClientSession::SeedFresh(ClientSession* const* sessions, size_t count,
+                              ReportKind kind, size_t domain) {
+  size_t outputs = AnswerOutputs(kind, domain);
+  Rng* rngs[LazyMt64::kSeedLanes];
+  for (size_t begin = 0; begin < count; begin += LazyMt64::kSeedLanes) {
+    size_t n = std::min(LazyMt64::kSeedLanes, count - begin);
+    for (size_t i = 0; i < n; ++i) rngs[i] = &sessions[begin + i]->rng_;
+    Rng::SeedFresh(rngs, n, outputs);
+  }
+}
+
 ReportAggregator::ReportAggregator(ReportKind kind, size_t domain,
                                    double epsilon)
     : kind_(kind), domain_(domain), epsilon_(epsilon), counts_(domain, 0) {

@@ -86,6 +86,14 @@ class ClientSession {
   Status AnswerTo(const RoundContext& ctx, AnswerScratch* scratch,
                   ReportBatch* out);
 
+  /// Seeds the engines of sessions[0..count), freshly built together,
+  /// as deep as one answer to a round of `kind` over `domain` (the
+  /// context's kind() and domain()) reads — Rng::SeedFresh. Consumes no
+  /// randomness, so every later answer is unchanged; the depth only
+  /// decides how much seeding moves out of the answer.
+  static void SeedFresh(ClientSession* const* sessions, size_t count,
+                        ReportKind kind, size_t domain);
+
  private:
   Sequence word_;
   Rng rng_;

@@ -5,6 +5,8 @@
 /// clients, the failure must land in the right counter (protocol_errors /
 /// stale_batches / deadline_drops / per-round client_errors), and a clean
 /// re-run afterwards must still be byte-identical to the core pipeline.
+/// The other way round, a scripted server that assigns an out-of-range
+/// user must make the loadgen fail before it uploads anything.
 /// Runs under the "concurrency" label so the TSan CI job hunts races in
 /// the event loop + drainer-thread handoff.
 
@@ -23,6 +25,7 @@
 #include "common/socket.h"
 #include "core/privshape.h"
 #include "net/frame.h"
+#include "protocol/messages.h"
 
 namespace privshape {
 namespace {
@@ -406,6 +409,74 @@ TEST(CollectorDaemonFaultTest, CleanRerunAfterFaultsMatchesCore) {
   EXPECT_TRUE(collector::SameShapes(*expected, run.loadgen->result));
   EXPECT_EQ(run.stats.protocol_errors, 0u);
   EXPECT_EQ(run.stats.disconnects, 0u);
+}
+
+TEST(CollectorDaemonFaultTest, LoadgenRejectsOutOfRangeAssignmentUpFront) {
+  // A hostile or buggy daemon assigns user id num_users after a run of
+  // valid ids longer than a BatchUpload: the loadgen must refuse the
+  // whole round before answering anyone, so no report leaves it.
+  MechanismConfig config = TestConfig();
+  ClientFleet fleet = TestFleet(config);
+  auto listener = TcpListen("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto port = LocalPort(listener->get());
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  std::vector<net::MsgType> received;  // client frames after Hello
+  Status served = Status::Internal("not run");
+  std::thread server([&] {
+    served = [&]() -> Status {
+      auto conn = TcpAccept(listener->get());
+      if (!conn.ok()) return conn.status();
+      PRIVSHAPE_RETURN_IF_ERROR(SetRecvTimeout(conn->get(), 30.0));
+      net::FrameReader reader;
+      auto hello = ReadFrameBlocking(conn->get(), &reader);
+      if (!hello.ok()) return hello.status();
+      if (hello->type != net::MsgType::kHello) {
+        return Status::Internal("expected Hello");
+      }
+      net::WelcomeMsg welcome;
+      welcome.num_users = kUsers;
+      welcome.seed = config.seed;
+      welcome.epsilon = config.epsilon;
+      PRIVSHAPE_RETURN_IF_ERROR(SendFrameTo(
+          conn->get(), net::MsgType::kWelcome, net::EncodeWelcome(welcome)));
+      net::RoundBeginMsg round;
+      round.round_id = 1;
+      round.kind = proto::ReportKind::kLength;
+      round.request = proto::EncodeLengthRequest(
+          {config.ell_low, config.ell_high, config.epsilon});
+      for (uint64_t user = 0; user < 40; ++user) round.users.push_back(user);
+      round.users.push_back(kUsers);
+      PRIVSHAPE_RETURN_IF_ERROR(SendFrameTo(conn->get(),
+                                            net::MsgType::kRoundBegin,
+                                            net::EncodeRoundBegin(round)));
+      // Everything the client sends until it hangs up.
+      while (true) {
+        auto frame = ReadFrameBlocking(conn->get(), &reader);
+        if (!frame.ok()) return Status::Ok();
+        received.push_back(frame->type);
+      }
+    }();
+  });
+
+  LoadgenOptions options;
+  options.port = *port;
+  options.connections = 1;
+  options.batch_size = 4;
+  options.timeout_seconds = 30.0;
+  auto run = collector::RunLoadgen(fleet, options);
+  server.join();
+  ASSERT_TRUE(served.ok()) << served;
+  ASSERT_FALSE(run.ok());
+  EXPECT_EQ(run.status().code(), StatusCode::kInternal);
+  EXPECT_NE(run.status().message().find("assigned out-of-range user " +
+                                        std::to_string(kUsers)),
+            std::string::npos)
+      << run.status();
+  for (net::MsgType type : received) {
+    EXPECT_NE(type, net::MsgType::kBatchUpload);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,64 @@ TEST(ClientFleetTest, SessionsAreReproducible) {
     ASSERT_TRUE(fleet.MakeSession(user).Answer(*ctx, nullptr, &a).ok());
     ASSERT_TRUE(fleet.MakeSession(user).Answer(*ctx, nullptr, &b).ok());
     EXPECT_EQ(a, b) << "user " << user;
+  }
+}
+
+TEST(ClientFleetTest, BlockSessionsAnswerLikeSingleSessions) {
+  // Every round kind, P_e both within (72 cells) and past (180 cells) the
+  // 156-output lazy prefix, full and partial blocks, one block storage
+  // reused across all of them: the block-built, block-seeded sessions
+  // answer exactly as MakeSession's do.
+  MechanismConfig config = TestConfig();
+  std::vector<Sequence> words = {{0, 1, 2}, {2, 1, 0}, {1, 0, 1}, {0, 2}};
+  ClientFleet fleet = ClientFleet::FromWords(words, 40, config.metric,
+                                             config.seed, {0, 1, 2, 1});
+  auto candidates = [](size_t n) {
+    std::vector<Sequence> out;
+    for (size_t i = 0; i < n; ++i) {
+      out.push_back({static_cast<Symbol>(i % 3),
+                     static_cast<Symbol>((i / 3) % 3),
+                     static_cast<Symbol>(i / 9)});
+    }
+    return out;
+  };
+  std::vector<proto::RoundContext> contexts;
+  auto add = [&contexts](Result<proto::RoundContext> ctx) {
+    ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+    contexts.push_back(std::move(*ctx));
+  };
+  add(proto::RoundContext::Length(1, 6, 4.0));
+  add(proto::RoundContext::Length(3, 3, 4.0));  // one value: no draws
+  add(proto::RoundContext::SubShape(3, 4, 4.0, false));
+  add(proto::RoundContext::Selection({1, 4.0, candidates(9)}, config.metric));
+  add(proto::RoundContext::Refinement({0, 4.0, candidates(6)},
+                                      config.metric));
+  add(proto::RoundContext::ClassRefinement({4.0, 3, candidates(24)},
+                                           config.metric));
+  add(proto::RoundContext::ClassRefinement({4.0, 3, candidates(60)},
+                                           config.metric));
+  std::vector<size_t> users(fleet.num_users());
+  for (size_t u = 0; u < users.size(); ++u) users[u] = (u * 7) % users.size();
+  const size_t sizes[] = {ClientFleet::kSessionBlock, 5, 1,
+                          ClientFleet::kSessionBlock, 3};
+  ClientFleet::SessionBlock block;
+  for (const proto::RoundContext& ctx : contexts) {
+    size_t first = 0;
+    for (size_t b = 0; first < users.size(); ++b) {
+      size_t count = std::min(sizes[b % 5], users.size() - first);
+      fleet.MakeSessions(&users[first], count, ctx.kind(), ctx.domain(),
+                         &block);
+      for (size_t j = 0; j < count; ++j) {
+        size_t user = users[first + j];
+        Report got, want;
+        ASSERT_TRUE(block[j]->Answer(ctx, nullptr, &got).ok());
+        ASSERT_TRUE(fleet.MakeSession(user).Answer(ctx, nullptr, &want).ok());
+        EXPECT_EQ(got, want) << "kind " << static_cast<int>(ctx.kind())
+                             << ", domain " << ctx.domain() << ", user "
+                             << user;
+      }
+      first += count;
+    }
   }
 }
 

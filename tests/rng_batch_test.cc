@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,6 +49,97 @@ TEST(FillU64Test, InterleavesExactlyWithSingleDraws) {
   uint64_t next_a = a();
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(buf[i], b());
   EXPECT_EQ(next_a, b());
+}
+
+// --- Block seeding ---------------------------------------------------------
+
+/// `count` engines on distinct seeds, or on a few repeated ones.
+std::vector<uint64_t> SeedsFor(size_t count, bool repeated) {
+  std::vector<uint64_t> seeds;
+  for (size_t e = 0; e < count; ++e) {
+    seeds.push_back(repeated ? 1000 + e % 3 : DeriveSeed(5, e));
+  }
+  return seeds;
+}
+
+/// Draws 400 outputs one at a time (the lazy path, across its 156-output
+/// prefix) and checks them against std::mt19937_64 after `skip` outputs.
+void ExpectStdStream(LazyMt64* engine, uint64_t seed, size_t skip,
+                     const std::string& where) {
+  std::mt19937_64 reference(seed);
+  reference.discard(skip);
+  for (size_t k = 0; k < 400; ++k) {
+    ASSERT_EQ((*engine)(), reference()) << where << ", output " << skip + k;
+  }
+}
+
+TEST(SeedFreshTest, FreshEnginesKeepTheStdStreamAtEveryDepth) {
+  // 1..17 engines: partial groups, one full group of kSeedLanes, two full
+  // groups and a partial one. 400 words is clamped to the 312-word state.
+  for (bool repeated : {false, true}) {
+    for (size_t count = 1; count <= 2 * LazyMt64::kSeedLanes + 1; ++count) {
+      for (size_t words : {0, 1, 157, 158, 159, 264, 312, 400}) {
+        std::vector<uint64_t> seeds = SeedsFor(count, repeated);
+        std::vector<LazyMt64> engines(seeds.begin(), seeds.end());
+        std::vector<LazyMt64*> ptrs;
+        for (LazyMt64& engine : engines) ptrs.push_back(&engine);
+        LazyMt64::SeedFresh(ptrs.data(), count, words);
+        for (size_t e = 0; e < count; ++e) {
+          ExpectStdStream(&engines[e], seeds[e], 0,
+                          "count " + std::to_string(count) + ", words " +
+                              std::to_string(words) + ", engine " +
+                              std::to_string(e));
+        }
+      }
+    }
+  }
+}
+
+TEST(SeedFreshTest, EnginesThatAreNotFreshPassThroughUnchanged) {
+  // Drawn from (lazily seeded past word 157), materialized (drawn past
+  // the lazy prefix), and already block-seeded engines, mixed with fresh
+  // ones across two groups: every stream continues where it was.
+  std::vector<uint64_t> seeds = SeedsFor(11, false);
+  std::vector<LazyMt64> engines(seeds.begin(), seeds.end());
+  std::vector<size_t> drawn(engines.size(), 0);
+  std::vector<uint64_t> burn(200);
+  engines[1].FillU64(burn.data(), 3);
+  drawn[1] = 3;
+  engines[4].FillU64(burn.data(), 200);
+  drawn[4] = 200;
+  engines[7].FillU64(burn.data(), 156);  // exactly the lazy prefix
+  drawn[7] = 156;
+  LazyMt64* seeded = &engines[9];
+  LazyMt64::SeedFresh(&seeded, 1, 158);
+  std::vector<LazyMt64*> ptrs;
+  for (LazyMt64& engine : engines) ptrs.push_back(&engine);
+  LazyMt64::SeedFresh(ptrs.data(), ptrs.size(), 312);
+  for (size_t e = 0; e < engines.size(); ++e) {
+    ExpectStdStream(&engines[e], seeds[e], drawn[e],
+                    "engine " + std::to_string(e));
+  }
+}
+
+TEST(SeedFreshTest, SeedWordsForCoversTheLazyPrefixOnly) {
+  EXPECT_EQ(LazyMt64::SeedWordsFor(0), 0u);
+  EXPECT_EQ(LazyMt64::SeedWordsFor(1), 157u);   // output 0 reads word 156
+  EXPECT_EQ(LazyMt64::SeedWordsFor(2), 158u);   // a GRR report
+  EXPECT_EQ(LazyMt64::SeedWordsFor(156), 312u);
+  EXPECT_EQ(LazyMt64::SeedWordsFor(157), 0u);   // FillU64 goes full
+}
+
+TEST(SeedFreshTest, RngFormDrawsNothing) {
+  // Rng::SeedFresh over more Rngs than one group, at a GRR depth: every
+  // stream still starts at std::mt19937_64's first output.
+  std::vector<uint64_t> seeds = SeedsFor(LazyMt64::kSeedLanes + 3, false);
+  std::vector<Rng> rngs(seeds.begin(), seeds.end());
+  std::vector<Rng*> ptrs;
+  for (Rng& rng : rngs) ptrs.push_back(&rng);
+  Rng::SeedFresh(ptrs.data(), ptrs.size(), 2);
+  for (size_t e = 0; e < rngs.size(); ++e) {
+    ExpectStdStream(&rngs[e].engine(), seeds[e], 0,
+                    "rng " + std::to_string(e));
+  }
 }
 
 TEST(ThresholdForProbabilityTest, EdgesAndMonotonicity) {
