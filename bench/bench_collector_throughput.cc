@@ -2,11 +2,7 @@
 /// Collector throughput scaling: runs the full four-round protocol over a
 /// generated Trace-style fleet and records reports/sec per configuration
 /// into BENCH_collector.json (the repo's perf baseline; later scaling PRs
-/// regress against it). Two sweeps:
-///
-///   1. thread scaling (1, 2, 4, ... threads),
-///   2. multi-collector scaling (1, 2, 4 merged sites at the max thread
-///      count) — the exact cross-collector merge must cost ~nothing.
+/// regress against it), sweeping thread counts (1, 2, 4, ... threads).
 ///
 ///   bench_collector_throughput --users 100000 --threads 8
 ///       --json BENCH_collector.json
@@ -21,7 +17,6 @@
 
 #include "bench/harness.h"
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "common/thread_pool.h"
 
@@ -43,12 +38,11 @@ struct RunResult {
 RunResult RunOnce(const core::MechanismConfig& config,
                   const collector::ClientFleet& fleet,
                   const collector::CollectorOptions& options,
-                  ThreadPool* pool, size_t collectors) {
+                  ThreadPool* pool) {
   collector::CollectorMetrics metrics;
-  // A single site runs inline, so collectors == 1 measures exactly the
-  // plain RoundCoordinator path.
-  collector::MultiCollector sites(config, options, pool, collectors);
-  Result<core::MechanismResult> result = sites.Collect(fleet, &metrics);
+  Result<core::MechanismResult> result =
+      collector::RoundCoordinator(config, options, pool)
+          .Collect(fleet, &metrics);
   RunResult out;
   if (!result.ok()) {
     out.error = result.status().ToString();
@@ -73,10 +67,10 @@ RunResult RunOnce(const core::MechanismConfig& config,
 RunResult RunBest(const core::MechanismConfig& config,
                   const collector::ClientFleet& fleet,
                   const collector::CollectorOptions& options,
-                  ThreadPool* pool, size_t collectors, int trials) {
+                  ThreadPool* pool, int trials) {
   RunResult best;
   for (int trial = 0; trial < std::max(trials, 1); ++trial) {
-    RunResult run = RunOnce(config, fleet, options, pool, collectors);
+    RunResult run = RunOnce(config, fleet, options, pool);
     if (run.ok ? (!best.ok || run.rate > best.rate) : !best.ok) {
       best = run;  // fastest good run, or an error if none succeed
     }
@@ -128,8 +122,7 @@ int Main(int argc, char** argv) {
     bench::PrintTitle(
         "NOTE: 1 hardware thread — thread-scaling speedups not measurable");
   }
-  bench::PrintHeader({"threads", "collectors", "accepted/s", "seconds",
-                      "speedup", "shapes"});
+  bench::PrintHeader({"threads", "accepted/s", "seconds", "speedup", "shapes"});
 
   std::vector<size_t> thread_counts;
   for (size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
@@ -142,12 +135,10 @@ int Main(int argc, char** argv) {
   bool deterministic = true;
   size_t completed = 0;
 
-  auto record = [&](size_t threads, size_t collectors,
-                    const collector::CollectorOptions& options,
+  auto record = [&](size_t threads, const collector::CollectorOptions& options,
                     const RunResult& run) {
     if (!run.ok) {
-      bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                       "-", "-", "-", run.error});
+      bench::PrintRow({std::to_string(threads), "-", "-", "-", run.error});
       return;
     }
     ++completed;
@@ -161,8 +152,7 @@ int Main(int argc, char** argv) {
     // On a single core every "parallel" run shares the one CPU, so a
     // speedup of ~1 is an artifact of the machine, not the code — print
     // and record it as not-applicable instead of a misleading number.
-    bench::PrintRow({std::to_string(threads), std::to_string(collectors),
-                     FormatDouble(run.rate, 6),
+    bench::PrintRow({std::to_string(threads), FormatDouble(run.rate, 6),
                      FormatDouble(run.seconds, 4),
                      can_scale ? FormatDouble(speedup, 3) : "n/a",
                      run.shapes});
@@ -179,7 +169,6 @@ int Main(int argc, char** argv) {
           "collector_throughput",
           {{"threads", std::to_string(threads)},
            {"shards", std::to_string(options.num_shards)},
-           {"collectors", std::to_string(collectors)},
            {"queue_depth", std::to_string(options.queue_depth)},
            {"users", std::to_string(scale.users)},
            {"dataset", "trace"}},
@@ -187,33 +176,18 @@ int Main(int argc, char** argv) {
     }
   };
 
-  // Sweep 1: thread scaling.
   for (size_t threads : thread_counts) {
     ThreadPool pool(threads);
     collector::CollectorOptions options;
     // 4 shards per worker keeps stripes small enough to load-balance.
     options.num_shards = threads * 4;
-    record(threads, 1, options,
-           RunBest(config, fleet, options, &pool, 1, scale.trials));
-  }
-
-  // Sweep 2: multi-collector scaling at the max thread count. The
-  // collectors=1 point is sweep 1's max-thread record — not repeated
-  // here, so every record's params are unique in the baseline.
-  {
-    ThreadPool pool(max_threads);
-    collector::CollectorOptions options;
-    options.num_shards = max_threads * 4;
-    for (size_t collectors : {size_t{2}, size_t{4}}) {
-      RunResult run =
-          RunBest(config, fleet, options, &pool, collectors, scale.trials);
-      record(max_threads, collectors, options, run);
-    }
+    record(threads, options,
+           RunBest(config, fleet, options, &pool, scale.trials));
   }
 
   if (!deterministic) {
-    bench::PrintRow({"WARNING", "shapes varied across configurations", "",
-                     "", "", ""});
+    bench::PrintRow(
+        {"WARNING", "shapes varied across configurations", "", "", ""});
     return 1;
   }
   if (completed == 0) {

@@ -6,8 +6,7 @@
 // drives Algorithm 2's four rounds (P_a..P_d) over the wire protocol:
 // every byte that reaches the server is a perturbed, encoded report,
 // streamed through bounded batch queues into lock-free sharded
-// aggregation — and optionally served by several independent collectors
-// whose integer state merges exactly.
+// aggregation.
 //
 // The punchline is the determinism contract: for a fixed seed the
 // collector's shapes are byte-identical to the single-threaded
@@ -20,7 +19,6 @@
 #include <iostream>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "core/privshape.h"
 #include "series/sequence.h"
@@ -67,27 +65,6 @@ int main() {
     std::cerr << "collection failed: " << result.status() << "\n";
     return 1;
   }
-
-  // 3b) The same protocol served by 3 independent collection sites, each
-  //     owning a third of every round's population, merged exactly
-  //     (integer counts) before each server decision — still
-  //     byte-identical, which is the point: sharding, streaming, and
-  //     multi-collector merge are pure serving-layer choices.
-  collector::MultiCollector sites(config, options, &pool, 3);
-  auto merged = sites.Collect(fleet);
-  if (!merged.ok()) {
-    std::cerr << "multi-collector collection failed: " << merged.status()
-              << "\n";
-    return 1;
-  }
-  bool sites_match = merged->shapes.size() == result->shapes.size();
-  for (size_t i = 0; sites_match && i < merged->shapes.size(); ++i) {
-    sites_match = merged->shapes[i].shape == result->shapes[i].shape &&
-                  merged->shapes[i].frequency == result->shapes[i].frequency;
-  }
-  std::cout << "3 merged collectors == 1 collector: "
-            << (sites_match ? "yes (byte-identical)" : "NO — bug!") << "\n";
-  if (!sites_match) return 1;
 
   std::cout << "extracted shapes (frequent length "
             << result->frequent_length << "):\n";

@@ -55,7 +55,6 @@ JsonValue CollectorMetrics::ToJson() const {
   doc.Set("num_users", JsonValue::Uint(num_users));
   doc.Set("num_shards", JsonValue::Uint(num_shards));
   doc.Set("num_threads", JsonValue::Uint(num_threads));
-  doc.Set("num_collectors", JsonValue::Uint(num_collectors));
   doc.Set("queue_depth", JsonValue::Uint(queue_depth));
   doc.Set("ingest", JsonValue::Str(ingest));
   doc.Set("total_seconds", JsonValue::Num(total_seconds));

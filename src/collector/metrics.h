@@ -46,10 +46,9 @@ struct RoundStats {
 /// collector is machine-readable from the first PR that ships it.
 struct CollectorMetrics {
   size_t num_users = 0;
-  size_t num_shards = 0;      ///< aggregation lanes per collector
+  size_t num_shards = 0;   ///< aggregation lanes
   size_t num_threads = 0;
-  size_t num_collectors = 1;  ///< independent merged collection sites
-  size_t queue_depth = 0;     ///< streaming queue capacity (0 = unbounded)
+  size_t queue_depth = 0;  ///< streaming queue capacity (0 = unbounded)
   std::string ingest = "streaming";  ///< "streaming" (in process), "socket"
   double total_seconds = 0.0;
   std::vector<RoundStats> rounds;

@@ -376,7 +376,6 @@ Result<core::MechanismResult> RoundCoordinator::Collect(
   if (metrics != nullptr) {
     metrics->num_shards = EffectiveShards();
     metrics->num_threads = EffectiveThreads();
-    metrics->num_collectors = 1;
     metrics->queue_depth = options_.queue_depth;
   }
   return DriveProtocol(

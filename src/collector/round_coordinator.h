@@ -48,16 +48,16 @@ struct RoundOutcome {
   size_t client_errors = 0;
   /// Per-batch ingest latency (one ConsumeBatch call = one sample, in
   /// nanoseconds). A snapshot — plain movable data — because outcomes are
-  /// returned by value and merged across collection sites; the runner's
-  /// live Histogram never leaves its round.
+  /// returned by value; the runner's live Histogram never leaves its
+  /// round.
   telemetry::HistogramSnapshot ingest_latency;
 };
 
 /// Executes one collection round over `population` for stage `spec`:
-/// whatever the executor (a single coordinator, N collectors whose
-/// outcomes are merged, or the socket daemon broadcasting to live
-/// connections), the returned aggregation must be exactly what a single
-/// unsharded aggregator fed the same reports would hold.
+/// whatever the executor (the in-process coordinator, or the socket
+/// daemon broadcasting to live connections), the returned aggregation
+/// must be exactly what a single unsharded aggregator fed the same
+/// reports would hold.
 /// `encoded_request` is the round's broadcast message, already encoded —
 /// in-process runners ignore it (their clients share the pre-decoded
 /// RoundContext), the network runner ships it verbatim to every client.
@@ -86,11 +86,11 @@ Result<core::MechanismResult> DriveProtocol(
     const core::MechanismConfig& config, size_t num_users,
     const RoundRunner& run_round, CollectorMetrics* metrics = nullptr);
 
-/// One collection site: answers rounds over (a slice of) the fleet on its
+/// The in-process collection server: answers rounds over the fleet on its
 /// thread pool and ingests reports through a lock-free ShardedAggregator.
 /// Aggregation is exact integer merging, so for a fixed fleet seed the
 /// result is byte-identical to core::PrivShape::Run on the same words, for
-/// any {shard, thread, batch, queue-depth, collector} configuration.
+/// any {shard, thread, batch, queue-depth} configuration.
 class RoundCoordinator {
  public:
   /// `pool` must outlive the coordinator; pass nullptr to run every round
@@ -112,9 +112,6 @@ class RoundCoordinator {
   RoundOutcome RunRound(const ClientFleet& fleet,
                         const std::vector<size_t>& population,
                         const StageSpec& spec, const AnswerFn& answer) const;
-
-  const core::MechanismConfig& config() const { return config_; }
-  const CollectorOptions& options() const { return options_; }
 
   size_t EffectiveShards() const;
   size_t EffectiveThreads() const;

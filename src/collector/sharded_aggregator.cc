@@ -18,13 +18,6 @@ ShardedAggregator::ShardedAggregator(const StageSpec& spec,
 
 PS_REPORT_PATH
 void ShardedAggregator::ConsumeBatch(size_t shard,
-                                     Span<const std::string> reports) {
-  Shard& lane = shards_[shard % shards_.size()];
-  for (const std::string& encoded : reports) ConsumeOne(lane, encoded);
-}
-
-PS_REPORT_PATH
-void ShardedAggregator::ConsumeBatch(size_t shard,
                                      const proto::ReportBatch& reports) {
   Shard& lane = shards_[shard % shards_.size()];
   for (size_t i = 0; i < reports.size(); ++i) {
@@ -46,26 +39,6 @@ void ShardedAggregator::ConsumeOne(Shard& lane, std::string_view encoded) {
   }
   lane.levels[static_cast<size_t>(report->level - spec_.min_level)]
       .ConsumeReport(*report);
-}
-
-Status ShardedAggregator::Merge(const ShardedAggregator& other) {
-  if (other.spec_.kind != spec_.kind || other.spec_.domain != spec_.domain ||
-      other.spec_.epsilon != spec_.epsilon ||
-      other.spec_.min_level != spec_.min_level ||
-      other.spec_.num_levels != spec_.num_levels) {
-    return Status::InvalidArgument(
-        "cannot merge aggregators of different stages");
-  }
-  for (size_t s = 0; s < other.shards_.size(); ++s) {
-    const Shard& theirs = other.shards_[s];
-    Shard& ours = shards_[s % shards_.size()];
-    for (size_t lvl = 0; lvl < spec_.num_levels; ++lvl) {
-      PRIVSHAPE_RETURN_IF_ERROR(ours.levels[lvl].Merge(theirs.levels[lvl]));
-    }
-    ours.rejected += theirs.rejected;
-    ours.bytes += theirs.bytes;
-  }
-  return Status::Ok();
 }
 
 proto::ReportAggregator ShardedAggregator::MergedLevel(

@@ -2,13 +2,10 @@
 #define PRIVSHAPE_COLLECTOR_SHARDED_AGGREGATOR_H_
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/analysis_annotations.h"
-#include "common/span.h"
-#include "common/status.h"
 #include "protocol/session.h"
 
 namespace privshape::collector {
@@ -33,7 +30,7 @@ struct StageSpec {
 /// only be fed from one thread at a time (the RoundCoordinator assigns
 /// each shard to exactly one worker), and no synchronization is needed
 /// anywhere on the hot path. All aggregation state is integer counts, so
-/// the cross-shard Merge is exact and associative: debiased estimates are
+/// the cross-shard merge is exact and associative: debiased estimates are
 /// byte-identical for any shard count and any ingestion order.
 class ShardedAggregator {
  public:
@@ -43,16 +40,12 @@ class ShardedAggregator {
   size_t num_shards() const { return shards_.size(); }
   const StageSpec& spec() const { return spec_; }
 
-  /// Ingests a batch of encoded reports into one shard. Undecodable
-  /// reports and reports outside the level window count as rejected;
-  /// wrong kinds and out-of-domain values are rejected by the underlying
-  /// ReportAggregator. Not synchronized: one thread per shard at a time.
-  PS_REPORT_PATH
-  void ConsumeBatch(size_t shard, Span<const std::string> reports);
-
-  /// Same, over a flat batch buffer: each report is decoded from an
-  /// in-place view of the batch, so ingestion copies no report bytes.
-  /// This is the form the streaming queues carry.
+  /// Ingests a batch of encoded reports into one shard. Each report is
+  /// decoded from an in-place view of the flat batch buffer, so ingestion
+  /// copies no report bytes. Undecodable reports and reports outside the
+  /// level window count as rejected; wrong kinds and out-of-domain values
+  /// are rejected by the underlying ReportAggregator. Not synchronized:
+  /// one thread per shard at a time.
   PS_REPORT_PATH
   void ConsumeBatch(size_t shard, const proto::ReportBatch& reports);
 
@@ -60,14 +53,6 @@ class ShardedAggregator {
   /// level window). The returned aggregator sees exactly the counts a
   /// single unsharded aggregator would have.
   proto::ReportAggregator MergedLevel(size_t level_bucket) const;
-
-  /// Exact cross-collector merge: folds every lane of `other` (an
-  /// aggregator for the same stage, possibly with a different shard
-  /// count) into this one, including the rejection/byte tallies. All
-  /// state is integer counts, so merging N collectors' aggregators in
-  /// any order equals one aggregator fed every report. Fails unless the
-  /// stage specs match exactly.
-  Status Merge(const ShardedAggregator& other);
 
   /// Debiased counts of one level bucket (GRR debias, or raw counts for
   /// kSelection), via the merged aggregator.
@@ -85,7 +70,7 @@ class ShardedAggregator {
     size_t bytes = 0;
   };
 
-  /// Decode + route + count of one encoded report (both batch forms).
+  /// Decode + route + count of one encoded report.
   void ConsumeOne(Shard& lane, std::string_view encoded);
 
   StageSpec spec_;

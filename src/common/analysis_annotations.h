@@ -34,11 +34,10 @@
 ///     the analyzer then only enforces that every consumption site is
 ///     blessed. Declaration and definition annotations must agree.
 ///
-/// Under Clang the markers also expand to `annotate` attributes so the
-/// libclang engine (and any future AST tooling) sees them natively; on
-/// other compilers they vanish. Either way the token-level fallback
-/// engine recognizes them by spelling, so the contracts are enforced on
-/// every development machine, not just where libclang is installed.
+/// Under Clang the markers also expand to `annotate` attributes so AST
+/// tooling sees them natively; on other compilers they vanish. The
+/// analyzer recognizes them by spelling, so the contracts are enforced
+/// whatever the compiler.
 #if defined(__clang__)
 #define PS_REPORT_PATH __attribute__((annotate("ps_report_path")))
 #define PS_RNG_CANONICAL __attribute__((annotate("ps_rng_canonical")))

@@ -8,8 +8,8 @@
 namespace privshape {
 
 /// Minimal non-owning view over a contiguous array (C++17 stand-in for
-/// std::span). Used for batched report ingestion so callers can hand the
-/// aggregator a window into a larger buffer without copying.
+/// std::span). Used for SAX words (dist::SymbolView) so callers can pass a
+/// word or a prefix of one without copying.
 template <typename T>
 class Span {
  public:

@@ -1,6 +1,6 @@
 /// \file
 /// Module `eval` — non-private downstream evaluation (§V): nearest-shape
-/// assignment (Def. 4), clustering baselines (k-means/k-medoids/k-shape/
+/// assignment (Def. 4), clustering baselines (k-means/k-shape/
 /// agglomerative), ARI, random-forest and 1-NN classification, and shapelet
 /// discovery. Invariant: this layer consumes already-extracted shapes and
 /// ground-truth labels; it performs no perturbation and spends no budget.

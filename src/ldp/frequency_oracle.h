@@ -1,7 +1,7 @@
 /// \file
 /// Module `ldp` — general-purpose local-DP primitives (§II-B): GRR, OUE/SUE
-/// unary encoding, OLH, the exponential mechanism, numeric mechanisms, and
-/// the budget accountant. Invariant: a user's true value is only ever read
+/// unary encoding, the exponential mechanism, numeric mechanisms, and the
+/// budget accountant. Invariant: a user's true value is only ever read
 /// inside their own Submit/Perturb call, and every estimator returned is
 /// unbiased for the true counts.
 
@@ -21,7 +21,7 @@ namespace privshape::ldp {
 /// Each simulated user calls SubmitUser(value) exactly once; the oracle
 /// perturbs locally (the only place the true value is seen) and accumulates
 /// the noisy report. EstimateCounts() returns unbiased estimates of the
-/// per-value counts. Concrete oracles (GRR, OUE, SUE, OLH) expose their raw
+/// per-value counts. Concrete oracles (GRR, OUE, SUE) expose their raw
 /// perturbation primitives too, which the privacy property tests exercise
 /// directly.
 class FrequencyOracle {

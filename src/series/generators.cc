@@ -218,7 +218,11 @@ Dataset MakeTrigWaveDataset(const TrigWaveOptions& options) {
           2.0 * kPi * static_cast<double>(j) /
           static_cast<double>(options.length);
       double y = label == 0 ? std::sin(phase) : std::cos(phase);
-      inst.values[j] = y + rng.Gaussian(0.0, options.noise_stddev);
+      // std::normal_distribution requires stddev > 0.
+      if (options.noise_stddev > 0.0) {
+        y += rng.Gaussian(0.0, options.noise_stddev);
+      }
+      inst.values[j] = y;
     }
     if (options.z_normalize) ZNormalize(&inst.values);
     out.instances.push_back(std::move(inst));

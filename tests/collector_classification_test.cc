@@ -1,8 +1,8 @@
 /// Classification over the wire: the labeled-fleet collector path must be
 /// byte-identical to core::PrivShapeLabeledShapes (same words, same
-/// labels, same seed) across the whole determinism matrix — shard counts,
-/// collector counts — and the new P_e protocol pieces must
-/// hold up under label errors and merge partitioning.
+/// labels, same seed) across the determinism matrix of shard counts, and
+/// the new P_e protocol pieces must hold up under label errors and merge
+/// partitioning.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -28,7 +27,6 @@ namespace {
 using collector::ClientFleet;
 using collector::CollectorMetrics;
 using collector::CollectorOptions;
-using collector::MultiCollector;
 using collector::RoundCoordinator;
 using core::MechanismConfig;
 using proto::ReportKind;
@@ -107,15 +105,11 @@ TEST(CollectorClassificationTest, MatchesCoreAcrossDeterminismMatrix) {
 
   ThreadPool pool(4);
   for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
-    for (size_t collectors : {size_t{1}, size_t{3}}) {
-      CollectorOptions options;
-      options.num_shards = shards;
-      MultiCollector sites(config, options, &pool, collectors);
-      auto got = sites.Collect(fleet);
-      ASSERT_TRUE(got.ok()) << got.status() << " shards=" << shards
-                            << " collectors=" << collectors;
-      ExpectSameResult(*expected, *got);
-    }
+    CollectorOptions options;
+    options.num_shards = shards;
+    auto got = RoundCoordinator(config, options, &pool).Collect(fleet);
+    ASSERT_TRUE(got.ok()) << got.status() << " shards=" << shards;
+    ExpectSameResult(*expected, *got);
   }
 }
 

@@ -1,9 +1,8 @@
-/// Failure modes and exactness of the streaming ingestion pipeline and
-/// the multi-collector merge: client errors mid-stream, backpressure
-/// under tiny queue depths, and the determinism contract (byte-identical
-/// shapes AND exact accepted/rejected/bytes tallies) across
-/// {queue depth} x {collector count} vs. a single-site baseline and the
-/// single-threaded core pipeline.
+/// Failure modes and exactness of the streaming ingestion pipeline: client
+/// errors mid-stream, backpressure under tiny queue depths, and the
+/// determinism contract (byte-identical shapes AND exact
+/// accepted/rejected/bytes tallies) across queue depths vs. a
+/// default-depth baseline and the single-threaded core pipeline.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "collector/client_fleet.h"
-#include "collector/multi_collector.h"
 #include "collector/round_coordinator.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -27,7 +25,6 @@ using collector::AnswerFn;
 using collector::ClientFleet;
 using collector::CollectorMetrics;
 using collector::CollectorOptions;
-using collector::MultiCollector;
 using collector::RoundCoordinator;
 using collector::RoundOutcome;
 using collector::StageSpec;
@@ -167,9 +164,9 @@ TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
             expected.agg.MergedLevel(0).raw_counts());
 }
 
-// --- Determinism contract: streaming x multi-collector ------------------
+// --- Determinism contract: streaming ------------------------------------
 
-TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
+TEST(StreamingDeterminismTest, QueueDepthsAreExact) {
   MechanismConfig config = TestConfig();
   const size_t kUsers = 3000;
   ClientFleet fleet = PlantedFleet(kUsers, config);
@@ -179,7 +176,7 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
   ASSERT_TRUE(expected.ok()) << expected.status();
 
   ThreadPool pool(4);
-  // One default-depth site is the tallies baseline every run must hit.
+  // One default-depth run is the tallies baseline every run must hit.
   CollectorOptions baseline_options;
   baseline_options.num_shards = 8;
   CollectorMetrics baseline_metrics;
@@ -188,41 +185,34 @@ TEST(StreamingDeterminismTest, QueueDepthsAndCollectorCountsAreExact) {
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   ExpectSameResult(*expected, *baseline);
 
-  // Queue depths {1, 8, 0 = unbounded} x collectors {1, 3}.
+  // Queue depths {1, 8, 0 = unbounded}.
   for (size_t depth : {size_t{1}, size_t{8}, size_t{0}}) {
-    for (size_t collectors : {size_t{1}, size_t{3}}) {
-      CollectorOptions options;
-      options.num_shards = 8;
-      options.queue_depth = depth;
-      options.batch_size = 64;
-      CollectorMetrics metrics;
-      MultiCollector sites(config, options, &pool, collectors);
-      auto got = sites.Collect(fleet, &metrics);
-      ASSERT_TRUE(got.ok())
-          << got.status() << " depth=" << depth << " c=" << collectors;
-      ExpectSameResult(*expected, *got);
+    CollectorOptions options;
+    options.num_shards = 8;
+    options.queue_depth = depth;
+    options.batch_size = 64;
+    CollectorMetrics metrics;
+    auto got =
+        RoundCoordinator(config, options, &pool).Collect(fleet, &metrics);
+    ASSERT_TRUE(got.ok()) << got.status() << " depth=" << depth;
+    ExpectSameResult(*expected, *got);
 
-      // Exact round-by-round tallies vs. the baseline: same stages, same
-      // accepted/rejected/bytes per stage — queue depth and merging
-      // change scheduling, never counts.
-      ASSERT_EQ(metrics.rounds.size(), baseline_metrics.rounds.size());
-      for (size_t r = 0; r < metrics.rounds.size(); ++r) {
-        const auto& got_round = metrics.rounds[r];
-        const auto& want_round = baseline_metrics.rounds[r];
-        EXPECT_EQ(got_round.stage, want_round.stage);
-        EXPECT_EQ(got_round.users, want_round.users) << got_round.stage;
-        EXPECT_EQ(got_round.accepted, want_round.accepted)
-            << got_round.stage;
-        EXPECT_EQ(got_round.rejected, want_round.rejected)
-            << got_round.stage;
-        EXPECT_EQ(got_round.client_errors, want_round.client_errors)
-            << got_round.stage;
-        EXPECT_EQ(got_round.bytes_up, want_round.bytes_up)
-            << got_round.stage;
-      }
-      EXPECT_EQ(metrics.num_collectors, collectors);
-      EXPECT_EQ(metrics.ingest, "streaming");
+    // Exact round-by-round tallies vs. the baseline: same stages, same
+    // accepted/rejected/bytes per stage — queue depth changes
+    // scheduling, never counts.
+    ASSERT_EQ(metrics.rounds.size(), baseline_metrics.rounds.size());
+    for (size_t r = 0; r < metrics.rounds.size(); ++r) {
+      const auto& got_round = metrics.rounds[r];
+      const auto& want_round = baseline_metrics.rounds[r];
+      EXPECT_EQ(got_round.stage, want_round.stage);
+      EXPECT_EQ(got_round.users, want_round.users) << got_round.stage;
+      EXPECT_EQ(got_round.accepted, want_round.accepted) << got_round.stage;
+      EXPECT_EQ(got_round.rejected, want_round.rejected) << got_round.stage;
+      EXPECT_EQ(got_round.client_errors, want_round.client_errors)
+          << got_round.stage;
+      EXPECT_EQ(got_round.bytes_up, want_round.bytes_up) << got_round.stage;
     }
+    EXPECT_EQ(metrics.ingest, "streaming");
   }
 }
 
@@ -241,72 +231,6 @@ TEST(StreamingDeterminismTest, InlineExecutionStillStreams) {
   auto pooled = RoundCoordinator(config, options, &pool).Collect(fleet);
   ASSERT_TRUE(pooled.ok()) << pooled.status();
   ExpectSameResult(*inline_run, *pooled);
-}
-
-// --- Multi-collector merge ----------------------------------------------
-
-TEST(MultiCollectorTest, MergedAggregatorEqualsSingleSite) {
-  MechanismConfig config = TestConfig();
-  const size_t kUsers = 2000;
-  ClientFleet fleet = PlantedFleet(kUsers, config);
-  std::vector<size_t> population(kUsers);
-  std::iota(population.begin(), population.end(), size_t{0});
-  StageSpec spec = LengthSpec(config);
-  AnswerFn answer = LengthAnswer(config);
-  ThreadPool pool(4);
-
-  CollectorOptions options;
-  options.num_shards = 4;
-  RoundCoordinator site(config, options, &pool);
-  RoundOutcome whole = site.RunRound(fleet, population, spec, answer);
-
-  // Split the population across 3 sites with different shard counts,
-  // then merge: identical counts.
-  std::vector<size_t> slice_a(population.begin(), population.begin() + 700);
-  std::vector<size_t> slice_b(population.begin() + 700,
-                              population.begin() + 1500);
-  std::vector<size_t> slice_c(population.begin() + 1500, population.end());
-  CollectorOptions other;
-  other.num_shards = 7;
-  RoundOutcome a = site.RunRound(fleet, slice_a, spec, answer);
-  RoundOutcome b = RoundCoordinator(config, other, &pool)
-                       .RunRound(fleet, slice_b, spec, answer);
-  RoundOutcome c = site.RunRound(fleet, slice_c, spec, answer);
-  ASSERT_TRUE(a.agg.Merge(b.agg).ok());
-  ASSERT_TRUE(a.agg.Merge(c.agg).ok());
-
-  EXPECT_EQ(a.agg.accepted(), whole.agg.accepted());
-  EXPECT_EQ(a.agg.rejected(), whole.agg.rejected());
-  EXPECT_EQ(a.agg.bytes_ingested(), whole.agg.bytes_ingested());
-  EXPECT_EQ(a.agg.MergedLevel(0).raw_counts(),
-            whole.agg.MergedLevel(0).raw_counts());
-  EXPECT_EQ(a.agg.DebiasedCounts(0), whole.agg.DebiasedCounts(0));
-}
-
-TEST(MultiCollectorTest, MergeRejectsMismatchedStages) {
-  StageSpec length;
-  length.kind = proto::ReportKind::kLength;
-  length.domain = 5;
-  length.epsilon = 2.0;
-  StageSpec other = length;
-  other.domain = 6;
-  collector::ShardedAggregator a(length, 2);
-  collector::ShardedAggregator b(other, 2);
-  EXPECT_FALSE(a.Merge(b).ok());
-  collector::ShardedAggregator c(length, 3);
-  EXPECT_TRUE(a.Merge(c).ok());
-}
-
-TEST(MultiCollectorTest, RecoversPlantedShapeWithThreeSites) {
-  MechanismConfig config = TestConfig();
-  ClientFleet fleet = PlantedFleet(6000, config);
-  ThreadPool pool(2);
-  MultiCollector sites(config, {}, &pool, 3);
-  auto result = sites.Collect(fleet);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->frequent_length, 3);
-  ASSERT_GE(result->shapes.size(), 1u);
-  EXPECT_EQ(SequenceToString(result->shapes[0].shape), "abc");
 }
 
 }  // namespace

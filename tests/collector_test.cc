@@ -8,7 +8,6 @@
 #include "collector/round_coordinator.h"
 #include "collector/sharded_aggregator.h"
 #include "common/rng.h"
-#include "common/span.h"
 #include "common/thread_pool.h"
 #include "core/privshape.h"
 #include "protocol/messages.h"
@@ -23,8 +22,8 @@ using collector::RoundCoordinator;
 using collector::ShardedAggregator;
 using collector::StageSpec;
 using core::MechanismConfig;
-using proto::EncodeReport;
 using proto::Report;
+using proto::ReportBatch;
 using proto::ReportKind;
 
 /// Same planted mixture as the core PrivShape tests: 60% "abc",
@@ -283,32 +282,33 @@ StageSpec LengthSpec(size_t domain = 5, double epsilon = 2.0) {
   return spec;
 }
 
-std::string LengthReport(uint64_t value) {
+Report LengthReport(uint64_t value) {
   Report report;
   report.kind = ReportKind::kLength;
   report.value = value;
-  return EncodeReport(report);
+  return report;
 }
 
 TEST(ShardedAggregatorTest, MergeIsExactAcrossAnyPartition) {
-  std::vector<std::string> reports;
-  for (uint64_t v = 0; v < 100; ++v) reports.push_back(LengthReport(v % 5));
-
   ShardedAggregator single(LengthSpec(), 1);
-  single.ConsumeBatch(0, reports);
-
   ShardedAggregator sharded(LengthSpec(), 7);
-  // Deal the same reports round-robin across 7 shards in small batches.
-  std::vector<std::vector<std::string>> lanes(7);
-  for (size_t i = 0; i < reports.size(); ++i) {
-    lanes[i % 7].push_back(reports[i]);
-  }
-  for (size_t shard = 0; shard < 7; ++shard) {
-    Span<const std::string> lane(lanes[shard]);
-    for (size_t off = 0; off < lane.size(); off += 3) {
-      sharded.ConsumeBatch(shard, lane.Sub(off, 3));
+  ReportBatch all;
+  // Deal the same reports round-robin across 7 shards in batches of 3.
+  std::vector<ReportBatch> lanes(7);
+  for (uint64_t v = 0; v < 100; ++v) {
+    Report report = LengthReport(v % 5);
+    all.Append(report);
+    ReportBatch& lane = lanes[v % 7];
+    lane.Append(report);
+    if (lane.size() == 3) {
+      sharded.ConsumeBatch(v % 7, lane);
+      lane.Clear();
     }
   }
+  for (size_t shard = 0; shard < 7; ++shard) {
+    sharded.ConsumeBatch(shard, lanes[shard]);
+  }
+  single.ConsumeBatch(0, all);
 
   EXPECT_EQ(single.accepted(), sharded.accepted());
   EXPECT_EQ(single.MergedLevel(0).raw_counts(),
@@ -324,13 +324,16 @@ TEST(ShardedAggregatorTest, RejectsMalformedAndOutOfWindow) {
   Report bad_level;
   bad_level.kind = ReportKind::kLength;
   bad_level.level = 3;  // window is [0, 1)
-  std::vector<std::string> batch = {
-      LengthReport(2), "garbage", EncodeReport(wrong_kind),
-      EncodeReport(bad_level), LengthReport(99)};  // 99 out of domain
+  ReportBatch batch;
+  batch.Append(LengthReport(2));
+  batch.AppendEncoded("garbage");
+  batch.Append(wrong_kind);
+  batch.Append(bad_level);
+  batch.Append(LengthReport(99));  // 99 out of domain
   agg.ConsumeBatch(1, batch);
   EXPECT_EQ(agg.accepted(), 1u);
   EXPECT_EQ(agg.rejected(), 4u);
-  EXPECT_GT(agg.bytes_ingested(), 0u);
+  EXPECT_EQ(agg.bytes_ingested(), batch.bytes());
 }
 
 TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {
@@ -341,13 +344,13 @@ TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {
   spec.min_level = 1;
   spec.num_levels = 3;
   ShardedAggregator agg(spec, 2);
-  std::vector<std::string> batch;
+  ReportBatch batch;
   for (uint64_t level = 1; level <= 3; ++level) {
     Report report;
     report.kind = ReportKind::kSubShape;
     report.level = level;
     report.value = level;  // distinct value per level
-    batch.push_back(EncodeReport(report));
+    batch.Append(report);
   }
   agg.ConsumeBatch(0, batch);
   for (size_t bucket = 0; bucket < 3; ++bucket) {

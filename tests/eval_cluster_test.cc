@@ -3,13 +3,11 @@
 #include <set>
 
 #include "eval/agglomerative.h"
-#include "eval/kmedoids.h"
 
 namespace privshape {
 namespace {
 
 using eval::AgglomerativeCluster;
-using eval::KMedoids;
 using eval::Linkage;
 
 /// Distance matrix with two obvious groups: {0,1,2} tight, {3,4} tight,
@@ -68,36 +66,6 @@ TEST(AgglomerativeTest, LabelsAreContiguousFromZero) {
   EXPECT_EQ(distinct.size(), 2u);
   EXPECT_TRUE(distinct.count(0));
   EXPECT_TRUE(distinct.count(1));
-}
-
-TEST(KMedoidsTest, RecoversTwoGroups) {
-  auto result = KMedoids(TwoGroupMatrix(), 2, /*seed=*/3);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->assignments[0], result->assignments[1]);
-  EXPECT_EQ(result->assignments[1], result->assignments[2]);
-  EXPECT_EQ(result->assignments[3], result->assignments[4]);
-  EXPECT_NE(result->assignments[0], result->assignments[3]);
-}
-
-TEST(KMedoidsTest, MedoidsAreMembers) {
-  auto result = KMedoids(TwoGroupMatrix(), 2, 4);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->medoids.size(), 2u);
-  for (size_t m : result->medoids) EXPECT_LT(m, 5u);
-}
-
-TEST(KMedoidsTest, CostIsSumOfAssignedDistances) {
-  auto result = KMedoids(TwoGroupMatrix(), 2, 5);
-  ASSERT_TRUE(result.ok());
-  // Optimal cost: each non-medoid point sits at distance 1 from its
-  // medoid: 2 points in the triple + 1 in the pair = 3.
-  EXPECT_NEAR(result->total_cost, 3.0, 1e-9);
-}
-
-TEST(KMedoidsTest, RejectsInvalidInputs) {
-  EXPECT_FALSE(KMedoids({}, 1).ok());
-  EXPECT_FALSE(KMedoids(TwoGroupMatrix(), 0).ok());
-  EXPECT_FALSE(KMedoids(TwoGroupMatrix(), 9).ok());
 }
 
 }  // namespace

@@ -11,10 +11,9 @@ contract:
     and telemetry/layering purity.
 
 Usage:
-  tools/analyze.py                 # lint src/ (source-walk discovery)
-  tools/analyze.py --all           # + compile-db-seeded discovery
-  tools/analyze.py --self-test     # both layers' self-tests
-  tools/analyze.py --sarif out.sarif --all   # also write SARIF 2.1.0
+  tools/analyze.py                       # lint src/
+  tools/analyze.py --self-test           # both layers' self-tests
+  tools/analyze.py --sarif out.sarif     # also write SARIF 2.1.0
 
 Exit codes (uniform across layers): 0 clean, 1 findings, 2 internal
 error. Findings are suppressible only via tools/psa/suppressions.txt,
@@ -44,17 +43,6 @@ def main():
         "--self-test", action="store_true",
         help="run both layers' self-tests instead of linting the tree")
     parser.add_argument(
-        "--all", action="store_true",
-        help="seed file discovery from the compile database "
-             "(build*/compile_commands.json) in addition to walking src/")
-    parser.add_argument(
-        "--engine", default="auto", choices=("auto", "token", "clang"),
-        help="analyzer frontend: clang uses libclang when importable, "
-             "token is the dependency-free fallback (default: auto)")
-    parser.add_argument(
-        "--compile-db", default=None, metavar="PATH",
-        help="explicit compile_commands.json (implies --all discovery)")
-    parser.add_argument(
         "--sarif", default=None, metavar="PATH",
         help="write findings (incl. suppressed) as SARIF 2.1.0")
     args = parser.parse_args()
@@ -65,13 +53,8 @@ def main():
         return max(layering, psa)
 
     layering = lint_layering.run_lint(args.root)
-    if args.all or args.compile_db:
-        compile_db = args.compile_db  # None -> auto-discover under build*/
-    else:
-        compile_db = os.devnull  # source-walk discovery only
-    code, active, suppressed = runner.analyze_tree(
-        args.root, prefer_engine=args.engine, compile_db=compile_db)
-    files = len(psa_engine.discover_files(args.root, compile_db))
+    code, active, suppressed = runner.analyze_tree(args.root)
+    files = len(psa_engine.discover_files(args.root))
     runner.report(active, suppressed, files)
     if args.sarif:
         runner.write_sarif(args.sarif, active, suppressed)

@@ -5,9 +5,8 @@
 #   1. clang-format --dry-run over the C++ file set (advisory: prints
 #      drift as warnings; formatting is style, not correctness).
 #   2. Static analysis (tools/analyze.py = layering lint + the PrivShape
-#      Analyzer): self-test, then the real src/ tree (fatal). Runs on
-#      the pure-Python token engine when libclang is absent; --all also
-#      feeds the compile database so out-of-src TUs are covered.
+#      Analyzer): self-test, then the whole src/ tree (fatal), whatever
+#      the file set below.
 #   3. clang-tidy over the changed .cc files under src/ (fatal), using
 #      a compile database configured on demand.
 #
@@ -84,10 +83,8 @@ fi
 
 # --- 2. Static analysis: layering + PrivShape Analyzer (fatal) ------------
 if command -v python3 >/dev/null 2>&1; then
-  analyze_args=()
-  if [ "$mode" = "all" ]; then analyze_args+=(--all); fi
   if python3 tools/analyze.py --self-test >/dev/null &&
-      python3 tools/analyze.py --root . "${analyze_args[@]}"; then
+      python3 tools/analyze.py --root .; then
     :
   else
     note "static analysis: FAILED"

@@ -1,16 +1,11 @@
 """PrivShape Analyzer (psa): repo-specific semantic static analysis.
 
-A check-plugin framework that walks the C++ tree (via the compile
-database when one exists) and enforces the semantic contracts generic
-tools cannot see: the canonical RNG consumption order, report-path
-determinism, privacy-budget flow, and telemetry/layering purity.
-
-Two interchangeable engine frontends produce the same token IR:
-
-  * ``clang``  — libclang (``clang.cindex``) tokenization over the
-    compile database; used automatically when the bindings import.
-  * ``token``  — a pure-Python C++ tokenizer; always available, and the
-    reference implementation for the check semantics.
+A check-plugin framework that walks the C++ tree under src/ and
+enforces the semantic contracts generic tools cannot see: the canonical
+RNG consumption order, report-path determinism, privacy-budget flow, and
+telemetry/layering purity. A pure-Python C++ tokenizer lowers each file
+to the token IR the checks run on, so the analyzer needs nothing beyond
+the standard library.
 
 Entry point: ``tools/analyze.py`` (also runs the layering lint).
 """

@@ -43,14 +43,13 @@ STD_RANDOM = {
 }
 
 # Receiver-spelling fallback for resolving ambiguous annotated method
-# names (e.g. PerturbValue exists on Grr, UnaryEncoding and Olh) when
+# names (e.g. PerturbValue exists on Grr and UnaryEncoding) when
 # neither parameter types nor Create-locals identify the class. These
 # are the repo's pervasive naming conventions; the self-test pins them.
 RECEIVER_ALIASES = {
     "grr": "Grr",
     "oue": "UnaryEncoding",
     "ue": "UnaryEncoding",
-    "olh": "Olh",
     "em": "ExponentialMechanism",
 }
 

@@ -24,7 +24,6 @@ DESCRIPTION = ("mechanism constructions receive epsilon from a traced "
 MECHANISMS = {
     "Grr": 1,
     "UnaryEncoding": 1,
-    "Olh": 1,
     "ExponentialMechanism": 0,
     "PiecewiseMechanism": 0,
     "DuchiMechanism": 0,

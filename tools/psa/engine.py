@@ -1,184 +1,38 @@
-"""Engine frontends: turn a source tree into ir.SourceFile objects.
+"""Frontend: turn a source tree into ir.SourceFile objects.
 
-Mirrors the fuzzer-engine auto-selection (PRIVSHAPE_FUZZER_ENGINE):
-the libclang engine is used when the ``clang.cindex`` bindings import
-and a usable libclang is found; otherwise the pure-Python tokenizer
-engine takes over with identical downstream semantics. `--engine`
-forces one explicitly.
-
-File discovery is compile-db aware: when a compile_commands.json is
-available (given via --compile-db, or auto-discovered under build*/)
-its entries seed the file set — so the analyzer sees exactly what the
-build sees — and first-party headers are added by walking src/, since
-compile databases never list headers.
+File discovery walks src/; each file is lowered to the token IR by the
+pure-Python tokenizer (tools/psa/tokenizer.py), which needs nothing
+beyond the standard library.
 """
 
-import json
 import os
 
-from . import ir
 from . import tokenizer
 
 SOURCE_EXTS = (".h", ".cc")
 SKIP_DIRS = {"CMakeFiles"}
 
 
-def discover_files(root, compile_db=None):
+def discover_files(root):
     """Repo-relative source paths to analyze, deterministically ordered.
 
     Only first-party files under src/ are returned: the semantic
     contracts are about library code, not tests/bench/examples (which
     legitimately use literals and ad-hoc randomness).
     """
-    paths = set()
+    paths = []
     src_root = os.path.join(root, "src")
     for dirpath, dirnames, filenames in os.walk(src_root):
         dirnames[:] = [d for d in dirnames if d not in SKIP_DIRS]
         for name in filenames:
             if name.endswith(SOURCE_EXTS):
                 full = os.path.join(dirpath, name)
-                paths.add(os.path.relpath(full, root).replace(os.sep, "/"))
-    for entry in load_compile_db(root, compile_db):
-        rel = entry.get("_relpath")
-        if rel and rel.startswith("src/") and rel.endswith(SOURCE_EXTS):
-            paths.add(rel)
+                paths.append(os.path.relpath(full, root).replace(os.sep, "/"))
     return sorted(paths)
 
 
-def load_compile_db(root, compile_db=None):
-    """Parses compile_commands.json entries; [] when none is usable.
-
-    Each returned entry gains a `_relpath` key (repo-relative posix
-    path) for files inside the repo; entries pointing outside the repo
-    (fetched third-party sources) are dropped.
-    """
-    path = compile_db
-    if path is None:
-        candidates = []
-        try:
-            for name in sorted(os.listdir(root)):
-                cand = os.path.join(root, name, "compile_commands.json")
-                if name.startswith("build") and os.path.isfile(cand):
-                    candidates.append(cand)
-        except OSError:
-            return []
-        if not candidates:
-            return []
-        path = candidates[0]
-    try:
-        with open(path, encoding="utf-8") as f:
-            entries = json.load(f)
-    except (OSError, ValueError):
-        return []
-    out = []
-    root_abs = os.path.abspath(root)
-    for entry in entries:
-        file_path = entry.get("file", "")
-        if not os.path.isabs(file_path):
-            file_path = os.path.join(entry.get("directory", ""), file_path)
-        file_path = os.path.abspath(file_path)
-        if not file_path.startswith(root_abs + os.sep):
-            continue
-        entry["_relpath"] = os.path.relpath(file_path,
-                                            root_abs).replace(os.sep, "/")
-        out.append(entry)
-    return out
-
-
-class TokenEngine:
-    """Pure-Python frontend; always available."""
-
-    name = "token"
-
-    def __init__(self, root):
-        self.root = root
-
-    def parse(self, rel_path):
-        with open(os.path.join(self.root, rel_path), encoding="utf-8",
-                  errors="replace") as f:
-            return tokenizer.tokenize(f.read(), rel_path)
-
-
-class ClangEngine:
-    """libclang frontend: same IR, produced from clang's own lexer.
-
-    Only tokenization is delegated to libclang (TranslationUnit token
-    streams are stable across libclang versions); all check semantics
-    stay in the shared IR layer, so this engine and the token engine
-    cannot drift apart on what a check means.
-    """
-
-    name = "clang"
-
-    _KIND_MAP = None  # populated lazily once cindex is imported
-
-    def __init__(self, root, cindex):
-        self.root = root
-        self.index = cindex.Index.create()
-        self.cindex = cindex
-        if ClangEngine._KIND_MAP is None:
-            k = cindex.TokenKind
-            ClangEngine._KIND_MAP = {
-                k.IDENTIFIER: ir.IDENT,
-                k.KEYWORD: ir.IDENT,  # keywords are identifiers to checks
-                k.LITERAL: None,  # refined per-spelling below
-                k.PUNCTUATION: ir.PUNCT,
-                k.COMMENT: "",  # dropped
-            }
-
-    def parse(self, rel_path):
-        full = os.path.join(self.root, rel_path)
-        # Parse as a single file with preprocessing disabled as far as
-        # possible: -fsyntax-only over the raw buffer. Include-path
-        # errors are fine — token streams do not require resolution.
-        tu = self.index.parse(
-            full, args=["-x", "c++", "-std=c++17", "-fsyntax-only"],
-            options=self.cindex.TranslationUnit.PARSE_INCOMPLETE)
-        tokens = []
-        for tok in tu.get_tokens(extent=tu.cursor.extent):
-            kind = self._KIND_MAP.get(tok.kind, ir.PUNCT)
-            if kind == "":
-                continue
-            spelling = tok.spelling
-            if kind is None:  # literal: number vs string vs char
-                if spelling.startswith(('"', 'u8"', 'u"', 'U"', 'L"', 'R"')):
-                    kind = ir.STRING
-                elif spelling.startswith(("'", "u'", "U'", "L'")):
-                    kind = ir.CHAR
-                else:
-                    kind = ir.NUMBER
-            tokens.append(
-                ir.Token(kind, spelling, tok.location.line))
-        includes = []
-        for line, tok in _pairwise_includes(tokens):
-            includes.append((line, tok))
-        src = ir.SourceFile(path=rel_path, tokens=tokens, includes=includes)
-        return src
-
-
-def _pairwise_includes(tokens):
-    """Recovers #include "..." edges from a clang token stream."""
-    for i, tok in enumerate(tokens):
-        if (tok.kind == ir.IDENT and tok.text == "include" and i >= 1
-                and tokens[i - 1].text == "#" and i + 1 < len(tokens)
-                and tokens[i + 1].kind == ir.STRING):
-            yield tok.line, tokens[i + 1].text.strip('"')
-
-
-def select_engine(root, prefer="auto"):
-    """Returns (engine, notice). prefer in {auto, token, clang}."""
-    if prefer not in ("auto", "token", "clang"):
-        raise ValueError(f"unknown engine '{prefer}'")
-    if prefer == "token":
-        return TokenEngine(root), "engine: token (forced)"
-    try:
-        import clang.cindex as cindex  # noqa: deferred optional import
-        cindex.Index.create()
-        return (ClangEngine(root, cindex),
-                "engine: clang (libclang bindings available)")
-    except Exception as e:  # ImportError, LibclangError, ...
-        if prefer == "clang":
-            raise RuntimeError(
-                f"--engine clang requested but libclang is unusable: {e}")
-        return (TokenEngine(root),
-                "engine: token (libclang not available)")
+def parse(root, rel_path):
+    """Tokenizes one repo-relative file into an ir.SourceFile."""
+    with open(os.path.join(root, rel_path), encoding="utf-8",
+              errors="replace") as f:
+        return tokenizer.tokenize(f.read(), rel_path)

@@ -1,8 +1,7 @@
 """Shared intermediate representation for the analyzer.
 
-Both engine frontends (libclang and the pure-Python tokenizer) lower a
-translation unit to the same structures, so every check is written once
-against this IR and behaves identically under either engine:
+The tokenizer lowers each file to these structures, and every check is
+written against them:
 
   Token       -- (kind, text, line); comments and whitespace dropped.
   SourceFile  -- tokens + include edges + repo-relative path/module.

@@ -1,35 +1,27 @@
-"""Analyzer driver: engine -> annotation registry -> checks -> report."""
+"""Analyzer driver: tokenizer -> annotation registry -> checks -> report."""
 
 import os
 
 from . import __version__
 from . import annotations
 from . import checks
-from . import engine as engine_mod
-from . import ir
+from . import engine
 from . import sarif
 from . import suppressions
 
 DEFAULT_SUPPRESSIONS = os.path.join("tools", "psa", "suppressions.txt")
 
 
-def analyze_tree(root, prefer_engine="auto", compile_db=None,
-                 suppression_path=None, require_used=True, log=print):
+def analyze_tree(root, suppression_path=None, require_used=True,
+                 log=print):
     """Runs every check over the tree at `root`.
 
     Returns (exit_code, active, suppressed) where exit_code follows the
     uniform tooling convention: 0 clean, 1 findings, 2 internal error.
     """
-    try:
-        eng, notice = engine_mod.select_engine(root, prefer_engine)
-    except RuntimeError as e:
-        log(f"psa: {e}")
-        return 2, [], []
-    log(f"psa: {notice}")
-
     files = []
     try:
-        rel_paths = engine_mod.discover_files(root, compile_db)
+        rel_paths = engine.discover_files(root)
     except OSError as e:
         log(f"psa: cannot walk {root}: {e}")
         return 2, [], []
@@ -38,7 +30,7 @@ def analyze_tree(root, prefer_engine="auto", compile_db=None,
         return 2, [], []
     for rel in rel_paths:
         try:
-            files.append(eng.parse(rel))
+            files.append(engine.parse(root, rel))
         except OSError as e:
             log(f"psa: unreadable {rel}: {e}")
             return 2, [], []

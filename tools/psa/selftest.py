@@ -4,9 +4,9 @@ Each check family has a fixture mini-tree under tools/psa/fixtures/:
 a `bad/` tree where every rule is violated once (the check must produce
 exactly the expected findings) and a `good/` twin exercising the same
 shapes legally (the whole analyzer must stay silent). On top of the
-fixtures, unit assertions cover the tokenizer, suppression parsing,
-SARIF emission, and compile-db edge cases — the places where a silent
-regression would blind every check at once.
+fixtures, unit assertions cover the tokenizer, suppression parsing and
+SARIF emission — the places where a silent regression would blind every
+check at once.
 """
 
 import json
@@ -14,7 +14,6 @@ import os
 import tempfile
 
 from . import annotations
-from . import engine
 from . import ir
 from . import runner
 from . import sarif
@@ -41,8 +40,7 @@ def _quiet(_msg):
 def _analyze_fixture(root, tree):
     path = os.path.join(root, FIXTURES, tree)
     _check(os.path.isdir(path), f"fixture tree missing: {path}")
-    code, active, suppressed = runner.analyze_tree(
-        path, prefer_engine="token", log=_quiet)
+    code, active, suppressed = runner.analyze_tree(path, log=_quiet)
     _check(code != 2, f"{tree}: analyzer internal error")
     return code, active, suppressed
 
@@ -230,8 +228,7 @@ def test_suppression_end_to_end(root):
         supp_path = f.name
     try:
         code, active, suppressed = runner.analyze_tree(
-            tree, prefer_engine="token", suppression_path=supp_path,
-            log=_quiet)
+            tree, suppression_path=supp_path, log=_quiet)
     finally:
         os.unlink(supp_path)
     _check(len(suppressed) == 1, f"expected 1 suppressed finding, got "
@@ -270,49 +267,6 @@ def test_sarif_smoke(root):
            "suppressed result lacks suppression record")
 
 
-# --- engine / discovery ---------------------------------------------------
-
-
-def test_compile_db_edges(root):
-    with tempfile.TemporaryDirectory() as tmp:
-        build = os.path.join(tmp, "build")
-        os.makedirs(build)
-        db = os.path.join(build, "compile_commands.json")
-        with open(db, "w", encoding="utf-8") as f:
-            f.write("{not json")
-        _check(engine.load_compile_db(tmp) == [],
-               "malformed compile db not tolerated")
-        entries = [
-            {"directory": tmp, "file": "src/core/a.cc", "command": "c++"},
-            {"directory": tmp, "file": "/usr/lib/x.cc", "command": "c++"},
-        ]
-        with open(db, "w", encoding="utf-8") as f:
-            json.dump(entries, f)
-        loaded = engine.load_compile_db(tmp)
-        _check([e["_relpath"] for e in loaded] == ["src/core/a.cc"],
-               f"compile db relpath/out-of-repo handling wrong: {loaded}")
-        os.makedirs(os.path.join(tmp, "src", "core"))
-        with open(os.path.join(tmp, "src", "core", "h.h"), "w") as f:
-            f.write("int x;\n")
-        files = engine.discover_files(tmp)
-        _check(files == ["src/core/a.cc", "src/core/h.h"],
-               f"discovery must union walk + compile db: {files}")
-
-
-def test_engine_selection(root):
-    eng, notice = engine.select_engine(root, "token")
-    _check(eng.name == "token" and "forced" in notice,
-           "forced token engine not honored")
-    eng, notice = engine.select_engine(root, "auto")
-    _check(eng.name in ("token", "clang"), f"auto engine broken: {notice}")
-    try:
-        engine.select_engine(root, "cppcheck")
-    except ValueError:
-        pass
-    else:
-        raise Failure("unknown engine name accepted")
-
-
 def test_receiver_aliases(root):
     # The repo's naming conventions the resolver leans on; if these
     # drift, ambiguous PerturbValue calls stop resolving.
@@ -338,8 +292,6 @@ TESTS = [
     test_suppression_apply,
     test_suppression_end_to_end,
     test_sarif_smoke,
-    test_compile_db_edges,
-    test_engine_selection,
     test_receiver_aliases,
 ]
 

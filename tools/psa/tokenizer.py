@@ -1,7 +1,6 @@
-"""Pure-Python C++ tokenizer — the fallback engine's frontend.
+"""Pure-Python C++ tokenizer — the analyzer's frontend.
 
-Produces the shared token IR (tools/psa/ir.py) with no compiler in the
-loop. It is not a full lexer — it does not do preprocessing — but it is
+Produces the token IR (tools/psa/ir.py) with no compiler in the loop. It is not a full lexer — it does not do preprocessing — but it is
 exact about the things the checks depend on:
 
   * comments (// and /* */) and string/char literals never leak tokens
