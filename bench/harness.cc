@@ -6,6 +6,7 @@
 #include <iostream>
 #include <limits>
 
+#include "collector/client_fleet.h"
 #include "common/math_utils.h"
 #include "core/classification.h"
 #include "distance/distance.h"
@@ -141,42 +142,27 @@ ShapeQuality MeasureShapeQuality(
   return quality;
 }
 
+// The paper defaults live once, in collector's generated-dataset helpers;
+// the two dataset names below are the only ones they accept.
+
 core::TransformOptions SymbolsTransform() {
-  core::TransformOptions transform;
-  transform.t = 6;
-  transform.w = 25;
-  return transform;
+  return *collector::GeneratedTransform("symbols");
 }
 
 core::TransformOptions TraceTransform() {
-  core::TransformOptions transform;
-  transform.t = 4;
-  transform.w = 10;
-  return transform;
+  return *collector::GeneratedTransform("trace");
 }
 
 core::MechanismConfig SymbolsConfig(double epsilon, uint64_t seed) {
-  core::MechanismConfig config;
+  core::MechanismConfig config = *collector::GeneratedDatasetConfig("symbols");
   config.epsilon = epsilon;
-  config.t = 6;
-  config.k = 6;
-  config.c = 3;
-  config.ell_low = 1;
-  config.ell_high = 15;
-  config.metric = dist::Metric::kDtw;
   config.seed = seed;
   return config;
 }
 
 core::MechanismConfig TraceConfig(double epsilon, uint64_t seed) {
-  core::MechanismConfig config;
+  core::MechanismConfig config = *collector::GeneratedDatasetConfig("trace");
   config.epsilon = epsilon;
-  config.t = 4;
-  config.k = 3;
-  config.c = 3;
-  config.ell_low = 1;
-  config.ell_high = 10;
-  config.metric = dist::Metric::kSed;
   config.seed = seed;
   return config;
 }

@@ -105,9 +105,10 @@ ClassificationOutcome RunPatternLdpRfClassification(
     const series::Dataset& train, const series::Dataset& test,
     const PatternLdpBenchOptions& options, int num_classes);
 
-/// Paper-default configurations.
-core::TransformOptions SymbolsTransform();   // t=6, w=25
-core::TransformOptions TraceTransform();     // t=4, w=10
+/// Paper-default configurations: collector::GeneratedTransform and
+/// collector::GeneratedDatasetConfig of "symbols"/"trace".
+core::TransformOptions SymbolsTransform();
+core::TransformOptions TraceTransform();
 core::MechanismConfig SymbolsConfig(double epsilon, uint64_t seed);
 core::MechanismConfig TraceConfig(double epsilon, uint64_t seed);
 

@@ -34,7 +34,10 @@ std::vector<double> Utterance(double speed, double noise, privshape::Rng* rng) {
     } else {
       y = (1.0 - x) / 0.4;             // falling offset
     }
-    v[i] = y + rng->Gaussian(0.0, noise);
+    // A scaled standard normal: the clean utterances (noise 0) must not
+    // build a normal_distribution with stddev 0, which the standard
+    // leaves undefined.
+    v[i] = y + noise * rng->Gaussian();
   }
   return v;
 }

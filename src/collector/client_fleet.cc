@@ -88,17 +88,13 @@ std::vector<int> ClientFleet::MaterializeLabels() const {
 
 Result<ClientFleet::WordFn> GeneratedWordSource(const std::string& dataset,
                                                 uint64_t seed) {
-  if (dataset != "trace" && dataset != "symbols") {
-    return Status::InvalidArgument(
-        "unknown generated dataset (want trace|symbols): " + dataset);
-  }
+  auto generated = GeneratedTransform(dataset);
+  if (!generated.ok()) return generated.status();
+  core::TransformOptions transform = *generated;
   bool symbols = dataset == "symbols";
   // Separate derivation base so data synthesis never shares a stream with
   // the per-user privacy randomness (which uses DeriveSeed(seed, u)).
   uint64_t data_seed = DeriveSeed(seed, 0x5eedda7aULL);
-  core::TransformOptions transform;
-  transform.t = symbols ? 6 : 4;
-  transform.w = symbols ? 25 : 10;
   size_t classes = static_cast<size_t>(
       symbols ? series::kSymbolsClasses : series::kTraceClasses);
   return ClientFleet::WordFn(
@@ -138,6 +134,15 @@ Result<core::MechanismConfig> GeneratedDatasetConfig(
   config.ell_high = symbols ? 15 : 10;
   config.metric = symbols ? dist::Metric::kDtw : dist::Metric::kSed;
   return config;
+}
+
+Result<core::TransformOptions> GeneratedTransform(const std::string& dataset) {
+  auto config = GeneratedDatasetConfig(dataset);
+  if (!config.ok()) return config.status();
+  core::TransformOptions transform;
+  transform.t = config->t;
+  transform.w = dataset == "symbols" ? 25 : 10;
+  return transform;
 }
 
 Result<int> GeneratedNumClasses(const std::string& dataset) {

@@ -18,6 +18,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/config.h"
+#include "core/pipeline.h"
 #include "distance/distance.h"
 #include "protocol/session.h"
 #include "series/sequence.h"
@@ -138,9 +139,8 @@ class ClientFleet {
 /// `dataset` and `seed` is the same fleet everywhere): user u's raw
 /// Trace-/Symbols-style instance (class u mod #classes) is synthesized
 /// from a data stream derived off `seed` — deliberately disjoint from the
-/// per-user privacy streams DeriveSeed(seed, u) — then pushed through the
-/// paper's Compressive-SAX transform (Trace: t=4/w=10; Symbols: t=6/w=25).
-/// `dataset` must be "trace" or "symbols".
+/// per-user privacy streams DeriveSeed(seed, u) — then pushed through
+/// GeneratedTransform(dataset). `dataset` must be "trace" or "symbols".
 Result<ClientFleet::WordFn> GeneratedWordSource(const std::string& dataset,
                                                 uint64_t seed);
 
@@ -159,6 +159,12 @@ Result<int> GeneratedNumClasses(const std::string& dataset);
 /// this one helper, so a dataset name means the same mechanism everywhere.
 Result<core::MechanismConfig> GeneratedDatasetConfig(
     const std::string& dataset);
+
+/// The paper's Compressive-SAX transform for a generated dataset (§V-B3):
+/// Trace t=4/w=10, Symbols t=6/w=25 — the alphabet size matching
+/// GeneratedDatasetConfig's t. Generated fleets, CSV fleets and the
+/// paper-figure benches all transform through it.
+Result<core::TransformOptions> GeneratedTransform(const std::string& dataset);
 
 /// Parses a single-column CSV of integer class labels (one per row) and
 /// validates every value against [0, num_classes) at ingest time — a bad

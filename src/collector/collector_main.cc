@@ -108,14 +108,13 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
   if (!seed_flag.ok()) return seed_flag.status();
   uint64_t seed = static_cast<uint64_t>(*seed_flag);
   std::string dataset = args.GetString("dataset", "trace");
-  bool symbols = dataset == "symbols";
 
   // Paper-default mechanism configs (§V-B3), shared with the daemon and
   // loadgen so a dataset name means the same mechanism everywhere. Any
   // dataset name other than "symbols" keeps the trace defaults (a --csv
   // run may name its dataset freely).
-  auto base =
-      collector::GeneratedDatasetConfig(symbols ? "symbols" : "trace");
+  const char* defaults = dataset == "symbols" ? "symbols" : "trace";
+  auto base = collector::GeneratedDatasetConfig(defaults);
   if (!base.ok()) return base.status();
   core::MechanismConfig config = *base;
   auto epsilon = args.GetDoubleStatus("epsilon", 4.0);
@@ -131,9 +130,7 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
 
   // Classification: --num-classes N > 0 switches the refinement round to
   // P_e (OUE over candidate x class cells) and requires per-user labels.
-  auto classes_flag = args.GetIntStatus("num_classes", 0);
-  if (!classes_flag.ok()) return classes_flag.status();
-  classes_flag = args.GetIntStatus("num-classes", *classes_flag);
+  auto classes_flag = args.GetIntStatus("num-classes", 0);
   if (!classes_flag.ok()) return classes_flag.status();
   if (*classes_flag < 0) {
     return Status::InvalidArgument("--num-classes must be >= 0, got " +
@@ -143,13 +140,10 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
   setup.config = config;
 
   std::string labels_file = args.GetString("labels", "");
-  auto label_column_flag = args.GetIntStatus("label_column", -1);
-  if (!label_column_flag.ok()) return label_column_flag.status();
-  label_column_flag = args.GetIntStatus("label-column", *label_column_flag);
+  auto label_column_flag = args.GetIntStatus("label-column", -1);
   if (!label_column_flag.ok()) return label_column_flag.status();
   int label_column = *label_column_flag;
-  if (label_column < 0 &&
-      (args.Has("label-column") || args.Has("label_column"))) {
+  if (label_column < 0 && args.Has("label-column")) {
     return Status::InvalidArgument("--label-column must be >= 0, got " +
                                    std::to_string(label_column));
   }
@@ -194,13 +188,12 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
             "--label-column N");
       }
     }
-    core::TransformOptions transform;
-    transform.t = config.t;
-    transform.w = symbols ? 25 : 10;
+    auto transform = collector::GeneratedTransform(defaults);
+    if (!transform.ok()) return transform.status();
     std::vector<Sequence> words;
     words.reserve(rows->size());
     for (size_t i = 0; i < rows->size(); ++i) {
-      auto word = core::TransformSeries((*rows)[i], transform);
+      auto word = core::TransformSeries((*rows)[i], *transform);
       if (!word.ok()) {
         // Fail loudly: a fleet of placeholder words would "succeed" end
         // to end while never ingesting the dataset.
@@ -253,48 +246,25 @@ using collector::PrintShapes;
 using collector::SameShapes;
 using collector::ShapesJson;
 
-/// Non-negative flag value, parsed strictly: malformed or negative input
-/// is an InvalidArgument (which Main turns into a fatal CLI error), never
-/// a silent fallback or a wrap through size_t to ~2^64.
-Result<size_t> GetCount(const CliArgs& args, const std::string& name,
-                        int def) {
-  auto value = args.GetIntStatus(name, def);
-  if (!value.ok()) return value.status();
-  if (*value < 0) {
-    return Status::InvalidArgument("--" + name + " must be >= 0");
-  }
-  return static_cast<size_t>(*value);
-}
-
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
   // SIGINT/SIGTERM mid-protocol: stop producing reports, drain the
   // queues, record the partial round, still write --json, exit 3.
   InstallShutdownHandler();
   collector::CollectorOptions options;
-  // Fail fast on any malformed count flag, naming the flag. The dashed
-  // and underscored spellings of the batch/queue flags are aliases
-  // (the dashed form wins when both are given).
-  auto users_flag = GetCount(args, "users", 100000);
-  auto shards_flag = GetCount(args, "shards", 0);
-  auto batch_flag = GetCount(args, "batch_size", 256);
-  auto queue_flag = GetCount(args, "queue_depth",
-                             collector::CollectorOptions{}.queue_depth);
+  // Fail fast on any malformed count flag, naming the flag.
+  auto users_flag = args.GetCount("users", 100000);
+  auto shards_flag = args.GetCount("shards", 0);
+  auto batch_flag = args.GetCount("batch-size", 256);
+  auto queue_flag = args.GetCount(
+      "queue-depth",
+      static_cast<int>(collector::CollectorOptions{}.queue_depth));
   for (const auto* flag :
        {&users_flag, &shards_flag, &batch_flag, &queue_flag}) {
     if (!flag->ok()) {
       std::cerr << "privshape_collector: " << flag->status() << "\n";
       return 1;
     }
-  }
-  batch_flag = GetCount(args, "batch-size", static_cast<int>(*batch_flag));
-  queue_flag = GetCount(args, "queue-depth", static_cast<int>(*queue_flag));
-  if (!batch_flag.ok() || !queue_flag.ok()) {
-    std::cerr << "privshape_collector: "
-              << (!batch_flag.ok() ? batch_flag.status()
-                                   : queue_flag.status())
-              << "\n";
-    return 1;
   }
   size_t users = *users_flag;
   options.num_shards = *shards_flag;
@@ -312,8 +282,7 @@ int Main(int argc, char** argv) {
   collector::ClientFleet fleet(users, setup->word_fn, setup->config.metric,
                                setup->config.seed, setup->label_fn);
   bool labeled = setup->config.num_classes > 0;
-  bool check_determinism =
-      args.Has("check-determinism") || args.Has("check_determinism");
+  bool check_determinism = args.Has("check-determinism");
   std::vector<Sequence> words;
   std::vector<int> labels;
   if (check_determinism) {

@@ -30,18 +30,6 @@ namespace {
 
 using namespace privshape;  // NOLINT(build/namespaces)
 
-/// Non-negative flag value, parsed strictly (same contract as the
-/// in-process collector CLI: typos fail loudly, never run defaults).
-Result<size_t> GetCount(const CliArgs& args, const std::string& name,
-                        int def) {
-  auto value = args.GetIntStatus(name, def);
-  if (!value.ok()) return value.status();
-  if (*value < 0) {
-    return Status::InvalidArgument("--" + name + " must be >= 0");
-  }
-  return static_cast<size_t>(*value);
-}
-
 /// Mechanism config from flags: the generated-dataset defaults plus the
 /// same overrides privshape_collector accepts. The loadgen builds its
 /// fleet from the same flags — seed agreement is enforced by the
@@ -62,9 +50,7 @@ Result<core::MechanismConfig> ConfigFromArgs(const CliArgs& args) {
   auto c = args.GetIntStatus("c", config->c);
   if (!c.ok()) return c.status();
   config->c = *c;
-  auto classes = args.GetIntStatus("num_classes", 0);
-  if (!classes.ok()) return classes.status();
-  classes = args.GetIntStatus("num-classes", *classes);
+  auto classes = args.GetIntStatus("num-classes", 0);
   if (!classes.ok()) return classes.status();
   if (*classes < 0) {
     return Status::InvalidArgument("--num-classes must be >= 0");
@@ -82,18 +68,18 @@ int Main(int argc, char** argv) {
     std::cerr << "privshape_collectord: " << config.status() << "\n";
     return 1;
   }
-  auto users = GetCount(args, "users", 100000);
-  auto port = GetCount(args, "port", 0);
-  auto min_clients = GetCount(args, "min-clients", 1);
-  auto shards = GetCount(args, "shards", 0);
-  auto drainers = GetCount(args, "drainers", 2);
-  auto queue_depth = GetCount(args, "queue-depth",
-                              static_cast<int>(collector::DaemonOptions{}
-                                                   .queue_depth));
+  // Counts parse strictly: typos fail loudly, never run defaults.
+  auto users = args.GetCount("users", 100000);
+  auto port = args.GetCount("port", 0);
+  auto min_clients = args.GetCount("min-clients", 1);
+  auto drainers = args.GetCount("drainers", 2);
+  auto queue_depth = args.GetCount(
+      "queue-depth",
+      static_cast<int>(collector::DaemonOptions{}.queue_depth));
   auto accept_timeout = args.GetDoubleStatus("accept-timeout", 30.0);
   auto round_deadline = args.GetDoubleStatus("round-deadline", 30.0);
-  for (const auto* flag : {&users, &port, &min_clients, &shards, &drainers,
-                           &queue_depth}) {
+  for (const auto* flag :
+       {&users, &port, &min_clients, &drainers, &queue_depth}) {
     if (!flag->ok()) {
       std::cerr << "privshape_collectord: " << flag->status() << "\n";
       return 1;
@@ -121,11 +107,10 @@ int Main(int argc, char** argv) {
   options.min_clients = *min_clients;
   options.accept_timeout_seconds = *accept_timeout;
   options.round_deadline_seconds = *round_deadline;
-  options.num_shards = *shards;
   options.num_drainers = *drainers;
   options.queue_depth = *queue_depth;
   if (args.Has("stats-port")) {
-    auto stats_port = GetCount(args, "stats-port", 0);
+    auto stats_port = args.GetCount("stats-port", 0);
     if (!stats_port.ok() || *stats_port > 65535) {
       std::cerr << "privshape_collectord: --stats-port must be in "
                    "[0, 65535]\n";

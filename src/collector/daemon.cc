@@ -4,13 +4,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <exception>
-#include <thread>
 #include <utility>
 
-#include "common/batch_queue.h"
 #include "common/logging.h"
 #include "common/shutdown.h"
 #include "telemetry/telemetry.h"
@@ -57,20 +53,6 @@ struct DaemonInstruments {
   }
 };
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// The drainer-side depth gauge for the daemon's queue `d`.
-std::atomic<int64_t>* DaemonQueueDepthGauge(size_t d) {
-  return telemetry::Registry::Default()
-      .GetGauge("daemon_queue_depth_d" + std::to_string(d))
-      ->raw();
-}
-
 /// How long the event loop sleeps per poll iteration while a round (or
 /// the accept phase) is in flight: short enough that deadlines and the
 /// shutdown flag are honored promptly.
@@ -79,14 +61,6 @@ constexpr int kPollMs = 50;
 /// How long BroadcastComplete keeps flushing buffered frames before
 /// giving up on a non-draining client.
 constexpr double kFlushTimeoutSeconds = 5.0;
-
-/// One queued unit of the ingestion pipeline, identical in shape to the
-/// in-process coordinator's: a flat batch of encoded reports bound for
-/// one aggregation lane.
-struct ShardBatch {
-  size_t shard = 0;
-  proto::ReportBatch reports;
-};
 
 /// RoundRunner returns RoundOutcome, not Status — a fatal transport
 /// failure mid-protocol (every client gone, epoll broken) escapes the
@@ -144,7 +118,7 @@ struct CollectorDaemon::Connection {
   bool dead = false;
 
   // Per-round state, reset by RunNetworkRound.
-  size_t round_index = 0;    ///< participant index -> aggregation lane
+  size_t lane = 0;           ///< participant index mod drainers
   size_t assigned = 0;       ///< users this connection answers for
   size_t uploaded = 0;       ///< reports received this round
   bool done = false;         ///< RoundDone barrier reached
@@ -163,14 +137,6 @@ struct CollectorDaemon::Connection {
   }
 };
 
-/// In-flight round plumbing HandleBatchUpload routes into.
-struct CollectorDaemon::RoundState {
-  uint64_t round_id = 0;
-  size_t num_shards = 1;
-  size_t num_drainers = 1;
-  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>>* queues = nullptr;
-};
-
 CollectorDaemon::CollectorDaemon(core::MechanismConfig config,
                                  size_t num_users, DaemonOptions options)
     : config_(config), num_users_(num_users), options_(std::move(options)) {}
@@ -179,10 +145,6 @@ CollectorDaemon::~CollectorDaemon() = default;
 
 size_t CollectorDaemon::EffectiveDrainers() const {
   return options_.num_drainers > 0 ? options_.num_drainers : 1;
-}
-
-size_t CollectorDaemon::EffectiveShards() const {
-  return options_.num_shards > 0 ? options_.num_shards : EffectiveDrainers();
 }
 
 Status CollectorDaemon::Start() {
@@ -219,7 +181,7 @@ std::string CollectorDaemon::StatsContent(std::string_view path) {
   JsonValue doc = JsonValue::Object();
   JsonValue daemon = JsonValue::Object();
   daemon.Set("round", JsonValue::Uint(current_round_));
-  daemon.Set("round_in_flight", JsonValue::Bool(round_ != nullptr));
+  daemon.Set("round_in_flight", JsonValue::Bool(ingest_ != nullptr));
   daemon.Set("live_connections", JsonValue::Uint(LiveHandshaked()));
   daemon.Set("connections_accepted",
              JsonValue::Uint(stats_.connections_accepted));
@@ -404,7 +366,7 @@ void CollectorDaemon::HandleBatchUpload(Connection& conn,
     DropConnection(conn, upload.status().message(), true);
     return;
   }
-  if (round_ == nullptr || upload->round_id != round_->round_id) {
+  if (ingest_ == nullptr || upload->round_id != current_round_) {
     if (upload->round_id <= current_round_) {
       // A laggard's reports for a round that already completed: the
       // population split makes re-counting them impossible to do
@@ -439,12 +401,10 @@ void CollectorDaemon::HandleBatchUpload(Connection& conn,
     batch.AppendEncoded(report);
   }
   conn.uploaded += upload->reports.size();
-  size_t shard = conn.round_index % round_->num_shards;
   // A full queue blocks here — the event loop stops reading sockets and
   // TCP pushes the backpressure down to the clients, exactly like the
   // in-process producers blocking on Push.
-  (*round_->queues)[shard % round_->num_drainers]->Push(
-      ShardBatch{shard, std::move(batch)});
+  ingest_->Push(conn.lane, std::move(batch));
 }
 
 void CollectorDaemon::HandleRoundDone(Connection& conn,
@@ -454,7 +414,7 @@ void CollectorDaemon::HandleRoundDone(Connection& conn,
     DropConnection(conn, done.status().message(), true);
     return;
   }
-  if (round_ == nullptr || done->round_id != round_->round_id) {
+  if (ingest_ == nullptr || done->round_id != current_round_) {
     if (done->round_id <= current_round_) return;  // harmless laggard
     DropConnection(conn,
                    "RoundDone for future round " +
@@ -522,120 +482,71 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
         ": every client disconnected")};
   }
 
-  size_t num_shards = EffectiveShards();
-  size_t num_drainers = std::min(EffectiveDrainers(), num_shards);
-  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}};
   DaemonInstruments::Get().current_round->Set(
       static_cast<int64_t>(current_round_));
-  // Per-BATCH ingest latency, shared by the drainers (relaxed atomics);
-  // snapshotted into the outcome after the joins.
-  auto ingest_hist = std::make_unique<telemetry::Histogram>();
+  // One lane per drainer: connection p feeds lane p mod D, whose only
+  // writer is drainer p mod D.
+  size_t num_lanes = EffectiveDrainers();
+  RoundIngest ingest(spec, num_lanes, num_lanes, options_.queue_depth,
+                     "daemon");
+  ingest_ = &ingest;
 
-  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
-  queues.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    queues.push_back(
-        std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
-    queues.back()->set_depth_gauge(DaemonQueueDepthGauge(d));
-  }
-  // Same drainer topology as the in-process coordinator: drainer d is the
-  // only consumer of queue d and the only writer of lanes {s : s % D == d},
-  // so aggregation needs no locks and the merge stays exact.
-  std::vector<std::exception_ptr> drain_errors(num_drainers);
-  std::vector<std::thread> drainers;
-  drainers.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    drainers.emplace_back([&, d] {
-      try {
-        ShardBatch item;
-        while (queues[d]->Pop(&item)) {
-          uint64_t t0 = NowNs();
-          outcome.agg.ConsumeBatch(item.shard, item.reports);
-          ingest_hist->Record(NowNs() - t0);
-        }
-      } catch (...) {
-        drain_errors[d] = std::current_exception();
-        queues[d]->Close();
-      }
-    });
-  }
-  auto shutdown_drainers = [&] {
-    for (auto& queue : queues) queue->Close();
-    for (auto& drainer : drainers) drainer.join();
-  };
-
-  RoundState state;
-  state.round_id = current_round_;
-  state.num_shards = num_shards;
-  state.num_drainers = num_drainers;
-  state.queues = &queues;
-  round_ = &state;
-
-  try {
-    // Participant p answers for the contiguous population slice
-    // [n*p/P, n*(p+1)/P) — the exact stripe split the in-process rounds
-    // use, though the estimates are independent of the partition either
-    // way (integer-count merging is order-free).
-    size_t n = population.size();
-    size_t num_participants = participants.size();
-    for (size_t p = 0; p < num_participants; ++p) {
-      Connection* conn = participants[p];
-      conn->round_index = p;
-      size_t begin = n * p / num_participants;
-      size_t end = n * (p + 1) / num_participants;
-      conn->assigned = end - begin;
-      conn->uploaded = 0;
-      conn->done = false;
-      conn->done_errors = 0;
-      net::RoundBeginMsg msg;
-      msg.round_id = current_round_;
-      msg.kind = spec.kind;
-      msg.request = encoded_request;
-      msg.users.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) {
-        msg.users.push_back(static_cast<uint64_t>(population[i]));
-      }
-      SendFrame(*conn, net::MsgType::kRoundBegin, net::EncodeRoundBegin(msg));
+  // Participant p answers for the contiguous population slice
+  // [n*p/P, n*(p+1)/P) — the exact stripe split the in-process rounds
+  // use, though the estimates are independent of the partition either
+  // way (integer-count merging is order-free).
+  size_t n = population.size();
+  size_t num_participants = participants.size();
+  for (size_t p = 0; p < num_participants; ++p) {
+    Connection* conn = participants[p];
+    conn->lane = p % num_lanes;
+    size_t begin = n * p / num_participants;
+    size_t end = n * (p + 1) / num_participants;
+    conn->assigned = end - begin;
+    conn->uploaded = 0;
+    conn->done = false;
+    conn->done_errors = 0;
+    net::RoundBeginMsg msg;
+    msg.round_id = current_round_;
+    msg.kind = spec.kind;
+    msg.request = encoded_request;
+    msg.users.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
+      msg.users.push_back(static_cast<uint64_t>(population[i]));
     }
+    SendFrame(*conn, net::MsgType::kRoundBegin, net::EncodeRoundBegin(msg));
+  }
 
-    double deadline = MonotonicSeconds() + options_.round_deadline_seconds;
-    while (true) {
-      bool pending = false;
-      for (Connection* conn : participants) {
-        if (!conn->dead && !conn->done) {
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) break;
-      // A set shutdown flag ends the round with whatever arrived; the
-      // queues drain normally below and DriveProtocol turns the flag
-      // into Cancelled before any server-side decision.
-      if (ShutdownRequested()) break;
-      if (MonotonicSeconds() > deadline) {
-        for (Connection* conn : participants) {
-          if (!conn->dead && !conn->done) {
-            ++stats_.deadline_drops;
-            DaemonInstruments::Get().deadline_drops->Add(1);
-            DropConnection(*conn, "round deadline exceeded", false);
-          }
-        }
+  double deadline = MonotonicSeconds() + options_.round_deadline_seconds;
+  Status polled = Status::Ok();
+  while (polled.ok()) {
+    bool pending = false;
+    for (Connection* conn : participants) {
+      if (!conn->dead && !conn->done) {
+        pending = true;
         break;
       }
-      Status polled = ProcessEvents(kPollMs);
-      if (!polled.ok()) throw DaemonAbort{polled};
     }
-  } catch (...) {
-    round_ = nullptr;
-    shutdown_drainers();
-    throw;
+    if (!pending) break;
+    // A set shutdown flag ends the round with whatever arrived; the
+    // queues drain normally in Finish and DriveProtocol turns the flag
+    // into Cancelled before any server-side decision.
+    if (ShutdownRequested()) break;
+    if (MonotonicSeconds() > deadline) {
+      for (Connection* conn : participants) {
+        if (!conn->dead && !conn->done) {
+          ++stats_.deadline_drops;
+          DaemonInstruments::Get().deadline_drops->Add(1);
+          DropConnection(*conn, "round deadline exceeded", false);
+        }
+      }
+      break;
+    }
+    polled = ProcessEvents(kPollMs);
   }
-  round_ = nullptr;
-  shutdown_drainers();
-  for (const auto& error : drain_errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  outcome.ingest_latency = ingest_hist->Snapshot();
+  ingest_ = nullptr;
+  if (!polled.ok()) throw DaemonAbort{polled};
+  RoundOutcome outcome = ingest.Finish();
 
   // Every assigned-but-undelivered user of a dropped or unfinished
   // connection is a client error: the round completed without them.
@@ -702,7 +613,7 @@ Result<core::MechanismResult> CollectorDaemon::Serve(
   auto fill_metrics = [&] {
     if (metrics == nullptr) return;
     metrics->ingest = "socket";
-    metrics->num_shards = EffectiveShards();
+    metrics->num_shards = EffectiveDrainers();
     metrics->num_threads = EffectiveDrainers();
     metrics->queue_depth = options_.queue_depth;
     metrics->connections = stats_.handshakes;

@@ -3,10 +3,11 @@
 /// non-blocking, length-prefixed frames) that drives the full Algorithm 2
 /// protocol over real sockets. Each round, the daemon partitions the
 /// stage population across the connected clients, broadcasts the round's
-/// encoded request, ingests framed ReportBatch uploads through the same
-/// bounded-queue drainer lanes the in-process coordinator uses, and
-/// barriers on per-connection RoundDone messages (with a deadline, so a
-/// stalled or dead client cannot wedge the fleet). Invariant: for a fixed
+/// encoded request, ingests framed ReportBatch uploads through the
+/// RoundIngest the in-process coordinator uses (one lane per drainer,
+/// connection p feeding lane p mod drainers), and barriers on
+/// per-connection RoundDone messages (with a deadline, so a stalled or
+/// dead client cannot wedge the fleet). Invariant: for a fixed
 /// fleet seed the extracted shapes are byte-identical to core::PrivShape
 /// — the wire changes how reports travel, never what is counted.
 
@@ -42,9 +43,8 @@ struct DaemonOptions {
   /// RoundDone by then are dropped and the round completes with the
   /// survivors' reports.
   double round_deadline_seconds = 30.0;
-  /// Aggregation lanes (0 = one per drainer).
-  size_t num_shards = 0;
-  /// Dedicated aggregation drainer threads fed by the event loop.
+  /// Dedicated aggregation drainer threads fed by the event loop, one
+  /// aggregation lane each (0 = 1).
   size_t num_drainers = 1;
   /// Batches buffered per drainer queue before ingestion backpressures
   /// the event loop (and, through TCP, the clients); 0 = unbounded.
@@ -106,14 +106,11 @@ class CollectorDaemon {
   Result<core::MechanismResult> Serve(CollectorMetrics* metrics = nullptr);
 
   const DaemonStats& stats() const { return stats_; }
-  const core::MechanismConfig& config() const { return config_; }
-
-  size_t EffectiveShards() const;
-  size_t EffectiveDrainers() const;
 
  private:
   struct Connection;
-  struct RoundState;
+
+  size_t EffectiveDrainers() const;
 
   // Event-loop plumbing (definitions in daemon.cc).
   Status ProcessEvents(int timeout_ms);
@@ -140,11 +137,11 @@ class CollectorDaemon {
   std::string StatsContent(std::string_view path);
 
   // Thread-safety contract (checked by design, not by a mutex): every
-  // member below — the connection table, the wire stats, the round
+  // member below — the connection table, the wire stats, the ingest
   // pointer — is owned exclusively by the one thread driving Serve's
-  // event loop. Per-round drainer threads never touch daemon state;
-  // the only cross-thread handoff is the annotated BatchQueue inside
-  // RoundState::queues (common/batch_queue.h), plus telemetry's
+  // event loop. The round's drainer threads never touch daemon state;
+  // the only cross-thread handoff is RoundIngest::Push into its
+  // annotated BatchQueues (common/batch_queue.h), plus telemetry's
   // lock-free instruments. Adding a second toucher means adding a
   // Mutex + PS_GUARDED_BY here first.
   core::MechanismConfig config_;
@@ -162,7 +159,8 @@ class CollectorDaemon {
   std::unique_ptr<telemetry::StatsEndpoint> stats_endpoint_;
 
   uint64_t current_round_ = 0;
-  RoundState* round_ = nullptr;  ///< non-null only inside RunNetworkRound
+  /// The round in flight's ingest; non-null only inside RunNetworkRound.
+  RoundIngest* ingest_ = nullptr;
 };
 
 }  // namespace privshape::collector

@@ -33,16 +33,6 @@ namespace {
 
 using namespace privshape;  // NOLINT(build/namespaces)
 
-Result<size_t> GetCount(const CliArgs& args, const std::string& name,
-                        int def) {
-  auto value = args.GetIntStatus(name, def);
-  if (!value.ok()) return value.status();
-  if (*value < 0) {
-    return Status::InvalidArgument("--" + name + " must be >= 0");
-  }
-  return static_cast<size_t>(*value);
-}
-
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
 
@@ -57,12 +47,11 @@ int Main(int argc, char** argv) {
   auto seed = args.GetIntStatus("seed", 2023);
   auto k = args.GetIntStatus("k", config->k);
   auto c = args.GetIntStatus("c", config->c);
-  auto classes = args.GetIntStatus("num_classes", 0);
-  if (classes.ok()) classes = args.GetIntStatus("num-classes", *classes);
-  auto users = GetCount(args, "users", 100000);
-  auto port = GetCount(args, "port", 0);
-  auto connections = GetCount(args, "connections", 1);
-  auto batch_size = GetCount(args, "batch-size", 256);
+  auto classes = args.GetIntStatus("num-classes", 0);
+  auto users = args.GetCount("users", 100000);
+  auto port = args.GetCount("port", 0);
+  auto connections = args.GetCount("connections", 1);
+  auto batch_size = args.GetCount("batch-size", 256);
   for (const auto* flag : {&users, &port, &connections, &batch_size}) {
     if (!flag->ok()) {
       std::cerr << "privshape_loadgen: " << flag->status() << "\n";

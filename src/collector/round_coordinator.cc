@@ -4,10 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
-#include <thread>
 #include <utility>
 
-#include "common/batch_queue.h"
 #include "common/shutdown.h"
 #include "protocol/messages.h"
 #include "protocol/round_context.h"
@@ -30,22 +28,6 @@ uint64_t NowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// The drainer-side depth gauge for queue `d` of this process's default
-/// registry (registered once, cached by the registry thereafter).
-std::atomic<int64_t>* QueueDepthGauge(size_t d) {
-  return telemetry::Registry::Default()
-      .GetGauge("collector_queue_depth_d" + std::to_string(d))
-      ->raw();
-}
-
-/// One queued unit of the streaming pipeline: a flat batch of encoded
-/// reports bound for one aggregation lane (one buffer per batch — the
-/// producer side allocates per batch, never per report).
-struct ShardBatch {
-  size_t shard = 0;
-  proto::ReportBatch reports;
-};
 
 /// The round's broadcast request, encoded once — the bytes a wire
 /// deployment ships to each of its users, and what bytes_down counts —
@@ -168,6 +150,64 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
 
 }  // namespace
 
+RoundIngest::RoundIngest(const StageSpec& spec, size_t num_lanes,
+                         size_t num_drainers, size_t queue_depth,
+                         const std::string& gauge_prefix)
+    : outcome_{ShardedAggregator(spec, num_lanes), 0, {}},
+      latency_(std::make_unique<telemetry::Histogram>()) {
+  num_drainers = std::max<size_t>(1, std::min(num_drainers, num_lanes));
+  errors_.resize(num_drainers);
+  for (size_t d = 0; d < num_drainers; ++d) {
+    queues_.push_back(std::make_unique<BatchQueue<LaneBatch>>(queue_depth));
+    queues_.back()->set_depth_gauge(
+        telemetry::Registry::Default()
+            .GetGauge(gauge_prefix + "_queue_depth_d" + std::to_string(d))
+            ->raw());
+  }
+  drainers_.reserve(num_drainers);
+  for (size_t d = 0; d < num_drainers; ++d) {
+    drainers_.emplace_back([this, d] {
+      // An exception escaping a std::thread body would terminate the
+      // process; capture it for Finish to rethrow. The dying drainer
+      // closes its own queue so producers blocked on it unblock (their
+      // remaining pushes are dropped — the round is being abandoned).
+      try {
+        LaneBatch item;
+        while (queues_[d]->Pop(&item)) {
+          uint64_t t0 = NowNs();
+          outcome_.agg.ConsumeBatch(item.lane, item.reports);
+          latency_->Record(NowNs() - t0);
+        }
+      } catch (...) {
+        errors_[d] = std::current_exception();
+        queues_[d]->Close();
+      }
+    });
+  }
+}
+
+RoundIngest::~RoundIngest() { CloseAndJoin(); }
+
+void RoundIngest::CloseAndJoin() {
+  for (auto& queue : queues_) queue->Close();
+  for (auto& drainer : drainers_) {
+    if (drainer.joinable()) drainer.join();
+  }
+}
+
+void RoundIngest::Push(size_t lane, proto::ReportBatch batch) {
+  queues_[lane % queues_.size()]->Push(LaneBatch{lane, std::move(batch)});
+}
+
+RoundOutcome RoundIngest::Finish() {
+  CloseAndJoin();
+  for (const auto& error : errors_) {
+    if (error) std::rethrow_exception(error);
+  }
+  outcome_.ingest_latency = latency_->Snapshot();
+  return std::move(outcome_);
+}
+
 RoundCoordinator::RoundCoordinator(core::MechanismConfig config,
                                    CollectorOptions options,
                                    ThreadPool* pool)
@@ -189,67 +229,18 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
                                         const AnswerFn& answer) const {
   size_t num_shards = EffectiveShards();
   size_t batch_size = options_.batch_size > 0 ? options_.batch_size : 1;
-  RoundOutcome outcome{ShardedAggregator(spec, num_shards), 0, {}};
+  // Drainers count against the thread budget: ceil(threads/2) of them, so
+  // a T-thread round schedules at most 1.5T runnable threads —
+  // decode+count is far cheaper than answering, so half the workers
+  // absorb it.
+  RoundIngest ingest(spec, num_shards, (EffectiveThreads() + 1) / 2,
+                     options_.queue_depth, "collector");
   std::atomic<size_t> client_errors{0};
-  // One live histogram per round, shared by every drainer (Record is
-  // relaxed atomics — per-BATCH, never per-report, so the zero-allocation
-  // report path stays untouched). Snapshotted into the outcome at the
-  // end; heap-allocated because it is ~24KB of atomics.
-  auto ingest_hist = std::make_unique<telemetry::Histogram>();
-
-  // Producers (pool workers) answer sessions and push batches into
-  // bounded MPSC queues; dedicated drainer threads aggregate
-  // concurrently. Drainer d is the only consumer of queue d and the only
-  // writer of lanes {s : s % D == d}, preserving the one-writer-per-lane
-  // rule without locks on the aggregation state itself. Drainers must be
-  // dedicated threads (pool tasks could be starved by producers blocked
-  // on full queues), but they count against the thread budget:
-  // ceil(threads/2) of them, so a T-thread round schedules at most 1.5T
-  // runnable threads — decode+count is far cheaper than answering, so
-  // half the workers absorb it.
-  size_t num_drainers = std::min(num_shards, (EffectiveThreads() + 1) / 2);
-  if (num_drainers == 0) num_drainers = 1;
-  std::vector<std::unique_ptr<BatchQueue<ShardBatch>>> queues;
-  queues.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    queues.push_back(
-        std::make_unique<BatchQueue<ShardBatch>>(options_.queue_depth));
-    // Live backpressure visibility: queue d mirrors its depth into the
-    // collector_queue_depth_d<d> gauge, so a mid-round scrape shows
-    // which drainers are saturated.
-    queues.back()->set_depth_gauge(QueueDepthGauge(d));
-  }
-  std::vector<std::exception_ptr> drain_errors(num_drainers);
-  std::vector<std::thread> drainers;
-  drainers.reserve(num_drainers);
-  for (size_t d = 0; d < num_drainers; ++d) {
-    drainers.emplace_back([&, d] {
-      // An exception escaping a std::thread body would terminate the
-      // process; capture it for the post-join rethrow. The dying
-      // drainer closes its own queue so producers blocked on a full
-      // queue unblock (their remaining pushes are discarded — fine,
-      // the whole round is being abandoned).
-      try {
-        ShardBatch item;
-        while (queues[d]->Pop(&item)) {
-          uint64_t t0 = NowNs();
-          outcome.agg.ConsumeBatch(item.shard, item.reports);
-          ingest_hist->Record(NowNs() - t0);
-        }
-      } catch (...) {
-        drain_errors[d] = std::current_exception();
-        queues[d]->Close();
-      }
-    });
-  }
-  auto shutdown = [&] {
-    for (auto& queue : queues) queue->Close();
-    for (auto& drainer : drainers) drainer.join();
-  };
 
   // Shard s owns the contiguous stripe [n*s/S, n*(s+1)/S) of the
-  // population. Integer-count merging makes the final estimates
-  // independent of this partition (and of which lane ingests what).
+  // population and feeds lane s. Integer-count merging makes the final
+  // estimates independent of this partition (and of which lane ingests
+  // what).
   auto produce_stripe = [&](size_t shard) {
     size_t n = population.size();
     size_t begin = n * shard / num_shards;
@@ -264,9 +255,6 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
     auto block = std::make_unique<ClientFleet::SessionBlock>();
-    auto push = [&] {
-      queues[shard % num_drainers]->Push(ShardBatch{shard, std::move(batch)});
-    };
     bool stopped = false;
     for (size_t first = begin; first < end && !stopped;
          first += ClientFleet::kSessionBlock) {
@@ -289,35 +277,24 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
           continue;
         }
         if (batch.size() >= batch_size) {
-          push();
+          ingest.Push(shard, std::move(batch));
           batch = proto::ReportBatch();
           batch.Reserve(batch_size);
         }
       }
     }
-    if (!batch.empty()) push();
+    if (!batch.empty()) ingest.Push(shard, std::move(batch));
     client_errors.fetch_add(errors);
   };
-  try {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(num_shards, produce_stripe);
-    } else {
-      for (size_t shard = 0; shard < num_shards; ++shard) {
-        produce_stripe(shard);
-      }
+  if (pool_ != nullptr) {
+    pool_->ParallelFor(num_shards, produce_stripe);
+  } else {
+    for (size_t shard = 0; shard < num_shards; ++shard) {
+      produce_stripe(shard);
     }
-  } catch (...) {
-    // Drainers must be joined before the queues (and `outcome`) unwind.
-    shutdown();
-    throw;
   }
-  shutdown();
-  for (const auto& error : drain_errors) {
-    if (error) std::rethrow_exception(error);
-  }
-
+  RoundOutcome outcome = ingest.Finish();
   outcome.client_errors = client_errors.load();
-  outcome.ingest_latency = ingest_hist->Snapshot();
   return outcome;
 }
 

@@ -1,13 +1,17 @@
 #ifndef PRIVSHAPE_COLLECTOR_ROUND_COORDINATOR_H_
 #define PRIVSHAPE_COLLECTOR_ROUND_COORDINATOR_H_
 
+#include <exception>
 #include <functional>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "collector/client_fleet.h"
 #include "collector/metrics.h"
 #include "collector/sharded_aggregator.h"
+#include "common/batch_queue.h"
 #include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/rounds.h"
@@ -51,6 +55,59 @@ struct RoundOutcome {
   /// returned by value; the runner's live Histogram never leaves its
   /// round.
   telemetry::HistogramSnapshot ingest_latency;
+};
+
+/// The streaming ingest behind every round, in process and over sockets:
+/// D bounded MPSC queues, each drained by one dedicated thread into the
+/// round's lane-sharded aggregator. Queue d carries the batches of lanes
+/// {s : s % D == d}, so drainer d is the only writer of those lanes and
+/// aggregation needs no locks; integer-count merging keeps the result
+/// independent of which lane ingests what. Drainers are dedicated threads,
+/// never pool tasks, because producers blocked on a full queue could
+/// starve them.
+class RoundIngest {
+ public:
+  /// Starts min(num_drainers, num_lanes) drainers (at least one) over a
+  /// `num_lanes`-lane aggregator for `spec`. Each queue holds at most
+  /// `queue_depth` batches (0 = unbounded) and mirrors its depth into the
+  /// `<gauge_prefix>_queue_depth_d<d>` gauge, so a mid-round scrape shows
+  /// which drainers are saturated.
+  RoundIngest(const StageSpec& spec, size_t num_lanes, size_t num_drainers,
+              size_t queue_depth, const std::string& gauge_prefix);
+  /// Closes the queues and joins the drainers, so a round abandoned by an
+  /// exception never leaves a running drainer behind.
+  ~RoundIngest();
+
+  RoundIngest(const RoundIngest&) = delete;
+  RoundIngest& operator=(const RoundIngest&) = delete;
+
+  /// Hands one batch of lane `lane` to drainer lane % D; blocks while that
+  /// queue is full (backpressure). Dropped once a drainer has failed —
+  /// Finish then rethrows its exception.
+  void Push(size_t lane, proto::ReportBatch batch);
+
+  /// Closes the queues, waits until the drainers have consumed every
+  /// pushed batch, rethrows the first drainer exception, and returns the
+  /// aggregation with its per-batch ingest latencies (client_errors is
+  /// the caller's to fill).
+  RoundOutcome Finish();
+
+ private:
+  struct LaneBatch {
+    size_t lane = 0;
+    proto::ReportBatch reports;
+  };
+
+  void CloseAndJoin();
+
+  RoundOutcome outcome_;
+  /// Per-batch ingest latency shared by the drainers (relaxed atomics, one
+  /// sample per batch, never per report); heap-allocated because it is
+  /// ~24KB of atomics.
+  std::unique_ptr<telemetry::Histogram> latency_;
+  std::vector<std::unique_ptr<BatchQueue<LaneBatch>>> queues_;
+  std::vector<std::exception_ptr> errors_;
+  std::vector<std::thread> drainers_;
 };
 
 /// Executes one collection round over `population` for stage `spec`:
@@ -104,11 +161,10 @@ class RoundCoordinator {
   Result<core::MechanismResult> Collect(const ClientFleet& fleet,
                                         CollectorMetrics* metrics = nullptr);
 
-  /// Broadcasts one round to `population` and ingests the answers:
-  /// population stripes are answered by pool workers that push encoded
-  /// batches into bounded MPSC queues, drained concurrently by dedicated
-  /// aggregation threads (one queue per drainer, lanes striped across
-  /// drainers so each lane keeps a single writer).
+  /// Broadcasts one round to `population` and ingests the answers: each
+  /// shard's population stripe is answered by a pool worker that pushes
+  /// encoded batches into a RoundIngest with one lane per stripe and
+  /// ceil(threads/2) drainers.
   RoundOutcome RunRound(const ClientFleet& fleet,
                         const std::vector<size_t>& population,
                         const StageSpec& spec, const AnswerFn& answer) const;

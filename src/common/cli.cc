@@ -25,6 +25,12 @@ std::string Trimmed(const std::string& text) {
   return text.substr(begin, end - begin);
 }
 
+/// The one spelling of a flag name: `-` and `_` are interchangeable.
+std::string FlagKey(std::string name) {
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 Status MalformedFlag(const std::string& name, const std::string& text,
                      const char* expected) {
   return Status::InvalidArgument("--" + name + ": expected " + expected +
@@ -71,22 +77,23 @@ CliArgs::CliArgs(int argc, char** argv) {
     arg = arg.substr(2);
     auto eq = arg.find('=');
     if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
+      flags_[FlagKey(arg.substr(0, eq))] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags_[arg] = argv[++i];
+      flags_[FlagKey(arg)] = argv[++i];
     } else {
-      flags_[arg] = "1";  // bare flag acts as boolean
+      flags_[FlagKey(arg)] = "1";  // bare flag acts as boolean
     }
   }
 }
 
 bool CliArgs::Lookup(const std::string& name, std::string* out) const {
-  auto it = flags_.find(name);
+  std::string key = FlagKey(name);
+  auto it = flags_.find(key);
   if (it != flags_.end()) {
     *out = it->second;
     return true;
   }
-  std::string env_name = "PRIVSHAPE_" + name;
+  std::string env_name = "PRIVSHAPE_" + key;
   std::transform(env_name.begin(), env_name.end(), env_name.begin(),
                  [](unsigned char c) { return std::toupper(c); });
   if (const char* env = std::getenv(env_name.c_str())) {
@@ -117,6 +124,15 @@ Result<double> CliArgs::GetDoubleStatus(const std::string& name,
   std::string v;
   if (!Lookup(name, &v)) return def;
   return ParseDoubleFlag(name, v);
+}
+
+Result<size_t> CliArgs::GetCount(const std::string& name, int def) const {
+  auto value = GetIntStatus(name, def);
+  if (!value.ok()) return value.status();
+  if (*value < 0) {
+    return Status::InvalidArgument("--" + name + " must be >= 0");
+  }
+  return static_cast<size_t>(*value);
 }
 
 std::string CliArgs::GetString(const std::string& name,

@@ -20,9 +20,12 @@ Result<double> ParseDoubleFlag(const std::string& name,
 /// Tiny flag parser for the bench/example binaries.
 ///
 /// Accepts `--name=value` and `--name value`. Unrecognized positional
-/// arguments are ignored. For every lookup, an environment variable
-/// PRIVSHAPE_<NAME> (upper-cased) acts as fallback before the default,
-/// so the whole harness can be scaled with e.g. PRIVSHAPE_TRIALS=50.
+/// arguments are ignored. `-` and `_` are one character in flag names
+/// (`--min-clients` is `--min_clients`; the later spelling wins). For
+/// every lookup, an environment variable PRIVSHAPE_<NAME> (upper-cased,
+/// `-` spelled `_`, e.g. PRIVSHAPE_MIN_CLIENTS) acts as fallback before
+/// the default, so the whole harness can be scaled with e.g.
+/// PRIVSHAPE_TRIALS=50.
 class CliArgs {
  public:
   CliArgs(int argc, char** argv);
@@ -39,6 +42,10 @@ class CliArgs {
   /// still yields `def`.
   Result<int> GetIntStatus(const std::string& name, int def) const;
   Result<double> GetDoubleStatus(const std::string& name, double def) const;
+  /// A non-negative count, parsed strictly: a malformed or negative value
+  /// is an InvalidArgument naming the flag, never a silent fallback or a
+  /// wrap through size_t to ~2^64.
+  Result<size_t> GetCount(const std::string& name, int def) const;
   std::string GetString(const std::string& name,
                         const std::string& def) const;
   bool Has(const std::string& name) const;

@@ -244,13 +244,6 @@ class Rng {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
-  /// Laplace(0, b) draw via inverse CDF.
-  double Laplace(double scale) {
-    double u = Uniform(-0.5, 0.5);
-    double sign = u < 0 ? -1.0 : 1.0;
-    return -scale * sign * std::log(1.0 - 2.0 * std::abs(u));
-  }
-
   /// Samples an index proportionally to the given non-negative weights.
   /// Returns weights.size() - 1 on degenerate input (all zero weights are
   /// treated as uniform).

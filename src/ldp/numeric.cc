@@ -6,9 +6,6 @@
 
 namespace privshape::ldp {
 
-// ---------------------------------------------------------------------------
-// Piecewise Mechanism
-
 PiecewiseMechanism::PiecewiseMechanism(double epsilon)
     : epsilon_(epsilon),
       e_half_(std::exp(epsilon / 2.0)),
@@ -49,44 +46,6 @@ double PiecewiseMechanism::DensityAt(double input, double output) const {
   double outside = (1.0 / (e_half_ + 1.0)) / (c_ + 1.0);
   double inside = (e_half_ / (e_half_ + 1.0)) / (c_ - 1.0);
   return (output >= l && output <= r) ? inside : outside;
-}
-
-// ---------------------------------------------------------------------------
-// Duchi mechanism
-
-DuchiMechanism::DuchiMechanism(double epsilon)
-    : epsilon_(epsilon),
-      c_((std::exp(epsilon) + 1.0) / (std::exp(epsilon) - 1.0)) {}
-
-Result<DuchiMechanism> DuchiMechanism::Create(double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  return DuchiMechanism(epsilon);
-}
-
-PS_RNG_CANONICAL
-double DuchiMechanism::Perturb(double value, Rng* rng) const {
-  double v = Clamp(value, -1.0, 1.0);
-  double e = std::exp(epsilon_);
-  double p_pos = (v * (e - 1.0) + e + 1.0) / (2.0 * e + 2.0);
-  return rng->Bernoulli(p_pos) ? c_ : -c_;
-}
-
-// ---------------------------------------------------------------------------
-// Laplace mechanism
-
-Result<LaplaceMechanism> LaplaceMechanism::Create(double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  return LaplaceMechanism(epsilon);
-}
-
-PS_RNG_CANONICAL
-double LaplaceMechanism::Perturb(double value, Rng* rng) const {
-  double v = Clamp(value, -1.0, 1.0);
-  return v + rng->Laplace(2.0 / epsilon_);
 }
 
 }  // namespace privshape::ldp

@@ -7,29 +7,19 @@
 
 namespace privshape::ldp {
 
-/// Unbiased eps-LDP perturbation of a single numeric value in [-1, 1].
-/// PatternLDP's value perturbation is built on these primitives.
-class NumericMechanism {
- public:
-  virtual ~NumericMechanism() = default;
-
-  /// Perturbs v (clamped to [-1,1]); E[Perturb(v)] = v for PM/Duchi/Laplace.
-  PS_RNG_CANONICAL
-  virtual double Perturb(double value, Rng* rng) const = 0;
-
-  virtual double epsilon() const = 0;
-};
-
-/// Piecewise Mechanism (Wang et al., ICDE'19). Output domain is
+/// Piecewise Mechanism (Wang et al., ICDE'19): unbiased eps-LDP
+/// perturbation of a single numeric value in [-1, 1], the primitive
+/// PatternLDP's value perturbation is built on. Output domain is
 /// [-C, C] with C = (e^{eps/2} + 1) / (e^{eps/2} - 1); a high-probability
 /// band of width C-1 is centered near the true value.
-class PiecewiseMechanism : public NumericMechanism {
+class PiecewiseMechanism {
  public:
   static Result<PiecewiseMechanism> Create(double epsilon);
 
+  /// Perturbs v (clamped to [-1,1]); E[Perturb(v)] = v.
   PS_RNG_CANONICAL
-  double Perturb(double value, Rng* rng) const override;
-  double epsilon() const override { return epsilon_; }
+  double Perturb(double value, Rng* rng) const;
+  double epsilon() const { return epsilon_; }
 
   /// Output-range half-width C; exposed for tests.
   double output_bound() const { return c_; }
@@ -44,39 +34,6 @@ class PiecewiseMechanism : public NumericMechanism {
   double epsilon_;
   double e_half_;  // e^{eps/2}
   double c_;       // output bound
-};
-
-/// Duchi et al.'s binary mechanism: outputs +/- C' with
-/// C' = (e^eps + 1)/(e^eps - 1), unbiased for v in [-1, 1].
-class DuchiMechanism : public NumericMechanism {
- public:
-  static Result<DuchiMechanism> Create(double epsilon);
-
-  PS_RNG_CANONICAL
-  double Perturb(double value, Rng* rng) const override;
-  double epsilon() const override { return epsilon_; }
-  double output_magnitude() const { return c_; }
-
- private:
-  explicit DuchiMechanism(double epsilon);
-
-  double epsilon_;
-  double c_;
-};
-
-/// Laplace mechanism on [-1, 1] (sensitivity 2): v + Lap(2/eps).
-class LaplaceMechanism : public NumericMechanism {
- public:
-  static Result<LaplaceMechanism> Create(double epsilon);
-
-  PS_RNG_CANONICAL
-  double Perturb(double value, Rng* rng) const override;
-  double epsilon() const override { return epsilon_; }
-
- private:
-  explicit LaplaceMechanism(double epsilon) : epsilon_(epsilon) {}
-
-  double epsilon_;
 };
 
 }  // namespace privshape::ldp

@@ -8,16 +8,12 @@
 
 namespace privshape::proto {
 
-// Each Answer* runs its stage's user-side helper from core/rounds.h, the
+// Each stage step runs its stage's user-side helper from core/rounds.h, the
 // one the in-process runner calls too, so both paths draw identical
 // randomness in identical order and produce the same tallies.
 
 PS_REPORT_PATH
-Status ClientSession::AnswerLength(const RoundContext& ctx,
-                                   AnswerScratch* /*scratch*/, Report* out) {
-  if (ctx.kind() != ReportKind::kLength) {
-    return Status::InvalidArgument("context is not a length round");
-  }
+Status ClientSession::AnswerLength(const RoundContext& ctx, Report* out) {
   out->kind = ReportKind::kLength;
   out->level = 0;
   out->bits.clear();
@@ -32,12 +28,7 @@ Status ClientSession::AnswerLength(const RoundContext& ctx,
 }
 
 PS_REPORT_PATH
-Status ClientSession::AnswerSubShape(const RoundContext& ctx,
-                                     AnswerScratch* /*scratch*/,
-                                     Report* out) {
-  if (ctx.kind() != ReportKind::kSubShape) {
-    return Status::InvalidArgument("context is not a sub-shape round");
-  }
+Status ClientSession::AnswerSubShape(const RoundContext& ctx, Report* out) {
   auto [level, value] =
       core::AnswerSubShapeValue(word_, ctx.ell_s(), ctx.alphabet(),
                                 ctx.allow_repeats(), *ctx.grr(), &rng_);
@@ -51,9 +42,6 @@ Status ClientSession::AnswerSubShape(const RoundContext& ctx,
 PS_REPORT_PATH
 Status ClientSession::AnswerSelection(const RoundContext& ctx,
                                       AnswerScratch* scratch, Report* out) {
-  if (ctx.kind() != ReportKind::kSelection) {
-    return Status::InvalidArgument("context is not a selection round");
-  }
   AnswerScratch local;
   auto pick = core::AnswerSelectionValue(
       word_, ctx.table(), *ctx.distance(), *ctx.em(),
@@ -69,9 +57,6 @@ Status ClientSession::AnswerSelection(const RoundContext& ctx,
 PS_REPORT_PATH
 Status ClientSession::AnswerRefinement(const RoundContext& ctx,
                                        AnswerScratch* scratch, Report* out) {
-  if (ctx.kind() != ReportKind::kRefinement) {
-    return Status::InvalidArgument("context is not a refinement round");
-  }
   out->kind = ReportKind::kRefinement;
   out->level = 0;
   out->value = core::AnswerRefinementValue(
@@ -85,10 +70,6 @@ PS_REPORT_PATH
 Status ClientSession::AnswerClassRefinement(const RoundContext& ctx,
                                             AnswerScratch* scratch,
                                             Report* out) {
-  if (ctx.kind() != ReportKind::kClassRefine) {
-    return Status::InvalidArgument(
-        "context is not a class-refinement round");
-  }
   AnswerScratch local;
   AnswerScratch* s = scratch != nullptr ? scratch : &local;
   // An unlabeled or mislabeled session fails here: a fabricated cell would
@@ -111,9 +92,9 @@ Status ClientSession::Answer(const RoundContext& ctx, AnswerScratch* scratch,
                              Report* out) {
   switch (ctx.kind()) {
     case ReportKind::kLength:
-      return AnswerLength(ctx, scratch, out);
+      return AnswerLength(ctx, out);
     case ReportKind::kSubShape:
-      return AnswerSubShape(ctx, scratch, out);
+      return AnswerSubShape(ctx, out);
     case ReportKind::kSelection:
       return AnswerSelection(ctx, scratch, out);
     case ReportKind::kRefinement:

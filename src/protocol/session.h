@@ -2,7 +2,7 @@
 /// Module `protocol` — client/server framing of the collection rounds
 /// (stages P_a..P_e of Algorithm 2) as encoded request/report messages.
 /// Invariant: the only bytes that leave a ClientSession are the perturbed
-/// reports produced by the Answer* methods, and all privacy-relevant
+/// reports produced by Answer, and all privacy-relevant
 /// randomness is drawn from the client's own Rng.
 
 #ifndef PRIVSHAPE_PROTOCOL_SESSION_H_
@@ -23,8 +23,8 @@
 namespace privshape::proto {
 
 /// The user-side endpoint of the collection protocol. Owns the user's
-/// private compressed word; every Answer* method performs the stage's
-/// local perturbation — the stage's user-side helper from core/rounds.h,
+/// private compressed word; Answer performs the round's local
+/// perturbation — the stage's user-side helper from core/rounds.h,
 /// which the in-process runner calls too — against a shared pre-decoded
 /// RoundContext plus per-worker scratch, allocating nothing per report.
 /// The Report it writes is the only data that ever leaves the device, and
@@ -40,43 +40,11 @@ class ClientSession {
 
   int label() const { return label_; }
 
-  // Every Answer* writes the answer into *out (bits cleared, every field
-  // set) and fails with InvalidArgument if ctx.kind() does not match the
-  // method. `scratch` may be nullptr; the stages that need buffers then
-  // allocate locally.
-
-  /// P_a against a shared context.
-  PS_REPORT_PATH
-  Status AnswerLength(const RoundContext& ctx, AnswerScratch* scratch,
-                      Report* out);
-
-  /// P_b against a shared context.
-  PS_REPORT_PATH
-  Status AnswerSubShape(const RoundContext& ctx, AnswerScratch* scratch,
-                        Report* out);
-
-  /// P_c against a shared context: match -> score -> EM select, entirely
-  /// in scratch buffers.
-  PS_REPORT_PATH
-  Status AnswerSelection(const RoundContext& ctx, AnswerScratch* scratch,
-                         Report* out);
-
-  /// P_d against a shared context: early-abandoning closest-candidate
-  /// argmin, then GRR.
-  PS_REPORT_PATH
-  Status AnswerRefinement(const RoundContext& ctx, AnswerScratch* scratch,
-                          Report* out);
-
-  /// P_e against a shared context: closest-candidate argmin, then the OUE
-  /// perturbation of the (candidate, label) cell written straight into
-  /// out->bits (whose capacity is reused across reports). Fails (no report
-  /// leaves the device) when the session is unlabeled or the label falls
-  /// outside the announced class count.
-  PS_REPORT_PATH
-  Status AnswerClassRefinement(const RoundContext& ctx,
-                               AnswerScratch* scratch, Report* out);
-
-  /// Dispatches on ctx.kind() — what the round coordinator drives.
+  /// Answers the round `ctx` announces (dispatching on ctx.kind()):
+  /// writes the answer into *out (bits cleared, every field set).
+  /// `scratch` may be nullptr; the stages that need buffers then allocate
+  /// locally. P_e fails (no report leaves the device) when the session is
+  /// unlabeled or the label falls outside the announced class count.
   PS_REPORT_PATH
   Status Answer(const RoundContext& ctx, AnswerScratch* scratch, Report* out);
 
@@ -95,6 +63,33 @@ class ClientSession {
                         ReportKind kind, size_t domain);
 
  private:
+  // One step per stage, each against a shared context of its own kind.
+
+  /// P_a.
+  PS_REPORT_PATH
+  Status AnswerLength(const RoundContext& ctx, Report* out);
+
+  /// P_b.
+  PS_REPORT_PATH
+  Status AnswerSubShape(const RoundContext& ctx, Report* out);
+
+  /// P_c: match -> score -> EM select, entirely in scratch buffers.
+  PS_REPORT_PATH
+  Status AnswerSelection(const RoundContext& ctx, AnswerScratch* scratch,
+                         Report* out);
+
+  /// P_d: early-abandoning closest-candidate argmin, then GRR.
+  PS_REPORT_PATH
+  Status AnswerRefinement(const RoundContext& ctx, AnswerScratch* scratch,
+                          Report* out);
+
+  /// P_e: closest-candidate argmin, then the OUE perturbation of the
+  /// (candidate, label) cell written straight into out->bits (whose
+  /// capacity is reused across reports).
+  PS_REPORT_PATH
+  Status AnswerClassRefinement(const RoundContext& ctx,
+                               AnswerScratch* scratch, Report* out);
+
   Sequence word_;
   Rng rng_;
   int label_ = -1;

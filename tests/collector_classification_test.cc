@@ -208,8 +208,7 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
     int label = PlantedLabel(user);
     proto::ClientSession session(word, DeriveSeed(5, user), label);
     proto::Report report;
-    ASSERT_TRUE(
-        session.AnswerClassRefinement(*ctx, &scratch, &report).ok());
+    ASSERT_TRUE(session.Answer(*ctx, &scratch, &report).ok());
     EXPECT_EQ(report.kind, ReportKind::kClassRefine);
     ASSERT_EQ(report.bits.size(), cells);
 
@@ -286,10 +285,10 @@ TEST(CollectorClassificationTest, UnlabeledSessionFailsClassRefinement) {
   ASSERT_TRUE(ctx.ok());
   proto::ClientSession unlabeled({0, 1}, 7);
   proto::Report report;
-  auto st = unlabeled.AnswerClassRefinement(*ctx, nullptr, &report);
+  auto st = unlabeled.Answer(*ctx, nullptr, &report);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   proto::ClientSession mislabeled({0, 1}, 7, 2);
-  EXPECT_EQ(mislabeled.AnswerClassRefinement(*ctx, nullptr, &report).code(),
+  EXPECT_EQ(mislabeled.Answer(*ctx, nullptr, &report).code(),
             StatusCode::kFailedPrecondition);
 }
 

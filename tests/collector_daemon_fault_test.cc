@@ -148,7 +148,6 @@ FaultRun RunWithFault(const MechanismConfig& config, const ClientFleet& fleet,
   DaemonOptions options;
   options.port = 0;
   options.min_clients = min_clients;
-  options.num_shards = 4;
   options.num_drainers = 2;
   options.accept_timeout_seconds = 60.0;
   options.round_deadline_seconds = round_deadline;

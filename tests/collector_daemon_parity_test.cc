@@ -2,8 +2,9 @@
 /// for a fixed fleet seed, the shapes a CollectorDaemon extracts from a
 /// RunLoadgen fleet must be byte-identical to the single-threaded core
 /// pipeline AND to the in-process collector path — for every combination
-/// of {unlabeled, labeled} x shard count x connection count. The wire
-/// changes how reports travel, never what is counted.
+/// of {unlabeled, labeled} x drainer count x connection count (each
+/// drainer owns one aggregation lane). The wire changes how reports
+/// travel, never what is counted.
 
 #include <gtest/gtest.h>
 
@@ -75,13 +76,12 @@ ClientFleet TestFleet(const MechanismConfig& config) {
 /// Returns the daemon's result; `loadgen_result` gets the shapes decoded
 /// from the Complete broadcast on the client side.
 Result<core::MechanismResult> RunOverSockets(
-    const MechanismConfig& config, const ClientFleet& fleet, size_t shards,
+    const MechanismConfig& config, const ClientFleet& fleet, size_t drainers,
     size_t connections, core::MechanismResult* loadgen_result) {
   DaemonOptions options;
   options.port = 0;
   options.min_clients = connections;
-  options.num_shards = shards;
-  options.num_drainers = 2;
+  options.num_drainers = drainers;
   options.accept_timeout_seconds = 60.0;
   options.round_deadline_seconds = 120.0;
   CollectorDaemon daemon(config, fleet.num_users(), options);
@@ -111,6 +111,7 @@ Result<core::MechanismResult> RunOverSockets(
   EXPECT_EQ(daemon.stats().deadline_drops, 0u);
   EXPECT_EQ(metrics.ingest, "socket");
   EXPECT_EQ(metrics.connections, connections);
+  EXPECT_EQ(metrics.num_shards, drainers);
   EXPECT_FALSE(metrics.rounds.empty());
   EXPECT_EQ(outcome->client_errors, 0u);
 
@@ -136,13 +137,13 @@ void RunParityMatrix(bool labeled) {
   ASSERT_TRUE(in_process.ok()) << in_process.status();
   EXPECT_TRUE(collector::SameShapes(*expected, *in_process));
 
-  for (size_t shards : {size_t{1}, size_t{4}, size_t{16}}) {
+  for (size_t drainers : {size_t{1}, size_t{2}, size_t{4}}) {
     for (size_t connections : {size_t{1}, size_t{8}, size_t{64}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
+      SCOPED_TRACE("drainers=" + std::to_string(drainers) +
                    " connections=" + std::to_string(connections));
       core::MechanismResult client_view;
       auto served =
-          RunOverSockets(config, fleet, shards, connections, &client_view);
+          RunOverSockets(config, fleet, drainers, connections, &client_view);
       ASSERT_TRUE(served.ok()) << served.status();
       // Byte-identical on the server side...
       EXPECT_TRUE(collector::SameShapes(*expected, *served));

@@ -127,7 +127,6 @@ TEST_F(ShutdownTest, DaemonServeCancelsCleanlyWithMetricsPopulated) {
   DaemonOptions options;
   options.port = 0;
   options.min_clients = 1;
-  options.num_shards = 2;
   options.num_drainers = 2;
   options.accept_timeout_seconds = 60.0;
   options.round_deadline_seconds = 60.0;

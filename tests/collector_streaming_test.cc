@@ -1,5 +1,6 @@
 /// Failure modes and exactness of the streaming ingestion pipeline: client
-/// errors mid-stream, backpressure under tiny queue depths, and the
+/// errors mid-stream, an answer that throws mid-round, backpressure under
+/// tiny queue depths, and the
 /// determinism contract (byte-identical shapes AND exact
 /// accepted/rejected/bytes tallies) across queue depths vs. a
 /// default-depth baseline and the single-threaded core pipeline.
@@ -8,6 +9,7 @@
 
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -125,6 +127,42 @@ TEST(StreamingFailureTest, ClientErrorsMidStreamAreCountedNotIngested) {
   EXPECT_EQ(outcome.client_errors, expected_errors);
   EXPECT_EQ(outcome.agg.accepted(), kUsers - expected_errors);
   EXPECT_EQ(outcome.agg.rejected(), 0u);
+}
+
+TEST(StreamingFailureTest, AnswerExceptionUnwindsTheRound) {
+  MechanismConfig config = TestConfig();
+  const size_t kUsers = 2000;
+  ClientFleet fleet = PlantedFleet(kUsers, config);
+  ThreadPool pool(4);
+  CollectorOptions options;
+  options.num_shards = 8;
+  options.batch_size = 4;
+  options.queue_depth = 1;
+  RoundCoordinator coordinator(config, options, &pool);
+
+  std::vector<size_t> population(kUsers);
+  std::iota(population.begin(), population.end(), size_t{0});
+  StageSpec spec = LengthSpec(config);
+  AnswerFn healthy = LengthAnswer(config);
+  // One user's answer throws while the other stripes are still pushing
+  // into depth-1 queues: the exception must unwind through RunRound with
+  // every drainer closed and joined (a drainer thread left joinable
+  // terminates the process) ...
+  AnswerFn exploding = [&healthy](proto::ClientSession& session, size_t user,
+                                  proto::AnswerScratch& scratch,
+                                  proto::ReportBatch& out) -> Status {
+    if (user == kUsers / 2) throw std::runtime_error("answer exploded");
+    return healthy(session, user, scratch, out);
+  };
+  EXPECT_THROW(coordinator.RunRound(fleet, population, spec, exploding),
+               std::runtime_error);
+
+  // ... and the same coordinator serves the next round in full.
+  RoundOutcome outcome =
+      coordinator.RunRound(fleet, population, spec, healthy);
+  EXPECT_EQ(outcome.agg.accepted(), kUsers);
+  EXPECT_EQ(outcome.agg.rejected(), 0u);
+  EXPECT_EQ(outcome.client_errors, 0u);
 }
 
 TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {

@@ -228,6 +228,40 @@ TEST(CliTest, FlagBeatsEnv) {
   unsetenv("PRIVSHAPE_PRIORITY_KEY");
 }
 
+TEST(CliTest, DashAndUnderscoreSpellOneFlag) {
+  // `-` and `_` are one character in flag names: either spelling answers
+  // the other, and the later one wins when both are given.
+  const char* argv[] = {"prog", "--num_classes=3", "--batch-size", "8",
+                        "--batch_size=16"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetInt("num-classes", 0), 3);
+  EXPECT_TRUE(args.Has("num_classes"));
+  EXPECT_EQ(args.GetInt("batch-size", 0), 16);
+  EXPECT_EQ(args.GetInt("batch_size", 0), 16);
+
+  // A dashed flag falls back to PRIVSHAPE_<NAME> spelled with `_`, the
+  // only spelling a POSIX shell can export.
+  setenv("PRIVSHAPE_MIN_CLIENTS", "7", 1);
+  EXPECT_EQ(args.GetInt("min-clients", 1), 7);
+  unsetenv("PRIVSHAPE_MIN_CLIENTS");
+}
+
+TEST(CliTest, GetCountIsStrictAndNonNegative) {
+  const char* argv[] = {"prog", "--users=12", "--port=-1", "--drainers=2x"};
+  CliArgs args(4, const_cast<char**>(argv));
+  auto users = args.GetCount("users", 5);
+  ASSERT_TRUE(users.ok());
+  EXPECT_EQ(*users, 12u);
+  auto missing = args.GetCount("connections", 5);
+  ASSERT_TRUE(missing.ok());
+  EXPECT_EQ(*missing, 5u);
+  auto negative = args.GetCount("port", 0);
+  EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(negative.status().message().find("--port"), std::string::npos);
+  EXPECT_EQ(args.GetCount("drainers", 1).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(CliTest, MalformedNumberFallsBack) {
   const char* argv[] = {"prog", "--users=abc"};
   CliArgs args(2, const_cast<char**>(argv));

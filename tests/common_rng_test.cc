@@ -79,19 +79,6 @@ TEST(RngTest, GaussianMoments) {
   EXPECT_NEAR(var, 4.0, 0.15);
 }
 
-TEST(RngTest, LaplaceMeanAndScale) {
-  Rng rng(9);
-  const int n = 100000;
-  double sum = 0, sum_abs = 0;
-  for (int i = 0; i < n; ++i) {
-    double v = rng.Laplace(2.0);
-    sum += v;
-    sum_abs += std::abs(v);
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);   // mean 0
-  EXPECT_NEAR(sum_abs / n, 2.0, 0.05);  // E|X| = b
-}
-
 TEST(RngTest, DiscreteFollowsWeights) {
   Rng rng(10);
   std::vector<double> weights = {1.0, 3.0, 6.0};

@@ -9,8 +9,6 @@
 namespace privshape {
 namespace {
 
-using ldp::DuchiMechanism;
-using ldp::LaplaceMechanism;
 using ldp::PiecewiseMechanism;
 
 TEST(PiecewiseTest, RejectsInvalidEps) {
@@ -96,53 +94,6 @@ TEST(PiecewiseTest, ClampsInputsOutsideUnitRange) {
   double sum = 0;
   for (int i = 0; i < n; ++i) sum += pm->Perturb(7.0, &rng);
   EXPECT_NEAR(sum / n, 1.0, 0.05);  // clamped to 1
-}
-
-TEST(DuchiTest, OutputsAreBinary) {
-  auto duchi = DuchiMechanism::Create(1.0);
-  ASSERT_TRUE(duchi.ok());
-  Rng rng(75);
-  double c = duchi->output_magnitude();
-  for (int i = 0; i < 1000; ++i) {
-    double out = duchi->Perturb(rng.Uniform(-1.0, 1.0), &rng);
-    EXPECT_TRUE(std::abs(out - c) < 1e-12 || std::abs(out + c) < 1e-12);
-  }
-}
-
-class DuchiUnbiasedTest : public ::testing::TestWithParam<double> {};
-
-TEST_P(DuchiUnbiasedTest, MeanIsTrueValue) {
-  double v = GetParam();
-  auto duchi = DuchiMechanism::Create(1.5);
-  ASSERT_TRUE(duchi.ok());
-  Rng rng(76);
-  const int n = 300000;
-  double sum = 0;
-  for (int i = 0; i < n; ++i) sum += duchi->Perturb(v, &rng);
-  EXPECT_NEAR(sum / n, v, 0.02) << "v=" << v;
-}
-
-INSTANTIATE_TEST_SUITE_P(InputGrid, DuchiUnbiasedTest,
-                         ::testing::Values(-1.0, 0.0, 0.5, 1.0));
-
-TEST(LaplaceTest, UnbiasedAndCorrectScale) {
-  auto lap = LaplaceMechanism::Create(2.0);
-  ASSERT_TRUE(lap.ok());
-  Rng rng(77);
-  const int n = 200000;
-  double sum = 0, sum_abs_dev = 0;
-  for (int i = 0; i < n; ++i) {
-    double out = lap->Perturb(0.25, &rng);
-    sum += out;
-    sum_abs_dev += std::abs(out - 0.25);
-  }
-  EXPECT_NEAR(sum / n, 0.25, 0.02);
-  EXPECT_NEAR(sum_abs_dev / n, 1.0, 0.02);  // E|Lap(2/eps)| = 2/eps = 1
-}
-
-TEST(NumericTest, AllRejectNonPositiveEps) {
-  EXPECT_FALSE(DuchiMechanism::Create(-1.0).ok());
-  EXPECT_FALSE(LaplaceMechanism::Create(0.0).ok());
 }
 
 }  // namespace

@@ -240,22 +240,6 @@ TEST(RoundContextTest, ConstructionValidatesLikeTheWireApi) {
       RoundContext::Selection(std::move(bad_eps), dist::Metric::kSed).ok());
 }
 
-TEST(RoundContextTest, AnswerRejectsKindMismatch) {
-  auto length_ctx = RoundContext::Length(1, 10, 4.0);
-  auto select_ctx =
-      RoundContext::Selection(SampleRequest(4.0), dist::Metric::kSed);
-  ASSERT_TRUE(length_ctx.ok());
-  ASSERT_TRUE(select_ctx.ok());
-  ClientSession session = SessionFor(0);
-  Report report;
-  EXPECT_FALSE(session.AnswerLength(*select_ctx, nullptr, &report).ok());
-  EXPECT_FALSE(session.AnswerSelection(*length_ctx, nullptr, &report).ok());
-  EXPECT_FALSE(session.AnswerSubShape(*length_ctx, nullptr, &report).ok());
-  EXPECT_FALSE(session.AnswerRefinement(*length_ctx, nullptr, &report).ok());
-  EXPECT_FALSE(
-      session.AnswerClassRefinement(*length_ctx, nullptr, &report).ok());
-}
-
 TEST(RoundContextTest, ReportReuseClearsStaleBits) {
   // A scratch Report that carried OUE bits must not leak them into the
   // next answer written over it.

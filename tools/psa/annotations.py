@@ -25,8 +25,8 @@ MARKERS = ("PS_RNG_WORDS", "PS_RNG_CANONICAL", "PS_REPORT_PATH")
 # number of engine words, which is exactly what the canonical order
 # forbids outside PS_RNG_CANONICAL definitions.
 RAW_DRAW_METHODS = {
-    "Uniform", "UniformInt", "Index", "Bernoulli", "Gaussian", "Laplace",
-    "Discrete", "Shuffle", "Fork",
+    "Uniform", "UniformInt", "Index", "Bernoulli", "Gaussian", "Discrete",
+    "Shuffle", "Fork",
 }
 
 # Blessed batched primitives: fixed words by construction (the count is

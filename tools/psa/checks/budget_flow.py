@@ -26,8 +26,6 @@ MECHANISMS = {
     "UnaryEncoding": 1,
     "ExponentialMechanism": 0,
     "PiecewiseMechanism": 0,
-    "DuchiMechanism": 0,
-    "LaplaceMechanism": 0,
 }
 FACTORY = "Create"
 
