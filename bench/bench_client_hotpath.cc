@@ -24,7 +24,6 @@
 #include "collector/client_fleet.h"
 #include "common/rng.h"
 #include "common/simd.h"
-#include "core/em_selection.h"
 #include "distance/candidate_table.h"
 #include "ldp/grr.h"
 #include "ldp/unary_encoding.h"
@@ -243,15 +242,21 @@ int Main(int argc, char** argv) {
     std::function<void(size_t)> scalar;
     std::function<void(size_t)> simd;
   };
+  // Scalar reference of the two match records: the per-candidate
+  // kernel the table replaced, reusing one DP scratch across calls.
+  auto scalar_match = [&](const dist::SequenceDistance& distance, size_t i) {
+    dist::SymbolView word(words[i % words.size()]);
+    dists.resize(candidates.size());
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      dists[c] = distance.Distance(word, dist::SymbolView(candidates[c]),
+                                   &dtw_scratch);
+    }
+    sink += dists[0];
+  };
   std::vector<Kernel> kernels;
   kernels.push_back(Kernel{
       "dtw_vs_candidates", scale.users,
-      [&](size_t i) {
-        core::MatchDistancesInto(words[i % words.size()], candidates,
-                                 /*prefix_compare=*/false, *dtw,
-                                 &dtw_scratch, &dists);
-        sink += dists[0];
-      },
+      [&](size_t i) { scalar_match(*dtw, i); },
       [&](size_t i) {
         table.MatchInto(words[i % words.size()], *dtw,
                         /*prefix_compare=*/false, &table_scratch, &dists);
@@ -259,12 +264,7 @@ int Main(int argc, char** argv) {
       }});
   kernels.push_back(Kernel{
       "sed_vs_candidates", scale.users,
-      [&](size_t i) {
-        core::MatchDistancesInto(words[i % words.size()], candidates,
-                                 /*prefix_compare=*/false, *sed,
-                                 &dtw_scratch, &dists);
-        sink += dists[0];
-      },
+      [&](size_t i) { scalar_match(*sed, i); },
       [&](size_t i) {
         table.MatchInto(words[i % words.size()], *sed,
                         /*prefix_compare=*/false, &table_scratch, &dists);

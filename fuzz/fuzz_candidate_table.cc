@@ -3,11 +3,13 @@
 /// scalar reference path. The input bytes steer a candidate list (with
 /// arbitrary lengths, including empty and duplicates — the padding and
 /// grouping arithmetic is exactly what we want stressed), a user word,
-/// the metric, and the prefix mode; the harness then requires
-/// bit-identical distances from CandidateTable::MatchInto vs
-/// core::MatchDistances and an identical argmin (with tie-breaking)
-/// from Closest vs core::ClosestCandidate. Symbols span the whole byte
-/// (the largest DTW cell costs), up to 80 candidates fill groups past
+/// the metric (selector bits 0-1: DTW, SED, Euclidean, Hausdorff) and
+/// the prefix mode (bit 2); the harness then requires bit-identical
+/// distances from CandidateTable::MatchInto vs core::MatchDistances and
+/// an identical argmin (with tie-breaking) from Closest vs
+/// core::ClosestCandidate, for the vectorized metrics and the
+/// per-candidate Euclidean/Hausdorff loop alike. Symbols span the whole
+/// byte (the largest DTW cell costs), up to 80 candidates fill groups past
 /// two AVX2 sweeps, and word and candidate lengths of up to 255 cross
 /// n + m = 129, where groups leave the int16 lanes for the scalar kernel,
 /// and reach DTW distances that int16 cannot hold. Any divergence or
@@ -40,9 +42,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size < 2) return 0;
   size_t pos = 0;
   uint8_t selector = data[pos++];
-  dist::Metric metric =
-      (selector & 1) ? dist::Metric::kSed : dist::Metric::kDtw;
-  bool prefix = (selector & 2) != 0;
+  constexpr dist::Metric kMetrics[] = {dist::Metric::kDtw, dist::Metric::kSed,
+                                       dist::Metric::kEuclidean,
+                                       dist::Metric::kHausdorff};
+  dist::Metric metric = kMetrics[selector & 3];
+  bool prefix = (selector & 4) != 0;
 
   size_t word_len = data[pos++];  // 0..255, empty words included
   Sequence word;

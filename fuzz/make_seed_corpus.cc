@@ -200,8 +200,9 @@ bool EmitCodecSeeds(const std::string& dir) {
 }
 
 bool EmitCandidateTableSeeds(const std::string& dir) {
-  // Format: selector (metric/prefix), word length + symbols, then a
-  // run of length-prefixed candidates. Seeds target the grouping and
+  // Format: selector (bits 0-1 the metric: 0 DTW, 1 SED, 2 Euclidean,
+  // 3 Hausdorff; bit 2 prefix mode), word length + symbols, then a run
+  // of length-prefixed candidates. Seeds target the grouping and
   // padding arithmetic: mixed lengths, non-lane-multiple group sizes,
   // empties, duplicates, exact ties, a group wider than two lane blocks
   // and the int16 range guard.
@@ -218,10 +219,26 @@ bool EmitCandidateTableSeeds(const std::string& dir) {
                                   1, 4})));                 // {4}
   // SED + prefix: word longer than every candidate.
   ok &= WriteSeed(dir, "sed_prefix",
-                  Steered(3, seq({6, 0, 1, 2, 3, 4, 0,
+                  Steered(5, seq({6, 0, 1, 2, 3, 4, 0,
                                   2, 1, 2,
                                   2, 0, 1,
                                   3, 4, 4, 4})));
+  // Euclidean + prefix: mixed lengths pad the shorter word with its last
+  // symbol, and a tie between the two {1, 2} candidates.
+  ok &= WriteSeed(dir, "euclidean_prefix",
+                  Steered(6, seq({4, 1, 2, 2, 0,
+                                  2, 1, 2,
+                                  5, 0, 0, 3, 3, 3,
+                                  2, 1, 2,
+                                  1, 2})));
+  // Hausdorff, no prefix: an empty candidate (distance +infinity) first,
+  // so the argmin must still move off index 0.
+  ok &= WriteSeed(dir, "hausdorff_empty_first",
+                  Steered(3, seq({3, 2, 0, 2,
+                                  0,
+                                  3, 2, 0, 2,
+                                  1, 1,
+                                  4, 0, 1, 2, 3})));
   // Empty word and an empty candidate: the degenerate DP branches.
   ok &= WriteSeed(dir, "empties",
                   Steered(0, seq({0,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -151,6 +152,17 @@ Status CollectorDaemon::Start() {
   if (listener_.valid()) return Status::Ok();
   if (!poller_.valid()) return Status::Internal("epoll_create1 failed");
   if (num_users_ == 0) return Status::InvalidArgument("empty fleet");
+  // A deadline of 0 or less drops every client at once, and a NaN one
+  // never fires (now + NaN compares false), so one stalled client would
+  // wedge the event loop.
+  if (!std::isfinite(options_.accept_timeout_seconds) ||
+      options_.accept_timeout_seconds <= 0.0) {
+    return Status::InvalidArgument("accept timeout must be finite and > 0");
+  }
+  if (!std::isfinite(options_.round_deadline_seconds) ||
+      options_.round_deadline_seconds <= 0.0) {
+    return Status::InvalidArgument("round deadline must be finite and > 0");
+  }
   auto listener = TcpListen(options_.host, options_.port);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(*listener);

@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 
 namespace privshape {
@@ -64,8 +65,9 @@ Result<double> ParseDoubleFlag(const std::string& name,
   if (end != value.c_str() + value.size()) {
     return MalformedFlag(name, text, "a number");
   }
-  if (errno == ERANGE) {
-    return MalformedFlag(name, text, "an in-range number");
+  // strtod also reads "nan" and "inf"; no flag takes them.
+  if (errno == ERANGE || !std::isfinite(parsed)) {
+    return MalformedFlag(name, text, "a finite, in-range number");
   }
   return parsed;
 }

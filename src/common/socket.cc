@@ -114,8 +114,10 @@ Status SetNonBlocking(int fd) {
 }
 
 Status SetRecvTimeout(int fd, double seconds) {
-  if (!(seconds > 0.0)) {
-    return Status::InvalidArgument("receive timeout must be positive");
+  // +infinity would overflow the time_t cast below.
+  if (!std::isfinite(seconds) || seconds <= 0.0) {
+    return Status::InvalidArgument(
+        "receive timeout must be finite and positive");
   }
   timeval tv{};
   tv.tv_sec = static_cast<time_t>(seconds);

@@ -66,7 +66,7 @@ Result<MechanismResult> BaselineMechanism::Run(
     std::vector<Sequence> candidates = trie.FrontierCandidates();
     auto counts = EmSelectionCounts(
         candidates, sequences, level_groups[static_cast<size_t>(level)],
-        config_.metric, config_.epsilon, /*prefix_compare=*/true, &rng);
+        config_.metric, config_.epsilon, &rng);
     if (!counts.ok()) return counts.status();
     PRIVSHAPE_RETURN_IF_ERROR(result.accountant.Charge(
         "Pb.level" + std::to_string(level), config_.epsilon));

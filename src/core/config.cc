@@ -3,9 +3,7 @@
 namespace privshape::core {
 
 Status MechanismConfig::Validate() const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(ldp::CheckEpsilon(epsilon));
   if (t < 2 || t > 26) {
     return Status::InvalidArgument("alphabet size t must be in [2, 26]");
   }

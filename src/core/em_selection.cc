@@ -1,8 +1,8 @@
 #include "core/em_selection.h"
 
 #include <algorithm>
-#include <limits>
 
+#include "core/rounds.h"
 #include "ldp/exponential.h"
 
 namespace privshape::core {
@@ -11,19 +11,7 @@ std::vector<double> MatchDistances(const Sequence& seq,
                                    const std::vector<Sequence>& candidates,
                                    bool prefix_compare,
                                    const dist::SequenceDistance& distance) {
-  std::vector<double> distances;
-  MatchDistancesInto(seq, candidates, prefix_compare, distance,
-                     /*scratch=*/nullptr, &distances);
-  return distances;
-}
-
-void MatchDistancesInto(const Sequence& seq,
-                        const std::vector<Sequence>& candidates,
-                        bool prefix_compare,
-                        const dist::SequenceDistance& distance,
-                        dist::DtwScratch* scratch,
-                        std::vector<double>* out) {
-  out->resize(candidates.size());
+  std::vector<double> out(candidates.size());
   dist::SymbolView word(seq);
   for (size_t cand = 0; cand < candidates.size(); ++cand) {
     const Sequence& shape = candidates[cand];
@@ -31,34 +19,19 @@ void MatchDistancesInto(const Sequence& seq,
     dist::SymbolView lhs = prefix_compare && seq.size() > shape.size()
                                ? word.Sub(0, shape.size())
                                : word;
-    (*out)[cand] = distance.Distance(lhs, dist::SymbolView(shape), scratch);
+    out[cand] = distance.Distance(lhs, dist::SymbolView(shape), nullptr);
   }
+  return out;
 }
 
 size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance) {
-  return ClosestCandidate(seq, candidates, distance, /*scratch=*/nullptr);
-}
-
-size_t ClosestCandidate(const Sequence& seq,
-                        const std::vector<Sequence>& candidates,
-                        const dist::SequenceDistance& distance,
-                        dist::DtwScratch* scratch) {
-  double best = std::numeric_limits<double>::infinity();
-  size_t best_idx = 0;
-  dist::SymbolView word(seq);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    // DistanceBounded is exact whenever the result is < best, so the
-    // strict `d < best` update (ties to the first index) is unchanged.
-    double d = distance.DistanceBounded(word, dist::SymbolView(candidates[i]),
-                                        best, scratch);
-    if (d < best) {
-      best = d;
-      best_idx = i;
-    }
-  }
-  return best_idx;
+  std::vector<double> distances =
+      MatchDistances(seq, candidates, /*prefix_compare=*/false, distance);
+  return static_cast<size_t>(
+      std::min_element(distances.begin(), distances.end()) -
+      distances.begin());
 }
 
 PS_REPORT_PATH
@@ -66,13 +39,14 @@ Result<std::vector<double>> EmSelectionCounts(
     const std::vector<Sequence>& candidates,
     const std::vector<Sequence>& sequences,
     const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, bool prefix_compare, Rng* rng) {
+    double epsilon, Rng* rng) {
   if (candidates.empty()) {
     return Status::InvalidArgument("no candidates to select among");
   }
   auto em = ldp::ExponentialMechanism::Create(epsilon);
   if (!em.ok()) return em.status();
   auto distance = dist::MakeDistance(metric);
+  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
 
   std::vector<double> counts(candidates.size(), 0.0);
   SelectionScratch scratch;
@@ -80,10 +54,8 @@ Result<std::vector<double>> EmSelectionCounts(
     if (user >= sequences.size()) {
       return Status::OutOfRange("population index outside dataset");
     }
-    MatchDistancesInto(sequences[user], candidates, prefix_compare,
-                       *distance, &scratch.dtw, &scratch.distances);
-    ldp::ScoresFromDistancesInto(scratch.distances, &scratch.scores);
-    auto pick = em->Select(scratch.scores, rng, &scratch.probs);
+    auto pick = AnswerSelectionValue(sequences[user], table, *distance, *em,
+                                     &scratch, rng);
     if (!pick.ok()) return pick.status();
     counts[*pick] += 1.0;
   }

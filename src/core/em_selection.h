@@ -17,71 +17,41 @@ namespace privshape::core {
 /// compared against the equally long prefix of the word (Lemma 1's
 /// prefix-frequency reading for intermediate trie levels).
 ///
-/// This is the ONE implementation of candidate matching: the in-process
-/// mechanisms and the wire-level ClientSession both call it, so a user
-/// produces the same distance vector (and hence the same EM draw) on
-/// either path.
+/// The plain exhaustive scalar reference of `dist::CandidateTable`:
+/// tests/distance_simd_test.cc and fuzz/fuzz_candidate_table.cc require
+/// MatchInto to reproduce it bit for bit. No protocol path calls it.
 std::vector<double> MatchDistances(const Sequence& seq,
                                    const std::vector<Sequence>& candidates,
                                    bool prefix_compare,
                                    const dist::SequenceDistance& distance);
 
-/// In-place MatchDistances for the per-report hot path: fills `*out`
-/// (resized) and routes every evaluation through the scratch-reusing
-/// distance kernel, so a round of N candidate matches allocates nothing.
-/// Prefixes are viewed (`SymbolView`), never copied. Bit-identical
-/// distance values to MatchDistances. `scratch` may be nullptr.
-void MatchDistancesInto(const Sequence& seq,
-                        const std::vector<Sequence>& candidates,
-                        bool prefix_compare,
-                        const dist::SequenceDistance& distance,
-                        dist::DtwScratch* scratch, std::vector<double>* out);
-
 /// Index of the candidate closest to `seq` (exact; ties break to the
-/// first index). Shared by the refinement stage and ClientSession so both
-/// paths pick the same candidate before perturbation.
+/// first index): the scalar reference of `CandidateTable::Closest`.
 size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance);
 
-/// Scratch-reusing ClosestCandidate. Uses the metric's early-abandoning
-/// kernel against the best-so-far bound: a candidate is abandoned only
-/// once its distance provably cannot be < the current best, so the argmin
-/// (including first-index tie-breaking) is exactly the exhaustive one.
-/// `scratch` may be nullptr.
-size_t ClosestCandidate(const Sequence& seq,
-                        const std::vector<Sequence>& candidates,
-                        const dist::SequenceDistance& distance,
-                        dist::DtwScratch* scratch);
-
-/// Reusable buffers for EmSelectionCounts-style per-user selection loops:
-/// one instance per worker amortizes every per-user allocation of the
-/// match -> score -> EM-select chain.
+/// Reusable buffers of the per-user match -> score -> EM-select chain:
+/// one instance per worker amortizes every per-user allocation.
 struct SelectionScratch {
-  dist::DtwScratch dtw;
-  dist::TableScratch table;  ///< for the SoA-table matching path
+  dist::TableScratch table;
   std::vector<double> distances;
   std::vector<double> scores;
   std::vector<double> probs;
 };
 
-/// Sequence matching on the user side (§III-C-2, Eq. (2)): every user in
-/// `population` scores all candidates by similarity to their own sequence
-/// (S = normalized 1/dist) and releases one candidate index through the
-/// Exponential Mechanism at budget `epsilon`. Returns the selection count
-/// per candidate — the per-level frequency estimate both mechanisms use.
-///
-/// `prefix_compare = true` compares each candidate against the equally
-/// long *prefix* of the user's sequence (Lemma 1's prefix-frequency
-/// interpretation for intermediate trie levels); at the final level the
-/// candidate length equals ell_S so this coincides with full-sequence
-/// matching.
+/// Sequence matching on the user side (§III-C-2, Eq. (2)) for Algorithm
+/// 1's per-level selection: every user in `population` answers P_c's user
+/// step (AnswerSelectionValue) against one table of `candidates` — the
+/// equally long prefix of a longer word (Lemma 1), scores S = normalized
+/// 1/dist, one EM-released index at budget `epsilon` — drawing from the
+/// caller's shared `rng`. Returns the selection count per candidate.
 PS_REPORT_PATH
 Result<std::vector<double>> EmSelectionCounts(
     const std::vector<Sequence>& candidates,
     const std::vector<Sequence>& sequences,
     const std::vector<size_t>& population, dist::Metric metric,
-    double epsilon, bool prefix_compare, Rng* rng);
+    double epsilon, Rng* rng);
 
 }  // namespace privshape::core
 

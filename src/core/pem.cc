@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/population.h"
+#include "ldp/accountant.h"
 #include "ldp/grr.h"
 
 namespace privshape::core {
@@ -37,9 +38,7 @@ void ExtendPrefix(const Sequence& prefix, int remaining, int t,
 }  // namespace
 
 Status PemConfig::Validate() const {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(ldp::CheckEpsilon(epsilon));
   if (t < 2 || t > 26) {
     return Status::InvalidArgument("alphabet size must be in [2, 26]");
   }

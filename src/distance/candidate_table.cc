@@ -11,8 +11,6 @@ namespace privshape::dist {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// +infinity of the int16 DP: saturating adds keep it there, and `min`
 /// against any finite cell returns the finite cell, as with doubles.
 constexpr int16_t kInf16 = std::numeric_limits<int16_t>::max();
@@ -31,7 +29,7 @@ bool FitsInt16Lanes(size_t n, size_t m) {
 /// candidates. Symbol j of block b starts at
 /// `plane + j * stride + lane0 + b * kLanes`; `prev`/`curr` are
 /// (m + 1) * kBlocks * kLanes cells, column j holding the blocks side by
-/// side. Per lane this is DtwImpl's unbanded recurrence, curr[j] =
+/// side. Per lane this is DtwView's recurrence, curr[j] =
 /// |w_i - b_j| + min(prev[j], curr[j-1], prev[j-1]), on integers, so the
 /// result equals the double kernel's whenever FitsInt16Lanes holds. The
 /// blocks share no data: a second block only gives the core independent
@@ -76,7 +74,7 @@ void DtwSweep(const Symbol* word, size_t n, const int16_t* plane,
 }
 
 /// Two-row Levenshtein DP over kBlocks blocks of V::kLanes candidates,
-/// laid out as in DtwSweep; per lane exactly EditImpl's recurrence,
+/// laid out as in DtwSweep; per lane exactly EditView's recurrence,
 /// curr[j] = min(prev[j] + 1, curr[j-1] + 1, prev[j-1] + neq-cost), on
 /// integers. Handles n == 0 and m == 0 naturally (the DP degenerates to
 /// m resp. n), so it needs no empty-case branch.
@@ -167,7 +165,7 @@ void CandidateTable::MatchInto(SymbolView word,
   Metric metric = distance.metric();
   if (metric != Metric::kDtw && metric != Metric::kSed) {
     // No vectorized kernel for this metric: the per-candidate reference
-    // loop, identical to core::MatchDistancesInto.
+    // loop, identical to core::MatchDistances.
     for (size_t cand = 0; cand < candidates_.size(); ++cand) {
       const Sequence& shape = candidates_[cand];
       SymbolView lhs = prefix_compare && word.size() > shape.size()
@@ -228,35 +226,11 @@ size_t CandidateTable::Closest(SymbolView word,
   if (candidates_.empty()) return 0;
   TableScratch local;
   TableScratch* s = scratch != nullptr ? scratch : &local;
-  Metric metric = distance.metric();
-  if (metric != Metric::kDtw && metric != Metric::kSed) {
-    // Reference early-abandoning scan (core::ClosestCandidate).
-    double best = kInf;
-    size_t best_idx = 0;
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      double d = distance.DistanceBounded(word, SymbolView(candidates_[i]),
-                                          best, &s->dtw);
-      if (d < best) {
-        best = d;
-        best_idx = i;
-      }
-    }
-    return best_idx;
-  }
-  // Full distances, then an original-order scan with strict `d < best`:
-  // the abandoning scan only ever skips candidates whose distance is
-  // provably >= the running best (which it would not have selected), so
-  // the argmin and its first-index tie-breaking are identical.
   MatchInto(word, distance, /*prefix_compare=*/false, s, &s->dists);
-  double best = kInf;
-  size_t best_idx = 0;
-  for (size_t i = 0; i < s->dists.size(); ++i) {
-    if (s->dists[i] < best) {
-      best = s->dists[i];
-      best_idx = i;
-    }
-  }
-  return best_idx;
+  // min_element keeps the first of equal minima: ties go to the first
+  // original index.
+  return static_cast<size_t>(
+      std::min_element(s->dists.begin(), s->dists.end()) - s->dists.begin());
 }
 
 }  // namespace privshape::dist

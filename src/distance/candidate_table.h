@@ -1,7 +1,10 @@
 /// \file
-/// SoA candidate table for the per-report answer hot path. A collection
-/// round broadcasts ONE candidate list that millions of users match
-/// against, so the table is built once per round: candidates are grouped
+/// SoA candidate table: the one way a word is matched against a candidate
+/// list — P_c's EM selection, P_d/P_e's closest-candidate report,
+/// Algorithm 1's per-level selection and Def. 4's nearest-shape
+/// assignment all call MatchInto or Closest. A collection round
+/// broadcasts ONE candidate list that millions of users match against,
+/// so the table is built once per round: candidates are grouped
 /// by equal length and each group's symbols are transposed into a
 /// contiguous int16 plane padded to whole lane blocks (`plane[j * padded
 /// + c]` = symbol j of the group's c-th candidate). One user's word then
@@ -11,12 +14,13 @@
 /// candidates, so every lane executes the scalar kernel's recurrence.
 ///
 /// Contract: MatchInto/Closest are bit-identical to the scalar reference
-/// path (`MatchDistances` over `dist::SequenceDistance`) at every SIMD
-/// level, including first-index tie-breaking in Closest. Symbols are
-/// bytes, so every DTW cell is an integer of at most (n + m - 1) * 255 and
-/// every SED cell at most n + m; while (n + m) * 255 < INT16_MAX the int16
-/// lanes hold each cell exactly (INT16_MAX standing for +infinity), and
-/// converting the result to double gives the reference's bytes. Longer
+/// path (`core::MatchDistances` / `core::ClosestCandidate` over
+/// `dist::SequenceDistance`) at every SIMD level, including first-index
+/// tie-breaking in Closest. Symbols are bytes, so every DTW cell is an
+/// integer of at most (n + m - 1) * 255 and every SED cell at most n + m;
+/// while (n + m) * 255 < INT16_MAX the int16 lanes hold each cell exactly
+/// (INT16_MAX standing for +infinity), and converting the result to
+/// double gives the reference's bytes. Longer
 /// pairs (n + m >= 129, which no paper configuration reaches) and DTW's
 /// empty-word case take the per-candidate scalar kernel, as do metrics
 /// without a vectorized kernel (Euclidean/Hausdorff ablations). The
@@ -75,10 +79,9 @@ class CandidateTable {
                  bool prefix_compare, TableScratch* scratch,
                  std::vector<double>* out) const;
 
-  /// Index of the candidate closest to `word` (full-word comparison,
-  /// ties to the first original index) — the same argmin, including
-  /// tie-breaking, as the early-abandoning scalar ClosestCandidate.
-  /// Returns 0 on an empty table. `scratch` may be nullptr.
+  /// Index of the candidate closest to `word`: MatchInto over the full
+  /// word, then the first index of the smallest distance. Returns 0 on an
+  /// empty table. `scratch` may be nullptr.
   PS_REPORT_PATH
   size_t Closest(SymbolView word, const SequenceDistance& distance,
                  TableScratch* scratch) const;

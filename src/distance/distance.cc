@@ -10,76 +10,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Rolling two-row DTW DP over the (n+1) x (m+1) table. `scratch` may be
-/// nullptr (a local scratch is used). `cutoff` enables early abandoning:
-/// every warping path visits every row i and per-cell costs are
-/// non-negative, so the final distance is >= min_j D[i][j]; once a row's
-/// minimum reaches the cutoff the result cannot be below it and the scan
-/// returns +infinity. cutoff = +infinity never abandons, which keeps this
-/// one kernel bit-identical to the historical allocating implementation.
-template <typename Cost>
-double DtwImpl(size_t n, size_t m, int band, const Cost& cost,
-               DtwScratch* scratch, double cutoff) {
-  if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
-  DtwScratch local;
-  DtwScratch* s = scratch != nullptr ? scratch : &local;
-  s->prev.assign(m + 1, kInf);
-  s->curr.assign(m + 1, kInf);
-  s->prev[0] = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    std::fill(s->curr.begin(), s->curr.end(), kInf);
-    size_t lo = 1, hi = m;
-    if (band >= 0) {
-      // Sakoe-Chiba: |i - j| <= band, after scaling for unequal lengths.
-      double scaled = static_cast<double>(i) * static_cast<double>(m) /
-                      static_cast<double>(n);
-      lo = static_cast<size_t>(
-          std::max(1.0, std::ceil(scaled - static_cast<double>(band))));
-      hi = static_cast<size_t>(std::min(
-          static_cast<double>(m),
-          std::floor(scaled + static_cast<double>(band))));
-    }
-    double row_min = kInf;
-    for (size_t j = lo; j <= hi; ++j) {
-      double c = cost(i - 1, j - 1);
-      double best = std::min({s->prev[j], s->curr[j - 1], s->prev[j - 1]});
-      s->curr[j] = c + best;
-      row_min = std::min(row_min, s->curr[j]);
-    }
-    if (row_min >= cutoff) return kInf;
-    std::swap(s->prev, s->curr);
-  }
-  return s->prev[m];
-}
-
-/// Rolling two-row Levenshtein DP. D[i][j] >= D[i-1][j-1], so row minima
-/// never decrease and the same row-minimum abandon as DtwImpl is exact.
-double EditImpl(SymbolView a, SymbolView b, DtwScratch* scratch,
-                double cutoff) {
-  size_t n = a.size(), m = b.size();
-  DtwScratch local;
-  DtwScratch* s = scratch != nullptr ? scratch : &local;
-  s->prev.resize(m + 1);
-  s->curr.resize(m + 1);
-  for (size_t j = 0; j <= m; ++j) s->prev[j] = static_cast<double>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    s->curr[0] = static_cast<double>(i);
-    double row_min = s->curr[0];
-    for (size_t j = 1; j <= m; ++j) {
-      double sub = s->prev[j - 1] + (a[i - 1] == b[j - 1] ? 0.0 : 1.0);
-      s->curr[j] = std::min({s->prev[j] + 1.0, s->curr[j - 1] + 1.0, sub});
-      row_min = std::min(row_min, s->curr[j]);
-    }
-    if (row_min >= cutoff) return kInf;
-    std::swap(s->prev, s->curr);
-  }
-  return s->prev[m];
-}
-
-/// DTW over views, shared by the Sequence wrapper, the scratch overload,
-/// and the bounded variant so all three run the identical kernel.
-double DtwView(SymbolView a, SymbolView b, int band, DtwScratch* scratch,
-               double cutoff) {
+/// Rolling two-row DTW DP over the (n+1) x (m+1) table, shared by the
+/// Sequence and the view overloads so both run the identical kernel.
+/// `scratch` may be nullptr (a local scratch is used).
+double DtwView(SymbolView a, SymbolView b, DtwScratch* scratch) {
   if (a.empty() && b.empty()) return 0.0;
   if (a.empty() || b.empty()) {
     // Align the empty word against everything: charge each symbol's level.
@@ -88,13 +22,42 @@ double DtwView(SymbolView a, SymbolView b, int band, DtwScratch* scratch,
     for (Symbol x : s) total += static_cast<double>(x) + 1.0;
     return total;
   }
-  return DtwImpl(
-      a.size(), b.size(), band,
-      [&](size_t i, size_t j) {
-        return std::abs(static_cast<double>(a[i]) -
-                        static_cast<double>(b[j]));
-      },
-      scratch, cutoff);
+  size_t n = a.size(), m = b.size();
+  DtwScratch local;
+  DtwScratch* s = scratch != nullptr ? scratch : &local;
+  s->prev.assign(m + 1, kInf);
+  s->curr.assign(m + 1, kInf);
+  s->prev[0] = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    std::fill(s->curr.begin(), s->curr.end(), kInf);
+    for (size_t j = 1; j <= m; ++j) {
+      double c = std::abs(static_cast<double>(a[i - 1]) -
+                          static_cast<double>(b[j - 1]));
+      double best = std::min({s->prev[j], s->curr[j - 1], s->prev[j - 1]});
+      s->curr[j] = c + best;
+    }
+    std::swap(s->prev, s->curr);
+  }
+  return s->prev[m];
+}
+
+/// Rolling two-row Levenshtein DP; `scratch` as for DtwView.
+double EditView(SymbolView a, SymbolView b, DtwScratch* scratch) {
+  size_t n = a.size(), m = b.size();
+  DtwScratch local;
+  DtwScratch* s = scratch != nullptr ? scratch : &local;
+  s->prev.resize(m + 1);
+  s->curr.resize(m + 1);
+  for (size_t j = 0; j <= m; ++j) s->prev[j] = static_cast<double>(j);
+  for (size_t i = 1; i <= n; ++i) {
+    s->curr[0] = static_cast<double>(i);
+    for (size_t j = 1; j <= m; ++j) {
+      double sub = s->prev[j - 1] + (a[i - 1] == b[j - 1] ? 0.0 : 1.0);
+      s->curr[j] = std::min({s->prev[j] + 1.0, s->curr[j - 1] + 1.0, sub});
+    }
+    std::swap(s->prev, s->curr);
+  }
+  return s->prev[m];
 }
 
 double EuclideanView(SymbolView a, SymbolView b) {
@@ -144,15 +107,11 @@ double HausdorffView(SymbolView a, SymbolView b) {
 class DtwDistance : public SequenceDistance {
  public:
   double Distance(const Sequence& a, const Sequence& b) const override {
-    return DtwSymbolic(a, b);
+    return DtwView(a, b, nullptr);
   }
   double Distance(SymbolView a, SymbolView b,
                   DtwScratch* scratch) const override {
-    return DtwView(a, b, /*band=*/-1, scratch, kInf);
-  }
-  double DistanceBounded(SymbolView a, SymbolView b, double cutoff,
-                         DtwScratch* scratch) const override {
-    return DtwView(a, b, /*band=*/-1, scratch, cutoff);
+    return DtwView(a, b, scratch);
   }
   Metric metric() const override { return Metric::kDtw; }
 };
@@ -160,15 +119,11 @@ class DtwDistance : public SequenceDistance {
 class SedDistance : public SequenceDistance {
  public:
   double Distance(const Sequence& a, const Sequence& b) const override {
-    return EditDistance(a, b);
+    return EditView(a, b, nullptr);
   }
   double Distance(SymbolView a, SymbolView b,
                   DtwScratch* scratch) const override {
-    return EditImpl(a, b, scratch, kInf);
-  }
-  double DistanceBounded(SymbolView a, SymbolView b, double cutoff,
-                         DtwScratch* scratch) const override {
-    return EditImpl(a, b, scratch, cutoff);
+    return EditView(a, b, scratch);
   }
   Metric metric() const override { return Metric::kSed; }
 };
@@ -176,7 +131,7 @@ class SedDistance : public SequenceDistance {
 class EuclideanDistance : public SequenceDistance {
  public:
   double Distance(const Sequence& a, const Sequence& b) const override {
-    return EuclideanSymbolic(a, b);
+    return EuclideanView(a, b);
   }
   double Distance(SymbolView a, SymbolView b,
                   DtwScratch* /*scratch*/) const override {
@@ -188,7 +143,7 @@ class EuclideanDistance : public SequenceDistance {
 class HausdorffDistance : public SequenceDistance {
  public:
   double Distance(const Sequence& a, const Sequence& b) const override {
-    return HausdorffSymbolic(a, b);
+    return HausdorffView(a, b);
   }
   double Distance(SymbolView a, SymbolView b,
                   DtwScratch* /*scratch*/) const override {
@@ -198,14 +153,6 @@ class HausdorffDistance : public SequenceDistance {
 };
 
 }  // namespace
-
-Result<Metric> MetricFromString(const std::string& name) {
-  if (name == "dtw") return Metric::kDtw;
-  if (name == "sed" || name == "edit") return Metric::kSed;
-  if (name == "euclidean" || name == "l2") return Metric::kEuclidean;
-  if (name == "hausdorff") return Metric::kHausdorff;
-  return Status::InvalidArgument("unknown distance metric: " + name);
-}
 
 const char* MetricName(Metric metric) {
   switch (metric) {
@@ -235,60 +182,16 @@ std::unique_ptr<SequenceDistance> MakeDistance(Metric metric) {
   return nullptr;
 }
 
-double DtwSymbolic(const Sequence& a, const Sequence& b, int band) {
-  return DtwView(a, b, band, nullptr, kInf);
-}
-
-double DtwSymbolic(SymbolView a, SymbolView b, int band,
-                   DtwScratch* scratch) {
-  return DtwView(a, b, band, scratch, kInf);
-}
-
-double DtwSymbolicBounded(SymbolView a, SymbolView b, int band, double cutoff,
-                          DtwScratch* scratch) {
-  return DtwView(a, b, band, scratch, cutoff);
+double DtwSymbolic(const Sequence& a, const Sequence& b) {
+  return DtwView(a, b, nullptr);
 }
 
 double EditDistance(const Sequence& a, const Sequence& b) {
-  return EditImpl(a, b, nullptr, kInf);
-}
-
-double EditDistance(SymbolView a, SymbolView b, DtwScratch* scratch) {
-  return EditImpl(a, b, scratch, kInf);
-}
-
-double EditDistanceBounded(SymbolView a, SymbolView b, double cutoff,
-                           DtwScratch* scratch) {
-  return EditImpl(a, b, scratch, cutoff);
+  return EditView(a, b, nullptr);
 }
 
 double EuclideanSymbolic(const Sequence& a, const Sequence& b) {
   return EuclideanView(a, b);
-}
-
-double HausdorffSymbolic(const Sequence& a, const Sequence& b) {
-  return HausdorffView(a, b);
-}
-
-double DtwNumeric(const std::vector<double>& a, const std::vector<double>& b,
-                  int band) {
-  if (a.empty() && b.empty()) return 0.0;
-  if (a.empty() || b.empty()) return kInf;
-  return DtwImpl(
-      a.size(), b.size(), band,
-      [&](size_t i, size_t j) { return std::abs(a[i] - b[j]); },
-      /*scratch=*/nullptr, kInf);
-}
-
-Result<double> EuclideanNumeric(const std::vector<double>& a,
-                                const std::vector<double>& b) {
-  if (a.size() != b.size()) {
-    return Status::InvalidArgument(
-        "EuclideanNumeric requires equal-length inputs");
-  }
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) acc += (a[i] - b[i]) * (a[i] - b[i]);
-  return std::sqrt(acc);
 }
 
 }  // namespace privshape::dist

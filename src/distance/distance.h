@@ -4,24 +4,21 @@
 /// |a - b| per aligned pair. Invariant: all metrics are symmetric and
 /// non-negative; only Euclidean requires equal lengths.
 ///
-/// The collection hot path evaluates millions of distances against one
-/// shared candidate list, so every DP kernel also exists in a
-/// scratch-reusing form: callers hand in a `DtwScratch` (two flat DP rows,
-/// grown monotonically, one per worker thread) and a non-owning
-/// `SymbolView`, and no allocation happens per evaluation. The scratch
-/// overloads are bit-identical to the allocating ones — same loops, same
-/// operation order — which is what lets the serving layer adopt them
-/// without touching the byte-identical determinism contract.
+/// Matching a word against a candidate list goes through
+/// `CandidateTable` (candidate_table.h). The scalar kernels here are its
+/// reference and its fallback: `SequenceDistance`'s view overload takes
+/// a non-owning `SymbolView` (a prefix needs no copy) and a caller-owned
+/// `DtwScratch`, so no allocation happens per evaluation, and it is
+/// bit-identical to the `Sequence` overload — same loops, same operation
+/// order.
 
 #ifndef PRIVSHAPE_DISTANCE_DISTANCE_H_
 #define PRIVSHAPE_DISTANCE_DISTANCE_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/span.h"
-#include "common/status.h"
 #include "series/sequence.h"
 
 namespace privshape::dist {
@@ -30,8 +27,6 @@ namespace privshape::dist {
 /// default (Symbols), SED the classification default (Trace).
 enum class Metric { kDtw, kSed, kEuclidean, kHausdorff };
 
-/// Parses "dtw" / "sed" / "euclidean" / "hausdorff".
-Result<Metric> MetricFromString(const std::string& name);
 const char* MetricName(Metric metric);
 
 /// Non-owning view of a SAX word (or a prefix of one). A `Sequence`
@@ -61,66 +56,25 @@ class SequenceDistance {
   virtual double Distance(SymbolView a, SymbolView b,
                           DtwScratch* scratch) const = 0;
 
-  /// Early-abandoning variant for argmin scans: returns the exact
-  /// distance whenever it is < `cutoff`, and otherwise may return any
-  /// value >= `cutoff` as soon as the bound is proven (for the DP metrics
-  /// that is the first row whose minimum reaches the cutoff). Default
-  /// implementation computes exactly.
-  virtual double DistanceBounded(SymbolView a, SymbolView b, double cutoff,
-                                 DtwScratch* scratch) const {
-    (void)cutoff;
-    return Distance(a, b, scratch);
-  }
-
   virtual Metric metric() const = 0;
 };
 
-/// Factory for the metric implementations below.
+/// The kernel of `metric`. Hausdorff runs over the point sets
+/// {(i, a_i)}, with index coordinates scaled into [0, 1] so long words are
+/// not dominated by the time axis.
 std::unique_ptr<SequenceDistance> MakeDistance(Metric metric);
 
-/// Dynamic time warping with per-pair cost |a - b|; optional Sakoe-Chiba
-/// band (band < 0 disables it). Satisfies the relaxed decomposition
-/// dist(S,S') <= dist(PRE,PRE') + dist(SUF,SUF') used by Lemma 1.
-double DtwSymbolic(const Sequence& a, const Sequence& b, int band = -1);
-
-/// Scratch-reusing DTW over views; bit-identical to the overload above.
-double DtwSymbolic(SymbolView a, SymbolView b, int band, DtwScratch* scratch);
-
-/// Early-abandoning DTW: exact when the result is < `cutoff`; returns
-/// +infinity as soon as a DP row's minimum proves the final distance
-/// cannot be below the cutoff (every warping path crosses every row and
-/// per-cell costs are non-negative).
-double DtwSymbolicBounded(SymbolView a, SymbolView b, int band, double cutoff,
-                          DtwScratch* scratch);
+/// Dynamic time warping with per-pair cost |a - b|. Satisfies the
+/// relaxed decomposition dist(S,S') <= dist(PRE,PRE') + dist(SUF,SUF')
+/// used by Lemma 1.
+double DtwSymbolic(const Sequence& a, const Sequence& b);
 
 /// Levenshtein string edit distance with unit insert/delete/substitute.
 double EditDistance(const Sequence& a, const Sequence& b);
 
-/// Scratch-reusing edit distance; bit-identical to the overload above.
-double EditDistance(SymbolView a, SymbolView b, DtwScratch* scratch);
-
-/// Early-abandoning edit distance: exact when the result is < `cutoff`;
-/// returns +infinity once a DP row's minimum reaches the cutoff
-/// (D[i][j] >= D[i-1][j-1], so row minima never decrease).
-double EditDistanceBounded(SymbolView a, SymbolView b, double cutoff,
-                           DtwScratch* scratch);
-
 /// Euclidean distance; the shorter word is padded with its final symbol so
 /// sequences of different compressed lengths remain comparable.
 double EuclideanSymbolic(const Sequence& a, const Sequence& b);
-
-/// Hausdorff distance over the point sets {(i, a_i)}; index coordinates are
-/// scaled into [0, 1] so long words are not dominated by the time axis.
-double HausdorffSymbolic(const Sequence& a, const Sequence& b);
-
-/// Numeric DTW (|x - y| cost) used when matching reconstructed shapes
-/// against numeric centroids, as the paper does in Figs. 8/10.
-double DtwNumeric(const std::vector<double>& a, const std::vector<double>& b,
-                  int band = -1);
-
-/// Numeric L2 distance; requires equal lengths.
-Result<double> EuclideanNumeric(const std::vector<double>& a,
-                                const std::vector<double>& b);
 
 }  // namespace privshape::dist
 

@@ -1,7 +1,5 @@
 #include "eval/shape_matching.h"
 
-#include <limits>
-
 namespace privshape::eval {
 
 Result<std::vector<int>> AssignToNearestShape(
@@ -11,19 +9,12 @@ Result<std::vector<int>> AssignToNearestShape(
     return Status::InvalidArgument("need at least one shape to match");
   }
   auto distance = dist::MakeDistance(metric);
+  dist::CandidateTable table = dist::CandidateTable::Build(shapes);
+  dist::TableScratch scratch;
   std::vector<int> out;
   out.reserve(sequences.size());
   for (const auto& seq : sequences) {
-    double best = std::numeric_limits<double>::infinity();
-    int best_idx = 0;
-    for (size_t s = 0; s < shapes.size(); ++s) {
-      double d = distance->Distance(seq, shapes[s]);
-      if (d < best) {
-        best = d;
-        best_idx = static_cast<int>(s);
-      }
-    }
-    out.push_back(best_idx);
+    out.push_back(static_cast<int>(table.Closest(seq, *distance, &scratch)));
   }
   return out;
 }
@@ -37,20 +28,19 @@ Result<NearestShapeClassifier> NearestShapeClassifier::Create(
   if (distance == nullptr) {
     return Status::InvalidArgument("unknown metric");
   }
-  return NearestShapeClassifier(std::move(shapes), std::move(distance));
+  std::vector<Sequence> candidates;
+  std::vector<int> labels;
+  for (auto& shape : shapes) {
+    candidates.push_back(std::move(shape.shape));
+    labels.push_back(shape.label);
+  }
+  return NearestShapeClassifier(
+      dist::CandidateTable::Build(std::move(candidates)), std::move(labels),
+      std::move(distance));
 }
 
 int NearestShapeClassifier::Classify(const Sequence& sequence) const {
-  double best = std::numeric_limits<double>::infinity();
-  int label = shapes_.front().label;
-  for (const auto& shape : shapes_) {
-    double d = distance_->Distance(sequence, shape.shape);
-    if (d < best) {
-      best = d;
-      label = shape.label;
-    }
-  }
-  return label;
+  return labels_[table_.Closest(sequence, *distance_, nullptr)];
 }
 
 std::vector<int> NearestShapeClassifier::ClassifyBatch(

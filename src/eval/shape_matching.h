@@ -8,9 +8,12 @@
 #ifndef PRIVSHAPE_EVAL_SHAPE_MATCHING_H_
 #define PRIVSHAPE_EVAL_SHAPE_MATCHING_H_
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "distance/candidate_table.h"
 #include "distance/distance.h"
 #include "series/sequence.h"
 
@@ -22,17 +25,18 @@ struct LabeledShape {
   int label = -1;
 };
 
-/// Assigns every sequence to its nearest shape (by the metric); returns the
-/// shape index per sequence. This realizes Def. 4's matching step and is
-/// how the paper turns PrivShape's top-k shapes into cluster assignments
-/// for ARI (§V-C).
+/// Assigns every sequence to its nearest shape (by the metric; ties to the
+/// first shape) through `CandidateTable::Closest`; returns the shape index
+/// per sequence. This realizes Def. 4's matching step and is how the paper
+/// turns PrivShape's top-k shapes into cluster assignments for ARI (§V-C).
 Result<std::vector<int>> AssignToNearestShape(
     const std::vector<Sequence>& sequences,
     const std::vector<Sequence>& shapes, dist::Metric metric);
 
 /// 1-NN classifier over labeled shapes: a sequence receives the label of
-/// its nearest shape (§V-E, "most frequent shapes within each class as the
-/// classification criteria").
+/// its nearest shape, the first one on ties (§V-E, "most frequent shapes
+/// within each class as the classification criteria"). Create builds the
+/// shapes' `CandidateTable` once; Classify matches through it.
 class NearestShapeClassifier {
  public:
   static Result<NearestShapeClassifier> Create(
@@ -42,14 +46,15 @@ class NearestShapeClassifier {
   std::vector<int> ClassifyBatch(
       const std::vector<Sequence>& sequences) const;
 
-  const std::vector<LabeledShape>& shapes() const { return shapes_; }
-
  private:
-  NearestShapeClassifier(std::vector<LabeledShape> shapes,
+  NearestShapeClassifier(dist::CandidateTable table, std::vector<int> labels,
                          std::unique_ptr<dist::SequenceDistance> distance)
-      : shapes_(std::move(shapes)), distance_(std::move(distance)) {}
+      : table_(std::move(table)),
+        labels_(std::move(labels)),
+        distance_(std::move(distance)) {}
 
-  std::vector<LabeledShape> shapes_;
+  dist::CandidateTable table_;  ///< the shapes, in input order
+  std::vector<int> labels_;     ///< labels_[i] is shape i's label
   std::unique_ptr<dist::SequenceDistance> distance_;
 };
 

@@ -1,15 +1,24 @@
 #include "ldp/accountant.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/csv.h"
 
 namespace privshape::ldp {
 
+Status CheckEpsilon(double epsilon) {
+  if (!std::isfinite(epsilon) || epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be finite and positive");
+  }
+  return Status::Ok();
+}
+
 Status PrivacyAccountant::Charge(const std::string& population,
                                  double epsilon) {
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("cannot charge a negative budget");
+  if (!std::isfinite(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument(
+        "cannot charge a negative or non-finite budget");
   }
   charges_[population] += epsilon;
   return Status::Ok();

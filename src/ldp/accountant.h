@@ -8,6 +8,13 @@
 
 namespace privshape::ldp {
 
+/// The one validity check of a privacy budget: ε must be finite and > 0.
+/// NaN passes every `epsilon <= 0` test and ε = ∞ turns the mechanisms'
+/// probabilities into NaN, so every mechanism and config, and through
+/// them every context a wire client builds from a broadcast, checks ε
+/// here.
+Status CheckEpsilon(double epsilon);
+
 /// Tracks the user-level privacy budget spent by a mechanism run.
 ///
 /// PrivShape allocates *disjoint* user populations to its stages, so the

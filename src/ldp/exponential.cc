@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ldp/accountant.h"
+
 namespace privshape::ldp {
 
 Result<ExponentialMechanism> ExponentialMechanism::Create(double epsilon,
                                                           double sensitivity) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   if (sensitivity <= 0.0) {
     return Status::InvalidArgument("sensitivity must be positive");
   }
@@ -34,32 +34,12 @@ Status ExponentialMechanism::SelectionProbabilitiesInto(
   return Status::Ok();
 }
 
-Result<std::vector<double>> ExponentialMechanism::SelectionProbabilities(
-    const std::vector<double>& scores) const {
-  std::vector<double> probs;
-  PRIVSHAPE_RETURN_IF_ERROR(SelectionProbabilitiesInto(scores, &probs));
-  return probs;
-}
-
-PS_RNG_CANONICAL
-Result<size_t> ExponentialMechanism::Select(const std::vector<double>& scores,
-                                            Rng* rng) const {
-  std::vector<double> probs;
-  return Select(scores, rng, &probs);
-}
-
 PS_RNG_CANONICAL
 Result<size_t> ExponentialMechanism::Select(
     const std::vector<double>& scores, Rng* rng,
     std::vector<double>* probs_scratch) const {
   PRIVSHAPE_RETURN_IF_ERROR(SelectionProbabilitiesInto(scores, probs_scratch));
   return rng->Discrete(*probs_scratch);
-}
-
-std::vector<double> ScoresFromDistances(const std::vector<double>& distances) {
-  std::vector<double> scores;
-  ScoresFromDistancesInto(distances, &scores);
-  return scores;
 }
 
 void ScoresFromDistancesInto(const std::vector<double>& distances,

@@ -22,24 +22,16 @@ class ExponentialMechanism {
   static Result<ExponentialMechanism> Create(double epsilon,
                                              double sensitivity = 1.0);
 
-  /// Samples a candidate index under the EM distribution.
-  PS_RNG_CANONICAL
-  Result<size_t> Select(const std::vector<double>& scores, Rng* rng) const;
-
-  /// Allocation-free variant for hot loops: the probability vector is
-  /// built in `*probs_scratch` (resized, contents overwritten). Consumes
-  /// the same Rng draws as Select(), so both paths pick identically.
+  /// Samples a candidate index under the EM distribution. The
+  /// probability vector is built in `*probs_scratch` (resized, contents
+  /// overwritten), so hot loops allocate nothing.
   PS_RNG_CANONICAL
   Result<size_t> Select(const std::vector<double>& scores, Rng* rng,
                         std::vector<double>* probs_scratch) const;
 
-  /// The exact selection distribution; exercised by the privacy tests
-  /// (verifying Pr ratios across neighboring score vectors <= e^eps).
-  Result<std::vector<double>> SelectionProbabilities(
-      const std::vector<double>& scores) const;
-
-  /// In-place SelectionProbabilities: fills `*probs` (resized), reusing
-  /// its capacity. Bit-identical values to the allocating overload.
+  /// The exact selection distribution, written into `*probs` (resized,
+  /// capacity reused); exercised by the privacy tests (verifying Pr
+  /// ratios across neighboring score vectors <= e^eps).
   Status SelectionProbabilitiesInto(const std::vector<double>& scores,
                                     std::vector<double>* probs) const;
 
@@ -56,12 +48,9 @@ class ExponentialMechanism {
 /// Converts candidate distances into EM scores in [0, 1]:
 /// S_j = (d_max - d_j) / (d_max - d_min); all-equal distances score 1.
 /// This realizes the paper's "S proportional to 1/dist, normalized" intent
-/// while staying bounded for zero distances.
-std::vector<double> ScoresFromDistances(const std::vector<double>& distances);
-
-/// In-place ScoresFromDistances: fills `*scores` (resized), reusing its
-/// capacity — the per-user selection path calls this once per report, so
-/// the allocating form would dominate the hot loop. Bit-identical values.
+/// while staying bounded for zero distances. Fills `*scores` (resized,
+/// capacity reused): the per-user selection path calls this once per
+/// report.
 void ScoresFromDistancesInto(const std::vector<double>& distances,
                              std::vector<double>* scores);
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "ldp/accountant.h"
 #include "ldp/estimator_utils.h"
 
 namespace privshape::ldp {
@@ -10,11 +11,14 @@ Result<Grr> Grr::Create(size_t domain_size, double epsilon) {
   if (domain_size < 2) {
     return Status::InvalidArgument("GRR domain must have >= 2 values");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   double p = 0.0, q = 0.0;
   GrrParameters(domain_size, epsilon, &p, &q);
+  // Past epsilon ~ 709.78 e^epsilon overflows and p = inf / inf is NaN,
+  // which no keep threshold can represent.
+  if (std::isnan(p)) {
+    return Status::InvalidArgument("epsilon too large: e^epsilon overflows");
+  }
   return Grr(domain_size, epsilon, p, q);
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/math_utils.h"
+#include "ldp/accountant.h"
 
 namespace privshape::ldp {
 
@@ -12,8 +13,11 @@ PiecewiseMechanism::PiecewiseMechanism(double epsilon)
       c_((e_half_ + 1.0) / (e_half_ - 1.0)) {}
 
 Result<PiecewiseMechanism> PiecewiseMechanism::Create(double epsilon) {
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  PRIVSHAPE_RETURN_IF_ERROR(CheckEpsilon(epsilon));
+  // Past epsilon ~ 1419.6 e^(epsilon/2) overflows and C = inf / inf is NaN.
+  if (!std::isfinite(std::exp(epsilon / 2.0))) {
+    return Status::InvalidArgument(
+        "epsilon too large: e^(epsilon/2) overflows");
   }
   return PiecewiseMechanism(epsilon);
 }

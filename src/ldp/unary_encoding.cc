@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/simd.h"
+#include "ldp/accountant.h"
 
 namespace privshape::ldp {
 
@@ -11,9 +12,7 @@ Result<UnaryEncoding> UnaryEncoding::Create(size_t domain_size,
   if (domain_size < 1) {
     return Status::InvalidArgument("unary encoding domain must be >= 1");
   }
-  if (epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(CheckEpsilon(epsilon));
   double p, q;
   if (variant == Variant::kSymmetric) {
     double e2 = std::exp(epsilon / 2.0);
@@ -22,6 +21,11 @@ Result<UnaryEncoding> UnaryEncoding::Create(size_t domain_size,
   } else {
     p = 0.5;
     q = 1.0 / (std::exp(epsilon) + 1.0);
+  }
+  // SUE's e^(epsilon/2) overflows past epsilon ~ 1419.6: p = inf / inf.
+  if (std::isnan(p)) {
+    return Status::InvalidArgument(
+        "epsilon too large: e^(epsilon/2) overflows");
   }
   return UnaryEncoding(domain_size, epsilon, p, q);
 }

@@ -5,15 +5,14 @@
 #include <numeric>
 
 #include "common/math_utils.h"
+#include "ldp/accountant.h"
 #include "ldp/numeric.h"
 #include "patternldp/pid.h"
 
 namespace privshape::pldp {
 
 Result<PatternLdp> PatternLdp::Create(const PatternLdpConfig& config) {
-  if (config.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(ldp::CheckEpsilon(config.epsilon));
   if (config.sample_fraction <= 0.0 || config.sample_fraction > 1.0) {
     return Status::InvalidArgument("sample_fraction must be in (0, 1]");
   }

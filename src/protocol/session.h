@@ -78,7 +78,7 @@ class ClientSession {
   Status AnswerSelection(const RoundContext& ctx, AnswerScratch* scratch,
                          Report* out);
 
-  /// P_d: early-abandoning closest-candidate argmin, then GRR.
+  /// P_d: closest-candidate argmin through the table, then GRR.
   PS_REPORT_PATH
   Status AnswerRefinement(const RoundContext& ctx, AnswerScratch* scratch,
                           Report* out);

@@ -217,8 +217,7 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
     size_t pick = 0;
     {
       auto distance = dist::MakeDistance(dist::Metric::kSed);
-      pick = core::ClosestCandidate(word, request.candidates, *distance,
-                                    nullptr);
+      pick = core::ClosestCandidate(word, request.candidates, *distance);
     }
     Rng rng(DeriveSeed(5, user));
     std::vector<uint8_t> want = oue->PerturbValue(

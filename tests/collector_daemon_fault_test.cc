@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
 #include <thread>
@@ -408,6 +409,29 @@ TEST(CollectorDaemonFaultTest, CleanRerunAfterFaultsMatchesCore) {
   EXPECT_TRUE(collector::SameShapes(*expected, run.loadgen->result));
   EXPECT_EQ(run.stats.protocol_errors, 0u);
   EXPECT_EQ(run.stats.disconnects, 0u);
+}
+
+TEST(CollectorDaemonFaultTest, StartRefusesNonPositiveOrNanDeadlines) {
+  // 0 or -1 would drop every client at once; NaN would never fire, so
+  // one stalled client could hold a round forever. Start() refuses all
+  // three for either deadline before it binds anything.
+  MechanismConfig config = TestConfig();
+  for (double bad : {0.0, -1.0, std::nan("")}) {
+    for (bool round_deadline : {false, true}) {
+      DaemonOptions options;
+      options.port = 0;
+      (round_deadline ? options.round_deadline_seconds
+                      : options.accept_timeout_seconds) = bad;
+      CollectorDaemon daemon(config, kUsers, options);
+      Status started = daemon.Start();
+      EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+          << bad << (round_deadline ? " round deadline" : " accept timeout")
+          << ": " << started;
+    }
+  }
+  // The blocking clients' timeout: +infinity would overflow time_t.
+  EXPECT_EQ(SetRecvTimeout(-1, HUGE_VAL).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CollectorDaemonFaultTest, LoadgenRejectsOutOfRangeAssignmentUpFront) {

@@ -15,7 +15,12 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "/privshape_csv_test.csv";
+  // One file per test: ctest runs each case as its own process, in
+  // parallel under -j, so a shared name lets one case read another's.
+  std::string path_ =
+      ::testing::TempDir() + "/privshape_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 };
 
 TEST_F(CsvTest, WriteAndReadBack) {
@@ -356,6 +361,10 @@ TEST(ParseDoubleFlagTest, StrictParse) {
   EXPECT_FALSE(ParseDoubleFlag("x", "2.5x").ok());
   EXPECT_FALSE(ParseDoubleFlag("x", "nope").ok());
   EXPECT_FALSE(ParseDoubleFlag("x", "1e999999").ok());
+  for (const char* spelling :
+       {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf", "Infinity"}) {
+    EXPECT_FALSE(ParseDoubleFlag("x", spelling).ok()) << spelling;
+  }
 }
 
 TEST(CliTest, GetDoubleStatusReportsMalformed) {

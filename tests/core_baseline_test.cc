@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "series/sequence.h"
 
@@ -47,6 +49,12 @@ TEST(BaselineTest, ValidatesConfig) {
   bad.epsilon = -1.0;
   BaselineMechanism mech(bad);
   EXPECT_FALSE(mech.Run(PlantedSequences(100)).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    bad.epsilon = eps;
+    EXPECT_FALSE(bad.Validate().ok()) << eps;
+  }
 }
 
 TEST(BaselineTest, RejectsEmptyDataset) {

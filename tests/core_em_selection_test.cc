@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <numeric>
 
 #include "common/rng.h"
@@ -23,7 +22,7 @@ TEST(EmSelectionTest, CountsSumToPopulationSize) {
   std::vector<Sequence> sequences(50, Sequence{0, 1, 2});
   Rng rng(111);
   auto counts = EmSelectionCounts(candidates, sequences, AllUsers(50),
-                                  dist::Metric::kSed, 2.0, true, &rng);
+                                  dist::Metric::kSed, 2.0, &rng);
   ASSERT_TRUE(counts.ok());
   double total = 0;
   for (double c : *counts) total += c;
@@ -35,7 +34,7 @@ TEST(EmSelectionTest, TrueCandidateDominatesAtHighEps) {
   std::vector<Sequence> sequences(400, Sequence{0, 1});
   Rng rng(112);
   auto counts = EmSelectionCounts(candidates, sequences, AllUsers(400),
-                                  dist::Metric::kSed, 8.0, false, &rng);
+                                  dist::Metric::kSed, 8.0, &rng);
   ASSERT_TRUE(counts.ok());
   EXPECT_GT((*counts)[0], (*counts)[1]);
   EXPECT_GT((*counts)[0], (*counts)[2]);
@@ -47,7 +46,7 @@ TEST(EmSelectionTest, LowEpsApproachesUniform) {
   std::vector<Sequence> sequences(10000, Sequence{0, 1});
   Rng rng(113);
   auto counts = EmSelectionCounts(candidates, sequences, AllUsers(10000),
-                                  dist::Metric::kSed, 0.01, false, &rng);
+                                  dist::Metric::kSed, 0.01, &rng);
   ASSERT_TRUE(counts.ok());
   // At eps ~ 0 both candidates are nearly equally likely.
   EXPECT_NEAR((*counts)[0] / 10000.0, 0.5, 0.03);
@@ -60,7 +59,7 @@ TEST(EmSelectionTest, PrefixCompareUsesUserPrefix) {
   std::vector<Sequence> sequences(300, Sequence{0, 1, 2, 3});
   Rng rng(114);
   auto counts = EmSelectionCounts(candidates, sequences, AllUsers(300),
-                                  dist::Metric::kSed, 6.0, true, &rng);
+                                  dist::Metric::kSed, 6.0, &rng);
   ASSERT_TRUE(counts.ok());
   EXPECT_GT((*counts)[0], (*counts)[1]);
 }
@@ -70,7 +69,7 @@ TEST(EmSelectionTest, EmptyPopulationGivesZeroCounts) {
   std::vector<Sequence> sequences(5, Sequence{0});
   Rng rng(115);
   auto counts = EmSelectionCounts(candidates, sequences, {},
-                                  dist::Metric::kDtw, 1.0, true, &rng);
+                                  dist::Metric::kDtw, 1.0, &rng);
   ASSERT_TRUE(counts.ok());
   EXPECT_DOUBLE_EQ((*counts)[0], 0.0);
   EXPECT_DOUBLE_EQ((*counts)[1], 0.0);
@@ -80,7 +79,7 @@ TEST(EmSelectionTest, RejectsEmptyCandidates) {
   std::vector<Sequence> sequences(5, Sequence{0});
   Rng rng(116);
   EXPECT_FALSE(EmSelectionCounts({}, sequences, AllUsers(5),
-                                 dist::Metric::kSed, 1.0, true, &rng)
+                                 dist::Metric::kSed, 1.0, &rng)
                    .ok());
 }
 
@@ -89,7 +88,7 @@ TEST(EmSelectionTest, RejectsBadUserIndex) {
   std::vector<Sequence> sequences(5, Sequence{0});
   Rng rng(117);
   EXPECT_FALSE(EmSelectionCounts(candidates, sequences, {77},
-                                 dist::Metric::kSed, 1.0, true, &rng)
+                                 dist::Metric::kSed, 1.0, &rng)
                    .ok());
 }
 
@@ -98,93 +97,28 @@ std::vector<dist::Metric> AllMetrics() {
           dist::Metric::kHausdorff};
 }
 
-Sequence RandomWord(Rng* rng, size_t max_len, int alphabet) {
-  Sequence word;
-  size_t len = 1 + rng->Index(max_len);
-  for (size_t i = 0; i < len; ++i) {
-    word.push_back(static_cast<Symbol>(rng->Index(alphabet)));
-  }
-  return word;
-}
-
-TEST(MatchDistancesTest, InPlaceVariantBitIdenticalWithReusedBuffers) {
-  Rng rng(0x3a7c);
-  dist::DtwScratch scratch;
-  std::vector<double> out;  // deliberately reused across everything
-  for (dist::Metric m : AllMetrics()) {
-    auto distance = dist::MakeDistance(m);
-    for (int trial = 0; trial < 60; ++trial) {
-      std::vector<Sequence> candidates;
-      for (size_t c = 0; c < 1 + rng.Index(6); ++c) {
-        candidates.push_back(RandomWord(&rng, 6, 4));
-      }
-      Sequence seq = RandomWord(&rng, 8, 4);
-      for (bool prefix : {true, false}) {
-        std::vector<double> expect =
-            core::MatchDistances(seq, candidates, prefix, *distance);
-        core::MatchDistancesInto(seq, candidates, prefix, *distance,
-                                 &scratch, &out);
-        // Bit-equal element-wise: the determinism contract needs the EM
-        // scores (hence draws) identical on both paths.
-        ASSERT_EQ(expect.size(), out.size());
-        for (size_t i = 0; i < expect.size(); ++i) {
-          EXPECT_EQ(expect[i], out[i]) << dist::MetricName(m) << " cand "
-                                       << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ClosestCandidateTest, EarlyAbandonAgreesWithExhaustiveArgmin) {
-  Rng rng(0xc10c);
-  dist::DtwScratch scratch;
-  for (dist::Metric m : AllMetrics()) {
-    auto distance = dist::MakeDistance(m);
-    for (int trial = 0; trial < 150; ++trial) {
-      std::vector<Sequence> candidates;
-      for (size_t c = 0; c < 1 + rng.Index(8); ++c) {
-        candidates.push_back(RandomWord(&rng, 6, 3));
-      }
-      Sequence seq = RandomWord(&rng, 7, 3);
-      // Exhaustive reference: full distances, strict < updates.
-      double best = std::numeric_limits<double>::infinity();
-      size_t expect = 0;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        double d = distance->Distance(seq, candidates[i]);
-        if (d < best) {
-          best = d;
-          expect = i;
-        }
-      }
-      EXPECT_EQ(expect,
-                core::ClosestCandidate(seq, candidates, *distance, &scratch))
-          << dist::MetricName(m) << " trial " << trial;
-      EXPECT_EQ(expect, core::ClosestCandidate(seq, candidates, *distance))
-          << dist::MetricName(m);
-    }
-  }
-}
-
-TEST(ClosestCandidateTest, TiesBreakToFirstIndexUnderEarlyAbandon) {
+TEST(ClosestCandidateTest, TiesBreakToFirstIndex) {
   // Duplicate candidates (exact ties, distance 0 among them) and an
   // exact match later in the list: the FIRST zero-distance candidate
-  // must win on every path.
+  // must win, in the scalar reference and in the table.
   std::vector<Sequence> candidates = {{2, 2}, {0, 1}, {0, 1}, {0, 1}};
+  dist::CandidateTable table = dist::CandidateTable::Build(candidates);
   Sequence seq = {0, 1};
-  dist::DtwScratch scratch;
   for (dist::Metric m : AllMetrics()) {
     auto distance = dist::MakeDistance(m);
-    EXPECT_EQ(core::ClosestCandidate(seq, candidates, *distance, &scratch),
-              1u)
+    EXPECT_EQ(core::ClosestCandidate(seq, candidates, *distance), 1u)
+        << dist::MetricName(m);
+    EXPECT_EQ(table.Closest(seq, *distance, nullptr), 1u)
         << dist::MetricName(m);
   }
   // All candidates tie (all identical): index 0 wins.
   std::vector<Sequence> all_same(5, Sequence{1, 2, 1});
+  dist::CandidateTable same_table = dist::CandidateTable::Build(all_same);
   for (dist::Metric m : AllMetrics()) {
     auto distance = dist::MakeDistance(m);
-    EXPECT_EQ(
-        core::ClosestCandidate({2, 0}, all_same, *distance, &scratch), 0u)
+    EXPECT_EQ(core::ClosestCandidate({2, 0}, all_same, *distance), 0u)
+        << dist::MetricName(m);
+    EXPECT_EQ(same_table.Closest(Sequence{2, 0}, *distance, nullptr), 0u)
         << dist::MetricName(m);
   }
 }
@@ -196,8 +130,8 @@ TEST(EmSelectionTest, WorksWithEveryMetric) {
        {dist::Metric::kDtw, dist::Metric::kSed, dist::Metric::kEuclidean,
         dist::Metric::kHausdorff}) {
     Rng rng(118);
-    auto counts = EmSelectionCounts(candidates, sequences, AllUsers(20), m,
-                                    2.0, true, &rng);
+    auto counts =
+        EmSelectionCounts(candidates, sequences, AllUsers(20), m, 2.0, &rng);
     ASSERT_TRUE(counts.ok()) << dist::MetricName(m);
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "series/sequence.h"
 
@@ -49,6 +51,12 @@ TEST(PemTest, ValidatesConfig) {
   bad = TestConfig();
   bad.epsilon = 0;
   EXPECT_FALSE(PemMiner(bad).Run(PlantedSequences(100)).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    bad.epsilon = eps;
+    EXPECT_FALSE(bad.Validate().ok()) << eps;
+  }
 }
 
 TEST(PemTest, RejectsEmptyDataset) {

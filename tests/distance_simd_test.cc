@@ -3,13 +3,14 @@
 // PRIVSHAPE_SIMD=OFF scalar build), MatchInto/Closest must be
 // bit-identical — including tie-breaking — to the always-built scalar
 // reference path (core::MatchDistances / core::ClosestCandidate over
-// dist::SequenceDistance). The shapes below are chosen adversarially:
-// odd lengths, length-1 candidates, empty words, all-equal distances,
-// candidate counts around one and two lane blocks per sweep, mixed-length
-// lists that exercise the grouping and padding arithmetic, the extreme
-// byte symbols 0/1/254/255, and word + candidate lengths on both sides
-// of the int16 range guard (n + m = 128 runs in int16 lanes, 129 and up
-// takes the scalar kernel).
+// dist::SequenceDistance), for the vectorized DTW/SED kernels and the
+// per-candidate Euclidean/Hausdorff loop alike. The shapes below are
+// chosen adversarially: odd lengths, length-1 candidates, empty words,
+// all-equal distances, candidate counts around one and two lane blocks
+// per sweep, mixed-length lists that exercise the grouping and padding
+// arithmetic, the extreme byte symbols 0/1/254/255, and word + candidate
+// lengths on both sides of the int16 range guard (n + m = 128 runs in
+// int16 lanes, 129 and up takes the scalar kernel).
 
 #include "distance/candidate_table.h"
 
@@ -57,7 +58,7 @@ void ExpectBitIdentical(const Sequence& word,
         << dist::MetricName(metric) << " candidate " << i << " prefix "
         << prefix;
   }
-  // The argmin (full-word) must match the early-abandoning reference,
+  // The argmin (full-word) must match the exhaustive reference,
   // including first-index tie-breaking.
   EXPECT_EQ(table.Closest(word, *distance, &scratch),
             core::ClosestCandidate(word, candidates, *distance));
@@ -158,10 +159,10 @@ TEST(CandidateTableTest, AllEqualDistancesTieBreakToFirstIndex) {
             core::ClosestCandidate(Sequence{2, 2}, dup, *dtw));
 }
 
-TEST(CandidateTableTest, CutoffBoundaryShapesAgreeWithEarlyAbandon) {
-  // Candidates sorted so the running best tightens monotonically — the
-  // regime where the scalar path abandons most rows — plus a final
-  // exact tie with the incumbent best (the abandon boundary d == best).
+TEST(CandidateTableTest, TighteningDistancesAndFinalTieAgreeWithReference) {
+  // Candidates sorted so the running best tightens monotonically, plus a
+  // final exact tie with the incumbent best (d == best must not move the
+  // argmin).
   std::vector<Sequence> candidates = {
       {4, 4, 4, 4}, {0, 4, 0, 4}, {1, 2, 3, 4}, {1, 2, 0, 4}, {1, 2, 0, 3},
       {1, 2, 0, 3},
@@ -198,20 +199,30 @@ TEST(CandidateTableTest, RandomizedSweepStaysBitIdentical) {
 
 TEST(CandidateTableTest, FallbackMetricsMatchReferenceToo) {
   // Euclidean/Hausdorff have no vectorized kernel; the table must route
-  // them through the identical per-candidate loop.
+  // them through the identical per-candidate loop, and Closest through
+  // the same argmin. Hausdorff puts an empty word or candidate at
+  // +infinity, so empty words and candidates are drawn too.
   std::vector<Sequence> candidates = {{0, 1, 2}, {2, 1}, {4, 4, 4, 4}};
   Sequence word = {1, 1, 3};
   for (Metric metric : {Metric::kEuclidean, Metric::kHausdorff}) {
-    auto distance = dist::MakeDistance(metric);
-    CandidateTable table = CandidateTable::Build(candidates);
-    std::vector<double> got;
-    table.MatchInto(word, *distance, /*prefix_compare=*/false,
-                    /*scratch=*/nullptr, &got);
-    std::vector<double> want = Reference(word, candidates, metric, false);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
-    EXPECT_EQ(table.Closest(word, *distance, nullptr),
-              core::ClosestCandidate(word, candidates, *distance));
+    ExpectBitIdentical(word, candidates, metric, /*prefix=*/false);
+    ExpectBitIdentical(word, candidates, metric, /*prefix=*/true);
+  }
+  Rng rng(0xFA11);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<Sequence> random(1 + rng.Index(8));
+    for (auto& c : random) {
+      for (size_t j = rng.Index(7); j > 0; --j) {
+        c.push_back(static_cast<Symbol>(rng.Index(4)));
+      }
+    }
+    Sequence random_word;
+    for (size_t j = rng.Index(8); j > 0; --j) {
+      random_word.push_back(static_cast<Symbol>(rng.Index(4)));
+    }
+    for (Metric metric : {Metric::kEuclidean, Metric::kHausdorff}) {
+      ExpectBitIdentical(random_word, random, metric, trial % 2 == 0);
+    }
   }
 }
 

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -13,41 +12,25 @@
 namespace privshape {
 namespace {
 
-using dist::DtwNumeric;
 using dist::DtwSymbolic;
 using dist::EditDistance;
-using dist::EuclideanNumeric;
 using dist::EuclideanSymbolic;
-using dist::HausdorffSymbolic;
 using dist::MakeDistance;
 using dist::Metric;
-using dist::MetricFromString;
 
 Sequence Seq(const std::string& s) { return *SequenceFromString(s); }
 
-TEST(MetricTest, FromStringParsesAllNames) {
-  EXPECT_EQ(*MetricFromString("dtw"), Metric::kDtw);
-  EXPECT_EQ(*MetricFromString("sed"), Metric::kSed);
-  EXPECT_EQ(*MetricFromString("edit"), Metric::kSed);
-  EXPECT_EQ(*MetricFromString("euclidean"), Metric::kEuclidean);
-  EXPECT_EQ(*MetricFromString("l2"), Metric::kEuclidean);
-  EXPECT_EQ(*MetricFromString("hausdorff"), Metric::kHausdorff);
-  EXPECT_FALSE(MetricFromString("cosine").ok());
-}
-
-TEST(MetricTest, NameRoundTrip) {
-  for (Metric m : {Metric::kDtw, Metric::kSed, Metric::kEuclidean,
-                   Metric::kHausdorff}) {
-    EXPECT_EQ(*MetricFromString(dist::MetricName(m)), m);
-  }
-}
-
 TEST(MetricTest, FactoryProducesMatchingMetric) {
-  for (Metric m : {Metric::kDtw, Metric::kSed, Metric::kEuclidean,
-                   Metric::kHausdorff}) {
+  const std::pair<Metric, std::string> kNamed[] = {
+      {Metric::kDtw, "dtw"},
+      {Metric::kSed, "sed"},
+      {Metric::kEuclidean, "euclidean"},
+      {Metric::kHausdorff, "hausdorff"}};
+  for (const auto& [m, name] : kNamed) {
     auto d = MakeDistance(m);
     ASSERT_NE(d, nullptr);
     EXPECT_EQ(d->metric(), m);
+    EXPECT_EQ(dist::MetricName(m), name);
   }
 }
 
@@ -77,18 +60,6 @@ TEST(DtwTest, SymmetricOnRandomInputs) {
       b.push_back(static_cast<Symbol>(rng.Index(4)));
     }
     EXPECT_DOUBLE_EQ(DtwSymbolic(a, b), DtwSymbolic(b, a));
-  }
-}
-
-TEST(DtwTest, BandConstraintNeverBelowUnconstrained) {
-  Rng rng(22);
-  for (int trial = 0; trial < 50; ++trial) {
-    Sequence a, b;
-    for (size_t i = 0; i < 5; ++i) {
-      a.push_back(static_cast<Symbol>(rng.Index(4)));
-      b.push_back(static_cast<Symbol>(rng.Index(4)));
-    }
-    EXPECT_GE(DtwSymbolic(a, b, /*band=*/1) + 1e-12, DtwSymbolic(a, b));
   }
 }
 
@@ -140,10 +111,12 @@ TEST(EuclideanSymbolicTest, EmptyCases) {
 }
 
 TEST(HausdorffTest, IdenticalIsZero) {
-  EXPECT_DOUBLE_EQ(HausdorffSymbolic(Seq("abc"), Seq("abc")), 0.0);
+  auto hausdorff = MakeDistance(Metric::kHausdorff);
+  EXPECT_DOUBLE_EQ(hausdorff->Distance(Seq("abc"), Seq("abc")), 0.0);
 }
 
 TEST(HausdorffTest, SymmetricAndNonNegative) {
+  auto hausdorff = MakeDistance(Metric::kHausdorff);
   Rng rng(24);
   for (int trial = 0; trial < 50; ++trial) {
     Sequence a, b;
@@ -153,24 +126,10 @@ TEST(HausdorffTest, SymmetricAndNonNegative) {
     for (size_t i = 0; i < 1 + rng.Index(6); ++i) {
       b.push_back(static_cast<Symbol>(rng.Index(4)));
     }
-    double d = HausdorffSymbolic(a, b);
+    double d = hausdorff->Distance(a, b);
     EXPECT_GE(d, 0.0);
-    EXPECT_DOUBLE_EQ(d, HausdorffSymbolic(b, a));
+    EXPECT_DOUBLE_EQ(d, hausdorff->Distance(b, a));
   }
-}
-
-TEST(DtwNumericTest, KnownValue) {
-  std::vector<double> a = {0, 0, 1, 2};
-  std::vector<double> b = {0, 1, 2};
-  EXPECT_DOUBLE_EQ(DtwNumeric(a, b), 0.0);  // warping absorbs the repeat
-  EXPECT_DOUBLE_EQ(DtwNumeric({1.0}, {4.0}), 3.0);
-}
-
-TEST(EuclideanNumericTest, RequiresEqualLength) {
-  EXPECT_FALSE(EuclideanNumeric({1.0}, {1.0, 2.0}).ok());
-  auto d = EuclideanNumeric({0.0, 3.0}, {4.0, 3.0});
-  ASSERT_TRUE(d.ok());
-  EXPECT_DOUBLE_EQ(*d, 4.0);
 }
 
 // Identity-of-indiscernibles + symmetry + non-negativity across all
@@ -199,10 +158,10 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, MetricAxiomsTest,
                                            Metric::kEuclidean,
                                            Metric::kHausdorff));
 
-// --- Scratch-reusing / early-abandoning kernels --------------------------
+// --- Scratch-reusing view kernels -----------------------------------------
 //
-// The hot-path overloads must be bit-identical to the allocating ones:
-// the collector's byte-identical determinism contract rides on it.
+// The view overloads must be bit-identical to the allocating ones: the
+// collector's byte-identical determinism contract rides on it.
 
 Sequence RandomWord(Rng* rng, size_t max_len, int alphabet) {
   Sequence word;
@@ -215,29 +174,29 @@ Sequence RandomWord(Rng* rng, size_t max_len, int alphabet) {
 
 TEST(ScratchKernelTest, DtwScratchOverloadBitIdentical) {
   Rng rng(0xd7a);
+  auto dtw = MakeDistance(Metric::kDtw);
   dist::DtwScratch scratch;  // deliberately reused across ALL pairs
   for (int trial = 0; trial < 300; ++trial) {
     Sequence a = RandomWord(&rng, 9, 5);
     Sequence b = RandomWord(&rng, 9, 5);
-    for (int band : {-1, 0, 1, 2}) {
-      double expect = DtwSymbolic(a, b, band);
-      double got = DtwSymbolic(dist::SymbolView(a), dist::SymbolView(b),
-                               band, &scratch);
-      // Bit-equal, not just close: same kernel, same operation order.
-      EXPECT_EQ(expect, got) << "band=" << band << " trial=" << trial;
-    }
+    double expect = DtwSymbolic(a, b);
+    double got =
+        dtw->Distance(dist::SymbolView(a), dist::SymbolView(b), &scratch);
+    // Bit-equal, not just close: same kernel, same operation order.
+    EXPECT_EQ(expect, got) << "trial=" << trial;
   }
 }
 
 TEST(ScratchKernelTest, EditScratchOverloadBitIdentical) {
   Rng rng(0x5ed);
+  auto sed = MakeDistance(Metric::kSed);
   dist::DtwScratch scratch;
   for (int trial = 0; trial < 300; ++trial) {
     Sequence a = RandomWord(&rng, 9, 5);
     Sequence b = RandomWord(&rng, 9, 5);
     double expect = EditDistance(a, b);
     double got =
-        EditDistance(dist::SymbolView(a), dist::SymbolView(b), &scratch);
+        sed->Distance(dist::SymbolView(a), dist::SymbolView(b), &scratch);
     EXPECT_EQ(expect, got) << trial;
   }
 }
@@ -263,64 +222,20 @@ TEST(ScratchKernelTest, VirtualSpanOverloadsMatchAllMetrics) {
 }
 
 TEST(ScratchKernelTest, SpanViewsOfPrefixesMatchCopies) {
-  // The prefix-view path of MatchDistancesInto: viewing the first k
+  // The prefix-view path of candidate matching: viewing the first k
   // symbols equals copying them into a fresh Sequence.
   Sequence word = Seq("cabdacbd");
+  Sequence shape = Seq("abc");
+  auto sed = MakeDistance(Metric::kSed);
+  auto dtw = MakeDistance(Metric::kDtw);
   dist::DtwScratch scratch;
   for (size_t k = 0; k <= word.size(); ++k) {
     Sequence copy(word.begin(), word.begin() + static_cast<long>(k));
     dist::SymbolView view = dist::SymbolView(word).Sub(0, k);
-    EXPECT_EQ(EditDistance(copy, Seq("abc")),
-              EditDistance(view, dist::SymbolView(Seq("abc")), &scratch));
-    EXPECT_EQ(DtwSymbolic(copy, Seq("abc")),
-              DtwSymbolic(view, dist::SymbolView(Seq("abc")), -1, &scratch));
-  }
-}
-
-TEST(BoundedKernelTest, ExactBelowCutoffInfAtOrAbove) {
-  Rng rng(0xb0b);
-  dist::DtwScratch scratch;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (int trial = 0; trial < 300; ++trial) {
-    Sequence a = RandomWord(&rng, 8, 5);
-    Sequence b = RandomWord(&rng, 8, 5);
-    if (a.empty() || b.empty()) continue;  // bounded kernels hit the DP
-    double sed = EditDistance(a, b);
-    double dtw = DtwSymbolic(a, b);
-    // Cutoff above the true distance: exact result, bit-equal.
-    EXPECT_EQ(dist::EditDistanceBounded(a, b, sed + 1.0, &scratch), sed);
-    EXPECT_EQ(dist::DtwSymbolicBounded(a, b, -1, dtw + 1.0, &scratch), dtw);
-    EXPECT_EQ(dist::DtwSymbolicBounded(a, b, 1, kInf, &scratch),
-              DtwSymbolic(a, b, 1));
-    // Cutoff at or below it: the contract only promises >= cutoff, and
-    // the row-minimum abandon returns infinity.
-    EXPECT_GE(dist::EditDistanceBounded(a, b, sed, &scratch), sed);
-    EXPECT_GE(dist::DtwSymbolicBounded(a, b, -1, dtw, &scratch), dtw);
-    if (sed > 0.0) {
-      EXPECT_GE(dist::EditDistanceBounded(a, b, sed * 0.5, &scratch),
-                sed * 0.5);
-    }
-  }
-}
-
-TEST(BoundedKernelTest, DistanceBoundedDefaultIsExactForAllMetrics) {
-  Rng rng(0xabcd);
-  dist::DtwScratch scratch;
-  for (Metric m : {Metric::kDtw, Metric::kSed, Metric::kEuclidean,
-                   Metric::kHausdorff}) {
-    auto distance = MakeDistance(m);
-    for (int trial = 0; trial < 80; ++trial) {
-      Sequence a = RandomWord(&rng, 7, 4);
-      Sequence b = RandomWord(&rng, 7, 4);
-      double full = distance->Distance(a, b);
-      // A cutoff above the result must yield the exact distance...
-      EXPECT_EQ(distance->DistanceBounded(a, b, full + 1.0, &scratch), full)
-          << dist::MetricName(m);
-      // ...and any abandoned value may never *understate* the distance.
-      EXPECT_GE(distance->DistanceBounded(a, b, full * 0.5, &scratch),
-                std::min(full, full * 0.5))
-          << dist::MetricName(m);
-    }
+    EXPECT_EQ(EditDistance(copy, shape),
+              sed->Distance(view, dist::SymbolView(shape), &scratch));
+    EXPECT_EQ(DtwSymbolic(copy, shape),
+              dtw->Distance(view, dist::SymbolView(shape), &scratch));
   }
 }
 

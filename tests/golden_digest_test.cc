@@ -10,17 +10,27 @@
 ///
 /// The single-threaded core::PrivShape::Run must reach the same shapes on
 /// the same words, so its shape digest is checked against the collector's.
+///
+/// A second digest per case pins what the paper figures print besides
+/// PrivShape's shapes: the baseline mechanism (Algorithm 1: frequent
+/// length, shapes and their integer selection counts), then Def. 4's
+/// nearest-shape matching of every word onto PrivShape's shapes — the
+/// cluster indices of eval::AssignToNearestShape for unlabeled cases, the
+/// labels of NearestShapeClassifier::ClassifyBatch for labeled ones.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "collector/client_fleet.h"
 #include "collector/round_coordinator.h"
 #include "common/thread_pool.h"
+#include "core/baseline.h"
 #include "core/privshape.h"
+#include "eval/shape_matching.h"
 
 namespace privshape {
 namespace {
@@ -58,7 +68,41 @@ struct GoldenCase {
   uint64_t seed;
   bool labeled;
   uint64_t digest;  ///< shapes, then every round's raw tallies
+  uint64_t matching_digest;  ///< baseline, then nearest-shape matches
 };
+
+/// One case's generated fleet: the paper's config at epsilon = 4, every
+/// user's word and, for labeled cases, every user's class.
+struct GoldenFleet {
+  core::MechanismConfig config;
+  std::vector<Sequence> words;
+  std::vector<int> labels;
+};
+
+void MakeGoldenFleet(const GoldenCase& golden, ThreadPool* pool,
+                     GoldenFleet* fleet) {
+  auto base = collector::GeneratedDatasetConfig(golden.dataset);
+  ASSERT_TRUE(base.ok()) << base.status();
+  fleet->config = *base;
+  fleet->config.epsilon = 4.0;
+  fleet->config.seed = golden.seed;
+
+  // Synthesis is the expensive part, so materialize the words in parallel.
+  auto word_fn = collector::GeneratedWordSource(golden.dataset, golden.seed);
+  ASSERT_TRUE(word_fn.ok()) << word_fn.status();
+  fleet->words.assign(kUsers, Sequence());
+  pool->ParallelFor(
+      kUsers, [&](size_t user) { fleet->words[user] = (*word_fn)(user); });
+  if (golden.labeled) {
+    auto classes = collector::GeneratedNumClasses(golden.dataset);
+    auto label_fn = collector::GeneratedLabelSource(golden.dataset);
+    ASSERT_TRUE(classes.ok() && label_fn.ok());
+    fleet->config.num_classes = *classes;
+    for (size_t user = 0; user < kUsers; ++user) {
+      fleet->labels.push_back((*label_fn)(user));
+    }
+  }
+}
 
 std::string CaseName(const testing::TestParamInfo<GoldenCase>& info) {
   return std::string(info.param.dataset) + "_seed" +
@@ -70,30 +114,13 @@ class GoldenDigestTest : public testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenDigestTest, CollectorAndCoreMatchTheCommittedDigest) {
   const GoldenCase& golden = GetParam();
-  auto base = collector::GeneratedDatasetConfig(golden.dataset);
-  ASSERT_TRUE(base.ok()) << base.status();
-  core::MechanismConfig config = *base;
-  config.epsilon = 4.0;
-  config.seed = golden.seed;
-
-  // Materialize the generated words once (in parallel: synthesis is the
-  // expensive part) and serve both runs from the same list.
-  auto word_fn = collector::GeneratedWordSource(golden.dataset, golden.seed);
-  ASSERT_TRUE(word_fn.ok()) << word_fn.status();
+  // Both runs are served from the same materialized words.
   ThreadPool pool(2);
-  std::vector<Sequence> words(kUsers);
-  pool.ParallelFor(kUsers,
-                   [&](size_t user) { words[user] = (*word_fn)(user); });
-  std::vector<int> labels;
-  if (golden.labeled) {
-    auto classes = collector::GeneratedNumClasses(golden.dataset);
-    auto label_fn = collector::GeneratedLabelSource(golden.dataset);
-    ASSERT_TRUE(classes.ok() && label_fn.ok());
-    config.num_classes = *classes;
-    for (size_t user = 0; user < kUsers; ++user) {
-      labels.push_back((*label_fn)(user));
-    }
-  }
+  GoldenFleet generated;
+  ASSERT_NO_FATAL_FAILURE(MakeGoldenFleet(golden, &pool, &generated));
+  const core::MechanismConfig& config = generated.config;
+  const std::vector<Sequence>& words = generated.words;
+  const std::vector<int>& labels = generated.labels;
   collector::ClientFleet fleet = collector::ClientFleet::FromWords(
       words, kUsers, config.metric, config.seed, labels);
 
@@ -133,20 +160,80 @@ TEST_P(GoldenDigestTest, CollectorAndCoreMatchTheCommittedDigest) {
   EXPECT_EQ(core_shapes.value(), shapes.value());
 }
 
+TEST_P(GoldenDigestTest, BaselineAndNearestShapeMatchTheCommittedDigest) {
+  const GoldenCase& golden = GetParam();
+  ThreadPool pool(2);
+  GoldenFleet generated;
+  ASSERT_NO_FATAL_FAILURE(MakeGoldenFleet(golden, &pool, &generated));
+  const std::vector<Sequence>& words = generated.words;
+
+  auto baseline = core::BaselineMechanism(generated.config).Run(words);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  Fnv1a64 digest;
+  HashShapes(*baseline, &digest);
+  // Algorithm 1's frequencies are raw EM selection counts: integers.
+  for (const core::ShapeCandidate& shape : baseline->shapes) {
+    digest.Add(static_cast<uint64_t>(shape.frequency));
+  }
+
+  auto privshape = core::PrivShape(generated.config)
+                       .Run(words, golden.labeled ? &generated.labels
+                                                  : nullptr);
+  ASSERT_TRUE(privshape.ok()) << privshape.status();
+  std::vector<int> matches;
+  if (golden.labeled) {
+    std::vector<eval::LabeledShape> labeled;
+    for (const core::ShapeCandidate& shape : privshape->shapes) {
+      labeled.push_back({shape.shape, shape.label});
+    }
+    auto classifier = eval::NearestShapeClassifier::Create(
+        std::move(labeled), generated.config.metric);
+    ASSERT_TRUE(classifier.ok()) << classifier.status();
+    matches = classifier->ClassifyBatch(words);
+  } else {
+    std::vector<Sequence> shapes;
+    for (const core::ShapeCandidate& shape : privshape->shapes) {
+      shapes.push_back(shape.shape);
+    }
+    auto assigned =
+        eval::AssignToNearestShape(words, shapes, generated.config.metric);
+    ASSERT_TRUE(assigned.ok()) << assigned.status();
+    matches = std::move(*assigned);
+  }
+  digest.Add(matches.size());
+  for (int match : matches) {
+    digest.Add(static_cast<uint64_t>(static_cast<int64_t>(match)));
+  }
+  EXPECT_EQ(digest.value(), golden.matching_digest)
+      << "computed 0x" << std::hex << digest.value();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Goldens, GoldenDigestTest,
-    testing::Values(GoldenCase{"trace", 1, false, 0x16462986191fd10cULL},
-                    GoldenCase{"trace", 2, false, 0xcec0454ee1552b37ULL},
-                    GoldenCase{"trace", 3, false, 0x3167414fa6f4a59fULL},
-                    GoldenCase{"trace", 1, true, 0x811a2c826e349f55ULL},
-                    GoldenCase{"trace", 2, true, 0x4043db25c100c937ULL},
-                    GoldenCase{"trace", 3, true, 0x598162729c9c2492ULL},
-                    GoldenCase{"symbols", 1, false, 0x30998d4a870f0859ULL},
-                    GoldenCase{"symbols", 2, false, 0x7531c22bb415ce93ULL},
-                    GoldenCase{"symbols", 3, false, 0xc516a0b8e81f1871ULL},
-                    GoldenCase{"symbols", 1, true, 0xa944fbc42ed7c785ULL},
-                    GoldenCase{"symbols", 2, true, 0x41c990cd2cae41a3ULL},
-                    GoldenCase{"symbols", 3, true, 0xb55b558c277ec602ULL}),
+    testing::Values(GoldenCase{"trace", 1, false, 0x16462986191fd10cULL,
+                               0xfabb78c5542d2f9cULL},
+                    GoldenCase{"trace", 2, false, 0xcec0454ee1552b37ULL,
+                               0xe99fc8175dd489deULL},
+                    GoldenCase{"trace", 3, false, 0x3167414fa6f4a59fULL,
+                               0xfb4edfc74f2c375dULL},
+                    GoldenCase{"trace", 1, true, 0x811a2c826e349f55ULL,
+                               0x807fd296b6c5583eULL},
+                    GoldenCase{"trace", 2, true, 0x4043db25c100c937ULL,
+                               0x53204b1f085e809dULL},
+                    GoldenCase{"trace", 3, true, 0x598162729c9c2492ULL,
+                               0x6fa526bdf3fc449eULL},
+                    GoldenCase{"symbols", 1, false, 0x30998d4a870f0859ULL,
+                               0x8da1a695083b672cULL},
+                    GoldenCase{"symbols", 2, false, 0x7531c22bb415ce93ULL,
+                               0xf33e8ae01cfdf2ceULL},
+                    GoldenCase{"symbols", 3, false, 0xc516a0b8e81f1871ULL,
+                               0x5c4e7db45fffaa25ULL},
+                    GoldenCase{"symbols", 1, true, 0xa944fbc42ed7c785ULL,
+                               0xa0d283baeeeb7fccULL},
+                    GoldenCase{"symbols", 2, true, 0x41c990cd2cae41a3ULL,
+                               0x7e7df7bd9ca9eb4eULL},
+                    GoldenCase{"symbols", 3, true, 0xb55b558c277ec602ULL,
+                               0x8e1d97bc75ea2ce7ULL}),
     CaseName);
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace privshape {
 namespace {
 
@@ -37,6 +39,12 @@ TEST(AccountantTest, UnknownPopulationIsZero) {
 TEST(AccountantTest, RejectsNegativeCharge) {
   PrivacyAccountant acc;
   EXPECT_FALSE(acc.Charge("Pa", -0.1).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(acc.Charge("Pa", eps).ok()) << eps;
+  }
+  EXPECT_TRUE(acc.charges().empty());
 }
 
 TEST(AccountantTest, BudgetCheckPassesAtExactBudget) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -10,11 +11,16 @@ namespace privshape {
 namespace {
 
 using ldp::ExponentialMechanism;
-using ldp::ScoresFromDistances;
+using ldp::ScoresFromDistancesInto;
 
 TEST(ExponentialTest, RejectsInvalidParameters) {
   EXPECT_FALSE(ExponentialMechanism::Create(0.0).ok());
   EXPECT_FALSE(ExponentialMechanism::Create(1.0, 0.0).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(ExponentialMechanism::Create(eps).ok()) << eps;
+  }
   EXPECT_TRUE(ExponentialMechanism::Create(1.0).ok());
 }
 
@@ -23,31 +29,32 @@ TEST(ExponentialTest, ProbabilitiesMatchEq2) {
   auto em = ExponentialMechanism::Create(2.0);
   ASSERT_TRUE(em.ok());
   std::vector<double> scores = {1.0, 0.5, 0.0};
-  auto probs = em->SelectionProbabilities(scores);
-  ASSERT_TRUE(probs.ok());
+  std::vector<double> probs;
+  ASSERT_TRUE(em->SelectionProbabilitiesInto(scores, &probs).ok());
   double z = std::exp(1.0) + std::exp(0.5) + std::exp(0.0);
-  EXPECT_NEAR((*probs)[0], std::exp(1.0) / z, 1e-12);
-  EXPECT_NEAR((*probs)[1], std::exp(0.5) / z, 1e-12);
-  EXPECT_NEAR((*probs)[2], std::exp(0.0) / z, 1e-12);
+  EXPECT_NEAR(probs[0], std::exp(1.0) / z, 1e-12);
+  EXPECT_NEAR(probs[1], std::exp(0.5) / z, 1e-12);
+  EXPECT_NEAR(probs[2], std::exp(0.0) / z, 1e-12);
 }
 
 TEST(ExponentialTest, ProbabilitiesSumToOne) {
   auto em = ExponentialMechanism::Create(4.0);
   ASSERT_TRUE(em.ok());
   std::vector<double> scores = {0.3, 0.9, 0.1, 0.7, 0.5};
-  auto probs = em->SelectionProbabilities(scores);
-  ASSERT_TRUE(probs.ok());
+  std::vector<double> probs;
+  ASSERT_TRUE(em->SelectionProbabilitiesInto(scores, &probs).ok());
   double sum = 0;
-  for (double p : *probs) sum += p;
+  for (double p : probs) sum += p;
   EXPECT_NEAR(sum, 1.0, 1e-12);
 }
 
 TEST(ExponentialTest, EmptyCandidateSetFails) {
   auto em = ExponentialMechanism::Create(1.0);
   ASSERT_TRUE(em.ok());
-  EXPECT_FALSE(em->SelectionProbabilities({}).ok());
+  std::vector<double> probs;
+  EXPECT_FALSE(em->SelectionProbabilitiesInto({}, &probs).ok());
   Rng rng(61);
-  EXPECT_FALSE(em->Select({}, &rng).ok());
+  EXPECT_FALSE(em->Select({}, &rng, &probs).ok());
 }
 
 // Direct eps-LDP property: for any two users (= any two score vectors in
@@ -68,12 +75,11 @@ TEST_P(EmPrivacyTest, RatioBoundedByExpEps) {
       s1[i] = rng.Uniform();
       s2[i] = rng.Uniform();
     }
-    auto p1 = em->SelectionProbabilities(s1);
-    auto p2 = em->SelectionProbabilities(s2);
-    ASSERT_TRUE(p1.ok());
-    ASSERT_TRUE(p2.ok());
+    std::vector<double> p1, p2;
+    ASSERT_TRUE(em->SelectionProbabilitiesInto(s1, &p1).ok());
+    ASSERT_TRUE(em->SelectionProbabilitiesInto(s2, &p2).ok());
     for (size_t j = 0; j < r; ++j) {
-      EXPECT_LE((*p1)[j] / (*p2)[j], std::exp(eps) * (1.0 + 1e-9))
+      EXPECT_LE(p1[j] / p2[j], std::exp(eps) * (1.0 + 1e-9))
           << "eps=" << eps << " trial=" << trial << " j=" << j;
     }
   }
@@ -87,10 +93,11 @@ TEST(ExponentialTest, HigherScoreSelectedMoreOften) {
   ASSERT_TRUE(em.ok());
   Rng rng(63);
   std::vector<double> scores = {1.0, 0.0};
+  std::vector<double> probs;
   int first = 0;
   const int n = 10000;
   for (int i = 0; i < n; ++i) {
-    auto pick = em->Select(scores, &rng);
+    auto pick = em->Select(scores, &rng, &probs);
     ASSERT_TRUE(pick.ok());
     if (*pick == 0) ++first;
   }
@@ -102,14 +109,15 @@ TEST(ExponentialTest, HigherScoreSelectedMoreOften) {
 TEST(ExponentialTest, NumericallyStableForExtremeBudgets) {
   auto em = ExponentialMechanism::Create(1000.0);
   ASSERT_TRUE(em.ok());
-  auto probs = em->SelectionProbabilities({1.0, 0.0, 0.2});
-  ASSERT_TRUE(probs.ok());
-  EXPECT_NEAR((*probs)[0], 1.0, 1e-9);
-  EXPECT_FALSE(std::isnan((*probs)[1]));
+  std::vector<double> probs;
+  ASSERT_TRUE(em->SelectionProbabilitiesInto({1.0, 0.0, 0.2}, &probs).ok());
+  EXPECT_NEAR(probs[0], 1.0, 1e-9);
+  EXPECT_FALSE(std::isnan(probs[1]));
 }
 
 TEST(ScoresFromDistancesTest, NormalizedToUnitInterval) {
-  auto scores = ScoresFromDistances({2.0, 5.0, 8.0});
+  std::vector<double> scores;
+  ScoresFromDistancesInto({2.0, 5.0, 8.0}, &scores);
   ASSERT_EQ(scores.size(), 3u);
   EXPECT_DOUBLE_EQ(scores[0], 1.0);   // closest
   EXPECT_DOUBLE_EQ(scores[1], 0.5);
@@ -117,12 +125,15 @@ TEST(ScoresFromDistancesTest, NormalizedToUnitInterval) {
 }
 
 TEST(ScoresFromDistancesTest, AllEqualDistancesScoreOne) {
-  auto scores = ScoresFromDistances({3.0, 3.0, 3.0});
+  std::vector<double> scores;
+  ScoresFromDistancesInto({3.0, 3.0, 3.0}, &scores);
   for (double s : scores) EXPECT_DOUBLE_EQ(s, 1.0);
 }
 
 TEST(ScoresFromDistancesTest, EmptyInput) {
-  EXPECT_TRUE(ScoresFromDistances({}).empty());
+  std::vector<double> scores = {0.5};
+  ScoresFromDistancesInto({}, &scores);
+  EXPECT_TRUE(scores.empty());
 }
 
 TEST(ScoresFromDistancesTest, SmallerDistanceLargerScore) {
@@ -130,7 +141,8 @@ TEST(ScoresFromDistancesTest, SmallerDistanceLargerScore) {
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<double> d(5);
     for (double& x : d) x = rng.Uniform(0.0, 10.0);
-    auto s = ScoresFromDistances(d);
+    std::vector<double> s;
+    ScoresFromDistancesInto(d, &s);
     for (size_t i = 0; i < d.size(); ++i) {
       for (size_t j = 0; j < d.size(); ++j) {
         if (d[i] < d[j]) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -15,6 +16,14 @@ TEST(GrrTest, RejectsInvalidParameters) {
   EXPECT_FALSE(Grr::Create(1, 1.0).ok());
   EXPECT_FALSE(Grr::Create(4, 0.0).ok());
   EXPECT_FALSE(Grr::Create(4, -1.0).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(Grr::Create(4, eps).ok()) << eps;
+  }
+  // e^epsilon overflows a double past ~709.78: p would be inf / inf.
+  EXPECT_TRUE(Grr::Create(4, 700.0).ok());
+  EXPECT_FALSE(Grr::Create(4, 710.0).ok());
   EXPECT_TRUE(Grr::Create(2, 0.1).ok());
 }
 

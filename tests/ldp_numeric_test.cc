@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -13,6 +14,14 @@ using ldp::PiecewiseMechanism;
 
 TEST(PiecewiseTest, RejectsInvalidEps) {
   EXPECT_FALSE(PiecewiseMechanism::Create(0.0).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(PiecewiseMechanism::Create(eps).ok()) << eps;
+  }
+  // e^(epsilon/2) overflows past ~1419.6, where C would be inf / inf.
+  EXPECT_TRUE(PiecewiseMechanism::Create(1400.0).ok());
+  EXPECT_FALSE(PiecewiseMechanism::Create(1420.0).ok());
   EXPECT_TRUE(PiecewiseMechanism::Create(0.5).ok());
 }
 

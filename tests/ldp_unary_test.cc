@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 
@@ -15,6 +16,15 @@ using Variant = ldp::UnaryEncoding::Variant;
 TEST(UnaryTest, RejectsInvalidParameters) {
   EXPECT_FALSE(UnaryEncoding::Create(0, 1.0, Variant::kOptimized).ok());
   EXPECT_FALSE(UnaryEncoding::Create(4, 0.0, Variant::kOptimized).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(UnaryEncoding::Create(4, eps, Variant::kOptimized).ok());
+    EXPECT_FALSE(UnaryEncoding::Create(4, eps, Variant::kSymmetric).ok());
+  }
+  // SUE's e^(epsilon/2) overflows past ~1419.6; OUE's q just reaches 0.
+  EXPECT_FALSE(UnaryEncoding::Create(4, 1420.0, Variant::kSymmetric).ok());
+  EXPECT_TRUE(UnaryEncoding::Create(4, 1420.0, Variant::kOptimized).ok());
   EXPECT_TRUE(UnaryEncoding::Create(1, 1.0, Variant::kSymmetric).ok());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/math_utils.h"
 #include "common/rng.h"
@@ -75,6 +76,12 @@ TEST(PatternLdpTest, ConfigValidation) {
   PatternLdpConfig config;
   config.epsilon = 0.0;
   EXPECT_FALSE(PatternLdp::Create(config).ok());
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    config.epsilon = eps;
+    EXPECT_FALSE(PatternLdp::Create(config).ok()) << eps;
+  }
   config.epsilon = 1.0;
   config.sample_fraction = 0.0;
   EXPECT_FALSE(PatternLdp::Create(config).ok());

@@ -6,12 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "ldp/exponential.h"
 #include "protocol/messages.h"
 #include "protocol/round_context.h"
 #include "protocol/session.h"
@@ -238,6 +238,17 @@ TEST(RoundContextTest, ConstructionValidatesLikeTheWireApi) {
   CandidateRequest bad_eps = SampleRequest(-2.0);
   EXPECT_FALSE(
       RoundContext::Selection(std::move(bad_eps), dist::Metric::kSed).ok());
+  // A NaN or infinite epsilon in the broadcast bytes: NaN passes every
+  // `epsilon <= 0` test, and an infinite one makes GRR's p NaN.
+  for (double eps : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(RoundContext::FromRequest(
+                     ReportKind::kLength,
+                     proto::EncodeLengthRequest({1, 10, eps}),
+                     dist::Metric::kSed)
+                     .ok())
+        << eps;
+  }
 }
 
 TEST(RoundContextTest, ReportReuseClearsStaleBits) {
@@ -297,35 +308,6 @@ TEST(ReportBatchTest, EncodeReportToMatchesEncodeReport) {
   std::string appended = "prefix";
   proto::EncodeReportTo(report, &appended);
   EXPECT_EQ(appended, "prefix" + proto::EncodeReport(report));
-}
-
-// --- In-place EM helpers -------------------------------------------------
-
-TEST(InPlaceEmTest, ScoresAndSelectMatchAllocatingVariants) {
-  std::vector<double> distances = {2.0, 5.0, 8.0, 5.0};
-  std::vector<double> scores;
-  ldp::ScoresFromDistancesInto(distances, &scores);
-  EXPECT_EQ(scores, ldp::ScoresFromDistances(distances));
-
-  auto em = ldp::ExponentialMechanism::Create(4.0);
-  ASSERT_TRUE(em.ok());
-  std::vector<double> probs;
-  ASSERT_TRUE(em->SelectionProbabilitiesInto(scores, &probs).ok());
-  auto expect_probs = em->SelectionProbabilities(scores);
-  ASSERT_TRUE(expect_probs.ok());
-  EXPECT_EQ(probs, *expect_probs);
-
-  // Same draws as the allocating Select for the same rng state.
-  for (uint64_t seed = 0; seed < 50; ++seed) {
-    Rng a(seed), b(seed);
-    std::vector<double> scratch;
-    auto lhs = em->Select(scores, &a);
-    auto rhs = em->Select(scores, &b, &scratch);
-    ASSERT_TRUE(lhs.ok());
-    ASSERT_TRUE(rhs.ok());
-    EXPECT_EQ(*lhs, *rhs) << seed;
-  }
-  EXPECT_FALSE(em->SelectionProbabilitiesInto({}, &probs).ok());
 }
 
 }  // namespace
