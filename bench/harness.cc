@@ -9,6 +9,7 @@
 #include "collector/client_fleet.h"
 #include "common/math_utils.h"
 #include "core/classification.h"
+#include "core/em_selection.h"
 #include "distance/distance.h"
 #include "eval/ari.h"
 #include "eval/kmeans.h"
@@ -121,19 +122,13 @@ ShapeQuality MeasureShapeQuality(
   }
   // Greedy matching: each ground-truth shape to its DTW-nearest extraction
   // (the paper matches centers by DTW distance, Figs. 8/10).
+  auto dtw = dist::MakeDistance(dist::Metric::kDtw);
   for (const auto& gt : ground_truth) {
-    double best = std::numeric_limits<double>::infinity();
-    size_t match = 0;
-    for (size_t i = 0; i < extracted.size(); ++i) {
-      double d = dist::DtwSymbolic(gt.shape, extracted[i]);
-      if (d < best) {
-        best = d;
-        match = i;
-      }
-    }
-    quality.dtw += best;
-    quality.sed += dist::EditDistance(gt.shape, extracted[match]);
-    quality.euclidean += dist::EuclideanSymbolic(gt.shape, extracted[match]);
+    const Sequence& match =
+        extracted[core::ClosestCandidate(gt.shape, extracted, *dtw)];
+    quality.dtw += dist::DtwSymbolic(gt.shape, match);
+    quality.sed += dist::EditDistance(gt.shape, match);
+    quality.euclidean += dist::EuclideanSymbolic(gt.shape, match);
   }
   double n = static_cast<double>(ground_truth.size());
   quality.dtw /= n;

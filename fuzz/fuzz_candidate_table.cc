@@ -1,10 +1,11 @@
 /// \file
 /// Differential fuzz target: the SoA candidate-table kernels vs the
-/// scalar reference path. The input bytes steer a candidate list (with
-/// arbitrary lengths, including empty and duplicates — the padding and
-/// grouping arithmetic is exactly what we want stressed), a user word,
-/// the metric (selector bits 0-1: DTW, SED, Euclidean, Hausdorff) and
-/// the prefix mode (bit 2); the harness then requires bit-identical
+/// scalar reference path, and P_c's EM draw vs its two-step reference.
+/// The input bytes steer a candidate list (with arbitrary lengths,
+/// including empty and duplicates — the padding and grouping arithmetic is
+/// exactly what we want stressed), a user word, the metric (selector bits
+/// 0-1: DTW, SED, Euclidean, Hausdorff), the prefix mode (bit 2) and the
+/// EM budget (bits 3-5); the harness then requires bit-identical
 /// distances from CandidateTable::MatchInto vs core::MatchDistances and
 /// an identical argmin (with tie-breaking) from Closest vs
 /// core::ClosestCandidate, for the vectorized metrics and the
@@ -12,20 +13,32 @@
 /// byte (the largest DTW cell costs), up to 80 candidates fill groups past
 /// two AVX2 sweeps, and word and candidate lengths of up to 255 cross
 /// n + m = 129, where groups leave the int16 lanes for the scalar kernel,
-/// and reach DTW distances that int16 cannot hold. Any divergence or
-/// crash in the lane/padding math aborts.
+/// and reach DTW distances that int16 cannot hold. The MatchInto
+/// distances are then drawn from through
+/// ExponentialMechanism::SelectFromDistances and through
+/// ScoresFromDistancesInto + Select, by twin engines seeded from the
+/// input: integral DTW/SED distances below 512 take the per-value path
+/// (unless they spread wider than the candidate count),
+/// Euclidean/Hausdorff and longer DTW distances the fallback, and the two
+/// must release the same index and leave the engines at the same
+/// position. Any divergence or crash in the lane/padding math or the
+/// draw aborts.
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/em_selection.h"
 #include "distance/candidate_table.h"
 #include "distance/distance.h"
+#include "ldp/exponential.h"
 
 namespace dist = privshape::dist;
 namespace core = privshape::core;
+namespace ldp = privshape::ldp;
+using privshape::Rng;
 using privshape::Sequence;
 using privshape::Symbol;
 
@@ -82,5 +95,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (closest != core::ClosestCandidate(word, candidates, *distance)) {
     std::abort();
   }
+
+  constexpr double kEpsilons[] = {0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 1e3, 1e6};
+  auto em = ldp::ExponentialMechanism::Create(kEpsilons[(selector >> 3) & 7]);
+  if (!em.ok()) std::abort();
+  uint64_t seed = 14695981039346656037ULL;  // FNV-1a over the input
+  for (size_t i = 0; i < size; ++i) seed = (seed ^ data[i]) * 1099511628211ULL;
+  Rng fast_rng(seed), ref_rng(seed);
+  std::vector<double> weights, sums, scores, probs;
+  auto pick = em->SelectFromDistances(got, &fast_rng, &weights, &sums);
+  ldp::ScoresFromDistancesInto(got, &scores);
+  auto ref_pick = em->Select(scores, &ref_rng, &probs);
+  if (!pick.ok() || !ref_pick.ok() || *pick != *ref_pick) std::abort();
+  if (fast_rng.engine()() != ref_rng.engine()()) std::abort();
   return 0;
 }

@@ -244,9 +244,11 @@ class Rng {
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 
-  /// Samples an index proportionally to the given non-negative weights.
-  /// Returns weights.size() - 1 on degenerate input (all zero weights are
-  /// treated as uniform).
+  /// Samples an index proportionally to the given weights; a weight that
+  /// is not positive counts as 0. When no weight is positive (all zero or
+  /// negative), draws a uniform Index(n). Returns n - 1 as a fallback only
+  /// when rounding puts the draw at or past the last partial sum; returns
+  /// 0 for an empty vector.
   size_t Discrete(const std::vector<double>& weights);
 
   /// Fisher–Yates shuffle.

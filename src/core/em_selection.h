@@ -31,13 +31,19 @@ size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance);
 
-/// Reusable buffers of the per-user match -> score -> EM-select chain:
-/// one instance per worker amortizes every per-user allocation.
+/// Reusable buffers of the per-user match -> EM-select chain
+/// (AnswerSelectionValue): one instance per worker amortizes every
+/// per-user allocation.
 struct SelectionScratch {
   dist::TableScratch table;
-  std::vector<double> distances;
-  std::vector<double> scores;
-  std::vector<double> probs;
+  std::vector<double> distances;  ///< MatchInto's, one per candidate
+  /// The draw's buffers (ldp::ExponentialMechanism::SelectFromDistances):
+  /// the weight, then the probability, of each integral distance value
+  /// (one slot per value below kDistanceSlots = 512), and the running sums
+  /// of the candidates' probabilities. Off that per-value path, the
+  /// candidates' scores and probabilities.
+  std::vector<double> distance_weights;
+  std::vector<double> running_sums;
 };
 
 /// Sequence matching on the user side (§III-C-2, Eq. (2)) for Algorithm

@@ -329,8 +329,9 @@ Result<size_t> AnswerSelectionValue(const Sequence& word,
                                     SelectionScratch* scratch, Rng* rng) {
   table.MatchInto(word, distance, /*prefix_compare=*/true, &scratch->table,
                   &scratch->distances);
-  ldp::ScoresFromDistancesInto(scratch->distances, &scratch->scores);
-  return em.Select(scratch->scores, rng, &scratch->probs);
+  return em.SelectFromDistances(scratch->distances, rng,
+                                &scratch->distance_weights,
+                                &scratch->running_sums);
 }
 
 PS_REPORT_PATH

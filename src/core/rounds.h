@@ -144,8 +144,11 @@ std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
                                                 Rng* rng);
 
 /// P_c: matches the word against every candidate (a longer word through
-/// its equally long prefix, Lemma 1), scores the distances, and returns
-/// the EM-selected candidate index.
+/// its equally long prefix, Lemma 1) and returns the EM-selected candidate
+/// index. The draw is ExponentialMechanism::SelectFromDistances, which
+/// weighs DTW and SED distances once per value rather than once per
+/// candidate, and releases the same index, from the same engine words, as
+/// ScoresFromDistancesInto + Select.
 PS_REPORT_PATH
 Result<size_t> AnswerSelectionValue(const Sequence& word,
                                     const dist::CandidateTable& table,

@@ -11,15 +11,16 @@ namespace privshape::eval {
 double SubsequenceDistance(const Sequence& sequence,
                            const Sequence& candidate, dist::Metric metric) {
   auto distance = dist::MakeDistance(metric);
+  dist::DtwScratch scratch;
   if (sequence.size() <= candidate.size()) {
-    return distance->Distance(sequence, candidate);
+    return distance->Distance(sequence, candidate, &scratch);
   }
   double best = std::numeric_limits<double>::infinity();
   size_t window = candidate.size();
+  dist::SymbolView whole(sequence);
   for (size_t start = 0; start + window <= sequence.size(); ++start) {
-    Sequence view(sequence.begin() + static_cast<long>(start),
-                  sequence.begin() + static_cast<long>(start + window));
-    best = std::min(best, distance->Distance(view, candidate));
+    best = std::min(best, distance->Distance(whole.Sub(start, window),
+                                             candidate, &scratch));
   }
   return best;
 }

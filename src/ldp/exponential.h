@@ -19,6 +19,10 @@ namespace privshape::ldp {
 /// score vectors shift each candidate's utility by at most delta.
 class ExponentialMechanism {
  public:
+  /// SelectFromDistances' per-value path takes integral distances below
+  /// this: its weight table holds one slot per value.
+  static constexpr size_t kDistanceSlots = 512;
+
   static Result<ExponentialMechanism> Create(double epsilon,
                                              double sensitivity = 1.0);
 
@@ -28,6 +32,25 @@ class ExponentialMechanism {
   PS_RNG_CANONICAL
   Result<size_t> Select(const std::vector<double>& scores, Rng* rng,
                         std::vector<double>* probs_scratch) const;
+
+  /// P_c's draw: the candidate index `ScoresFromDistancesInto` + `Select`
+  /// would return for `distances`, from the same engine words, bit for
+  /// bit. When the distances are integers in [0, kDistanceSlots) (DTW and
+  /// SED over symbols give integers) that span no more values than there
+  /// are candidates, the score, the exp and the division by the total are
+  /// computed once per value between the smallest and the largest, in
+  /// `*distance_weights`, and gathered in candidate order for the two
+  /// sums, so these add the same doubles in the same order. The index is
+  /// found by binary search over the running sums, Rng::Discrete's
+  /// partial sums, kept in `*running_sums`. Any other vector takes the
+  /// two-step form, with the scores in `*distance_weights` and the
+  /// probabilities in `*running_sums`. Both buffers are resized, capacity
+  /// reused.
+  PS_RNG_CANONICAL
+  Result<size_t> SelectFromDistances(const std::vector<double>& distances,
+                                     Rng* rng,
+                                     std::vector<double>* distance_weights,
+                                     std::vector<double>* running_sums) const;
 
   /// The exact selection distribution, written into `*probs` (resized,
   /// capacity reused); exercised by the privacy tests (verifying Pr
@@ -49,8 +72,8 @@ class ExponentialMechanism {
 /// S_j = (d_max - d_j) / (d_max - d_min); all-equal distances score 1.
 /// This realizes the paper's "S proportional to 1/dist, normalized" intent
 /// while staying bounded for zero distances. Fills `*scores` (resized,
-/// capacity reused): the per-user selection path calls this once per
-/// report.
+/// capacity reused). With Select it is the two-step reference of
+/// ExponentialMechanism::SelectFromDistances, and that draw's fallback.
 void ScoresFromDistancesInto(const std::vector<double>& distances,
                              std::vector<double>* scores);
 

@@ -42,8 +42,8 @@ namespace privshape::proto {
 inline constexpr uint64_t kMaxClassRefineCells = 1u << 20;
 
 /// Reusable per-worker buffers for the zero-allocation answer path: the
-/// EM selection chain's table DP rows and distance/score/probability
-/// vectors (core::SelectionScratch), the raw engine block of an OUE bit
+/// EM selection chain's table DP rows, distances and draw buffers
+/// (core::SelectionScratch), the raw engine block of an OUE bit
 /// fill, and the Report the answer is written into. One instance per
 /// worker thread (or per population stripe); never shared across threads.
 struct AnswerScratch : core::SelectionScratch {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -113,6 +117,137 @@ TEST(ExponentialTest, NumericallyStableForExtremeBudgets) {
   ASSERT_TRUE(em->SelectionProbabilitiesInto({1.0, 0.0, 0.2}, &probs).ok());
   EXPECT_NEAR(probs[0], 1.0, 1e-9);
   EXPECT_FALSE(std::isnan(probs[1]));
+}
+
+uint64_t Bits(double x) {
+  uint64_t u;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+// SelectFromDistances' per-value path: integers in [0, kDistanceSlots)
+// that span no more values than there are candidates.
+bool OnFastPath(const std::vector<double>& distances) {
+  if (distances.empty()) return false;
+  for (double d : distances) {
+    if (!(d >= 0.0 && d < ExponentialMechanism::kDistanceSlots) ||
+        d != std::floor(d)) {
+      return false;
+    }
+  }
+  auto [lo, hi] = std::minmax_element(distances.begin(), distances.end());
+  return *hi - *lo < static_cast<double>(distances.size());
+}
+
+// Draws from `distances` through SelectFromDistances and through the
+// two-step reference (ScoresFromDistancesInto + Select), from engines
+// seeded alike. Both must release the same index (or the same error) and
+// leave their engines at the same position. On the per-value path the
+// running sums must be Rng::Discrete's partial sums over the reference's
+// probabilities, bit for bit; off it, the reference's probabilities.
+void ExpectSameDraw(const ExponentialMechanism& em,
+                    const std::vector<double>& distances, uint64_t seed) {
+  Rng fast_rng(seed), ref_rng(seed);
+  std::vector<double> weights, sums, scores, probs;
+  auto got = em.SelectFromDistances(distances, &fast_rng, &weights, &sums);
+  ScoresFromDistancesInto(distances, &scores);
+  auto want = em.Select(scores, &ref_rng, &probs);
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status(), want.status());
+    return;
+  }
+  EXPECT_EQ(*got, *want) << "seed " << seed;
+  EXPECT_EQ(fast_rng.engine()(), ref_rng.engine()()) << "seed " << seed;
+  ASSERT_EQ(sums.size(), probs.size());
+  double acc = 0.0;
+  for (size_t i = 0; i < probs.size(); ++i) {
+    acc += probs[i] > 0 ? probs[i] : 0.0;
+    double want_sum = OnFastPath(distances) ? acc : probs[i];
+    ASSERT_EQ(Bits(sums[i]), Bits(want_sum)) << "candidate " << i;
+  }
+}
+
+void ExpectSameDraws(double epsilon, const std::vector<double>& distances) {
+  auto em = ExponentialMechanism::Create(epsilon);
+  ASSERT_TRUE(em.ok());
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    ExpectSameDraw(*em, distances, seed);
+  }
+}
+
+TEST(SelectFromDistancesTest, IntegralDistancesMatchTwoStep) {
+  ExpectSameDraws(1.0, {3, 0, 7, 3, 12, 7, 0, 5, 4, 6, 1, 2, 9});
+  ExpectSameDraws(4.0, {-0.0, 0.0, 2.0, 1.0});
+  ExpectSameDraws(2.0, {510, 511, 509, 511});
+  // Spread wider than the candidate count: the two-step form.
+  ExpectSameDraws(1.0, {3, 0, 7, 3, 12, 7, 0, 5});
+  ExpectSameDraws(1.0, {0, 100, 200});
+  // Symbols-sized rounds: up to 108 candidates, DTW distances up to 145,
+  // spanning up to as many values as there are candidates (the per-value
+  // path) or up to 146 (mostly the two-step form).
+  Rng rng(65);
+  for (int trial = 0; trial < 60; ++trial) {
+    size_t n = 1 + rng.Index(108);
+    size_t span = 1 + rng.Index(trial % 2 == 0 ? n : 146);
+    size_t base = rng.Index(147 - span);
+    std::vector<double> d(n);
+    for (double& x : d) x = static_cast<double>(base + rng.Index(span));
+    ExpectSameDraws(0.5 + rng.Uniform(0.0, 8.0), d);
+  }
+}
+
+TEST(SelectFromDistancesTest, NonIntegralDistancesMatchTwoStep) {
+  ExpectSameDraws(1.0, {2.5, 0.25, 7.0});
+  ExpectSameDraws(2.0, {1.0, 2.0, 3.0 + 1e-9});
+  Rng rng(66);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> d(1 + rng.Index(40));
+    for (double& x : d) x = rng.Uniform(0.0, 20.0);
+    ExpectSameDraws(2.0, d);
+  }
+}
+
+TEST(SelectFromDistancesTest, AllEqualDistancesMatchTwoStep) {
+  ExpectSameDraws(1.0, {4, 4, 4, 4});
+  ExpectSameDraws(1.0, {0, 0, 0});
+  ExpectSameDraws(1.0, {6.5, 6.5});
+}
+
+TEST(SelectFromDistancesTest, OneCandidateMatchesTwoStep) {
+  ExpectSameDraws(1.0, {9});
+  ExpectSameDraws(1.0, {9.5});
+  ExpectSameDraws(1.0, {700});
+}
+
+TEST(SelectFromDistancesTest, DistancesPastTheSlotsMatchTwoStep) {
+  ExpectSameDraws(1.0, {511, 512, 3});
+  ExpectSameDraws(1.0, {600, 1000, 600, 2000});
+  ExpectSameDraws(1.0, {-1, 2, 5});
+  ExpectSameDraws(1.0, {std::numeric_limits<double>::infinity(), 1, 2});
+}
+
+TEST(SelectFromDistancesTest, UnderflowingWeightsMatchTwoStep) {
+  // eps = 1e6 sends every weight but the closest distances' to 0.
+  ExpectSameDraws(1e6, {3, 0, 7, 3, 12, 7, 0, 5, 4, 6, 1, 2, 9, 11, 10});
+  ExpectSameDraws(1e6, {9, 9, 1, 100, 1});
+  ExpectSameDraws(1e6, {9.5, 9.5, 1.5, 100.0, 1.5});
+  // eps = 2.1e4 over a span of 29: the weights run 1, ~1e-157, a
+  // subnormal ~1e-314, then 0.
+  std::vector<double> d;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int v = 29; v >= 0; --v) d.push_back(v);
+  }
+  ExpectSameDraws(2.1e4, d);
+}
+
+TEST(SelectFromDistancesTest, EmptyCandidateSetFailsLikeSelect) {
+  auto em = ExponentialMechanism::Create(1.0);
+  ASSERT_TRUE(em.ok());
+  ExpectSameDraw(*em, {}, 67);
+  Rng rng(67);
+  std::vector<double> weights, sums;
+  EXPECT_FALSE(em->SelectFromDistances({}, &rng, &weights, &sums).ok());
 }
 
 TEST(ScoresFromDistancesTest, NormalizedToUnitInterval) {
