@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <string_view>
 
 #include "protocol/codec.h"
@@ -45,7 +46,9 @@ void WalkPrimitives(std::string_view buffer) {
 }
 
 /// Re-assembles a ReportBatch the way the daemon does from uploaded
-/// views, then decodes every report out of it.
+/// views, then decodes every report out of it the way a drainer does,
+/// into one reused Report, and aborts unless each decode agrees with a
+/// fresh DecodeReport: the same status and, on success, the same fields.
 void BatchRoundTrip(std::string_view buffer) {
   proto::ReportBatch batch;
   // Split the buffer into pseudo-reports at data-derived boundaries.
@@ -57,8 +60,13 @@ void BatchRoundTrip(std::string_view buffer) {
     pos += take;
     len = len * 2 + 1;
   }
+  proto::Report reused;
   for (size_t i = 0; i < batch.size(); ++i) {
-    (void)proto::DecodeReport(batch.view(i));
+    auto fresh = proto::DecodeReport(batch.view(i));
+    privshape::Status into = proto::DecodeReportInto(batch.view(i), &reused);
+    if (!(into == fresh.status()) || (into.ok() && !(reused == *fresh))) {
+      std::abort();
+    }
   }
 }
 

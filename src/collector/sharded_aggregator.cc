@@ -27,18 +27,18 @@ void ShardedAggregator::ConsumeBatch(size_t shard,
 
 void ShardedAggregator::ConsumeOne(Shard& lane, std::string_view encoded) {
   lane.bytes += encoded.size();
-  auto report = proto::DecodeReport(encoded);
-  if (!report.ok()) {
+  proto::Report& report = lane.report;
+  if (!proto::DecodeReportInto(encoded, &report).ok()) {
     ++lane.rejected;
     return;
   }
-  if (report->level < spec_.min_level ||
-      report->level - spec_.min_level >= spec_.num_levels) {
+  if (report.level < spec_.min_level ||
+      report.level - spec_.min_level >= spec_.num_levels) {
     ++lane.rejected;
     return;
   }
-  lane.levels[static_cast<size_t>(report->level - spec_.min_level)]
-      .ConsumeReport(*report);
+  lane.levels[static_cast<size_t>(report.level - spec_.min_level)]
+      .ConsumeReport(report);
 }
 
 proto::ReportAggregator ShardedAggregator::MergedLevel(

@@ -41,8 +41,9 @@ class ShardedAggregator {
   const StageSpec& spec() const { return spec_; }
 
   /// Ingests a batch of encoded reports into one shard. Each report is
-  /// decoded from an in-place view of the flat batch buffer, so ingestion
-  /// copies no report bytes. Undecodable reports and reports outside the
+  /// decoded from an in-place view of the flat batch buffer into the
+  /// shard's one reused Report, so ingestion allocates nothing per
+  /// report. Undecodable reports and reports outside the
   /// level window count as rejected; wrong kinds and out-of-domain values
   /// are rejected by the underlying ReportAggregator. Not synchronized:
   /// one thread per shard at a time.
@@ -68,9 +69,12 @@ class ShardedAggregator {
     std::vector<proto::ReportAggregator> levels;
     size_t rejected = 0;  ///< undecodable or outside the level window
     size_t bytes = 0;
+    /// Every report of the lane decodes into this one, so its bits keep
+    /// their capacity from report to report.
+    proto::Report report;
   };
 
-  /// Decode + route + count of one encoded report.
+  /// Decode (into lane.report) + route + count of one encoded report.
   void ConsumeOne(Shard& lane, std::string_view encoded);
 
   StageSpec spec_;

@@ -37,8 +37,9 @@ inline uint64_t DeriveSeed(uint64_t base, uint64_t stream) {
 /// core) — yet a simulated client answering one collection round draws
 /// only a handful of values. Output k (for k < n - m = 156) depends only
 /// on seeded words k, k+1 and k+m, so this engine seeds just the prefix
-/// it needs and computes outputs one at a time. Hot-path sessions never
-/// pay for state they do not consume; heavy consumers (series generators,
+/// it needs and runs the recurrence straight over it, for one output or
+/// a whole block at once (LazyFill). Hot-path sessions never pay for
+/// state they do not consume; heavy consumers (series generators,
 /// shuffles) transparently materialize a real std::mt19937_64 at output
 /// 156 and continue from it, so long streams cost what they always did.
 ///
@@ -104,18 +105,8 @@ class LazyMt64 {
       full_->discard(pos_);
       return (*full_)();
     }
-    // Standard recurrence for output pos_ (x_{n+pos_}); every referenced
-    // word is part of the original seeded state because pos_ + m < n.
-    SeedTo(pos_ + kM + 1);
-    uint64_t y = (state_[pos_] & kUpperMask) |
-                 (state_[pos_ + 1] & kLowerMask);
-    uint64_t x = state_[pos_ + kM] ^ (y >> 1) ^ ((y & 1) ? kA : 0);
-    ++pos_;
-    // Tempering, as specified.
-    x ^= (x >> 29) & 0x5555555555555555ULL;
-    x ^= (x << 17) & 0x71d67fffeda60000ULL;
-    x ^= (x << 37) & 0xfff7eee000000000ULL;
-    x ^= x >> 43;
+    uint64_t x;
+    LazyFill(&x, 1);
     return x;
   }
 
@@ -126,8 +117,9 @@ class LazyMt64 {
   /// Bulk draw: writes the next `n` outputs of the stream into `out`,
   /// exactly as `n` successive operator() calls would. A request that
   /// would cross the lazy prefix materializes the full engine once up
-  /// front instead of paying the per-draw position check `n` times —
-  /// this is the primitive behind the batched OUE/GRR bit generation.
+  /// front; one inside it seeds once and runs the recurrence as one loop
+  /// (LazyFill), so neither pays a per-word position check — this is the
+  /// primitive behind the batched OUE/GRR bit generation.
   void FillU64(uint64_t* out, size_t n) {
     if (!full_ && pos_ + n > kLazyOutputs) {
       full_.emplace(seed_);
@@ -137,7 +129,7 @@ class LazyMt64 {
       for (size_t i = 0; i < n; ++i) out[i] = (*full_)();
       return;
     }
-    for (size_t i = 0; i < n; ++i) out[i] = (*this)();
+    LazyFill(out, n);
   }
 
  private:
@@ -149,6 +141,29 @@ class LazyMt64 {
   static constexpr int kR = 31;
   static constexpr uint64_t kLowerMask = (uint64_t{1} << kR) - 1;
   static constexpr uint64_t kUpperMask = ~kLowerMask;
+
+  /// Outputs pos_ .. pos_ + n - 1 of the lazy prefix (pos_ + n <= 156):
+  /// the standard recurrence for x_{n+k}, then tempering, as specified.
+  /// Output k reads seeded words k, k + 1 and k + m, all of the original
+  /// seeded state because k + m < n, so one SeedTo covers the block and
+  /// the loop reads them through a local pointer. The twist's odd-y term
+  /// is a mask, not the standard's `(y & 1) ? a : 0` (the same word):
+  /// SSE2 has no 64-bit compare, and with the mask gcc -O3 vectorizes
+  /// the loop.
+  void LazyFill(uint64_t* out, size_t n) {
+    SeedTo(pos_ + n + kM);
+    const uint64_t* s = state_ + pos_;
+    for (size_t k = 0; k < n; ++k) {
+      uint64_t y = (s[k] & kUpperMask) | (s[k + 1] & kLowerMask);
+      uint64_t x = s[k + kM] ^ (y >> 1) ^ (kA & (0 - (y & 1)));
+      x ^= (x >> 29) & 0x5555555555555555ULL;
+      x ^= (x << 17) & 0x71d67fffeda60000ULL;
+      x ^= (x << 37) & 0xfff7eee000000000ULL;
+      x ^= x >> 43;
+      out[k] = x;
+    }
+    pos_ += n;
+  }
 
   void SeedTo(size_t count) {
     for (; seeded_ < count; ++seeded_) {

@@ -9,20 +9,27 @@
 namespace privshape::eval {
 
 double SubsequenceDistance(const Sequence& sequence,
-                           const Sequence& candidate, dist::Metric metric) {
-  auto distance = dist::MakeDistance(metric);
-  dist::DtwScratch scratch;
+                           const Sequence& candidate,
+                           const dist::SequenceDistance& distance,
+                           dist::DtwScratch* scratch) {
   if (sequence.size() <= candidate.size()) {
-    return distance->Distance(sequence, candidate, &scratch);
+    return distance.Distance(sequence, candidate, scratch);
   }
   double best = std::numeric_limits<double>::infinity();
   size_t window = candidate.size();
   dist::SymbolView whole(sequence);
   for (size_t start = 0; start + window <= sequence.size(); ++start) {
-    best = std::min(best, distance->Distance(whole.Sub(start, window),
-                                             candidate, &scratch));
+    best = std::min(best, distance.Distance(whole.Sub(start, window),
+                                            candidate, scratch));
   }
   return best;
+}
+
+double SubsequenceDistance(const Sequence& sequence,
+                           const Sequence& candidate, dist::Metric metric) {
+  dist::DtwScratch scratch;
+  return SubsequenceDistance(sequence, candidate, *dist::MakeDistance(metric),
+                             &scratch);
 }
 
 double LabelEntropy(const std::vector<int>& labels) {
@@ -132,10 +139,12 @@ Result<std::vector<Shapelet>> DiscoverShapelets(
 
   std::vector<Shapelet> scored;
   std::vector<double> distances(sequences.size());
+  auto distance = dist::MakeDistance(options.metric);
+  dist::DtwScratch scratch;
   for (const auto& pattern : candidates) {
     for (size_t i = 0; i < sequences.size(); ++i) {
-      distances[i] = SubsequenceDistance(sequences[i], pattern,
-                                         options.metric);
+      distances[i] =
+          SubsequenceDistance(sequences[i], pattern, *distance, &scratch);
     }
     scored.push_back(EvaluateCandidate(pattern, distances, labels));
   }
@@ -174,8 +183,11 @@ Result<std::vector<Shapelet>> DiscoverShapelets(
 int ClassifyWithShapelets(const Sequence& sequence,
                           const std::vector<Shapelet>& shapelets,
                           dist::Metric metric, int fallback_label) {
+  auto distance = dist::MakeDistance(metric);
+  dist::DtwScratch scratch;
   for (const auto& shapelet : shapelets) {
-    double d = SubsequenceDistance(sequence, shapelet.pattern, metric);
+    double d =
+        SubsequenceDistance(sequence, shapelet.pattern, *distance, &scratch);
     if (d <= shapelet.threshold) return shapelet.majority_label;
   }
   return fallback_label;

@@ -22,9 +22,16 @@ struct Shapelet {
 };
 
 /// Sliding best-match distance: min over all windows of `sequence` (of the
-/// candidate's length, clamped to the sequence) of the metric distance to
+/// candidate's length, clamped to the sequence) of the `distance` to
 /// `candidate`. Returns the whole-sequence distance when the sequence is
-/// shorter than the candidate.
+/// shorter than the candidate. `scratch` may be nullptr; a caller that
+/// scores many pairs passes one kernel and one scratch for all of them.
+double SubsequenceDistance(const Sequence& sequence,
+                           const Sequence& candidate,
+                           const dist::SequenceDistance& distance,
+                           dist::DtwScratch* scratch);
+
+/// The same through a kernel and a scratch built for this one call.
 double SubsequenceDistance(const Sequence& sequence,
                            const Sequence& candidate, dist::Metric metric);
 

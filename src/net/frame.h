@@ -111,8 +111,10 @@ std::string EncodeHello(const HelloMsg& msg);
 Result<HelloMsg> DecodeHello(std::string_view body);
 
 /// Server -> client handshake reply: the connection id plus an echo of
-/// the mechanism parameters a client must agree on for the run to be
-/// meaningful (the loadgen cross-checks them against its own flags).
+/// the daemon's run parameters. The loadgen refuses a welcome whose
+/// version, user count or seed differs from its own, or that announces
+/// classes (num_classes > 0) to an unlabeled fleet; it does not check
+/// epsilon.
 struct WelcomeMsg {
   uint64_t version = kNetVersion;
   uint64_t conn_id = 0;

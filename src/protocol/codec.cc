@@ -22,8 +22,8 @@ void Encoder::PutDouble(double value) {
 }
 
 void Encoder::PutBytes(const std::vector<uint8_t>& bytes) {
-  PutVarint(bytes.size());
-  for (uint8_t b : bytes) out_->push_back(static_cast<char>(b));
+  PutString(std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                             bytes.size()));
 }
 
 void Encoder::PutString(std::string_view bytes) {
@@ -65,26 +65,19 @@ Result<double> Decoder::GetDouble() {
 }
 
 Result<std::vector<uint8_t>> Decoder::GetBytes() {
-  auto len = GetVarint();
-  if (!len.ok()) return len.status();
-  // Compare against the remainder, never `pos_ + *len`: a corrupt length
-  // varint near 2^64 would wrap that sum past the check and the reserve
-  // below would abort the process instead of returning a Status.
-  if (*len > view_.size() - pos_) {
-    return Status::OutOfRange("truncated byte string");
-  }
-  std::vector<uint8_t> out;
-  out.reserve(*len);
-  for (uint64_t i = 0; i < *len; ++i) {
-    out.push_back(static_cast<uint8_t>(view_[pos_++]));
-  }
-  return out;
+  auto bytes = GetStringView();
+  if (!bytes.ok()) return bytes.status();
+  const auto* data = reinterpret_cast<const uint8_t*>(bytes->data());
+  return std::vector<uint8_t>(data, data + bytes->size());
 }
 
 Result<std::string_view> Decoder::GetStringView() {
   auto len = GetVarint();
   if (!len.ok()) return len.status();
-  // Same wrap-safe comparison as GetBytes: never compute pos_ + *len.
+  // Compare against the remainder, never `pos_ + *len`: a corrupt length
+  // varint near 2^64 would wrap that sum past the check, and a caller
+  // sizing a buffer from the length would abort the process instead of
+  // getting a Status.
   if (*len > view_.size() - pos_) {
     return Status::OutOfRange("truncated byte string");
   }

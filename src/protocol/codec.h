@@ -26,6 +26,8 @@ class Encoder {
 
   void PutVarint(uint64_t value);
   void PutDouble(double value);
+  /// Length-prefixed byte string: the length varint, then the bytes
+  /// appended as one block (PutString's framing).
   void PutBytes(const std::vector<uint8_t>& bytes);
   /// Length-prefixed raw byte string — same framing as PutBytes, but
   /// sourced from any contiguous bytes (the network layer nests encoded
@@ -62,6 +64,8 @@ class Decoder {
 
   Result<uint64_t> GetVarint();
   Result<double> GetDouble();
+  /// Length-prefixed byte string, copied in one block out of the
+  /// GetStringView view.
   Result<std::vector<uint8_t>> GetBytes();
   /// Length-prefixed byte string as a borrowed view into the decoder's
   /// buffer (valid only while the decoder — or, for a borrowing decoder,

@@ -41,7 +41,7 @@ void ReportBatch::Append(const Report& report) {
   ends_.push_back(buffer_.size());
 }
 
-Result<Report> DecodeReport(std::string_view buffer) {
+Status DecodeReportInto(std::string_view buffer, Report* out) {
   Decoder dec(buffer);
   auto version = dec.GetVarint();
   if (!version.ok()) return version.status();
@@ -53,20 +53,26 @@ Result<Report> DecodeReport(std::string_view buffer) {
   if (*kind < 1 || *kind > 5) {
     return Status::InvalidArgument("unknown report kind");
   }
-  Report report;
-  report.kind = static_cast<ReportKind>(*kind);
+  out->kind = static_cast<ReportKind>(*kind);
   auto level = dec.GetVarint();
   if (!level.ok()) return level.status();
-  report.level = *level;
+  out->level = *level;
   auto value = dec.GetVarint();
   if (!value.ok()) return value.status();
-  report.value = *value;
-  auto bits = dec.GetBytes();
+  out->value = *value;
+  auto bits = dec.GetStringView();
   if (!bits.ok()) return bits.status();
-  report.bits = std::move(*bits);
+  const auto* data = reinterpret_cast<const uint8_t*>(bits->data());
+  out->bits.assign(data, data + bits->size());
   if (!dec.AtEnd()) {
     return Status::InvalidArgument("trailing bytes after report");
   }
+  return Status::Ok();
+}
+
+Result<Report> DecodeReport(std::string_view buffer) {
+  Report report;
+  PRIVSHAPE_RETURN_IF_ERROR(DecodeReportInto(buffer, &report));
   return report;
 }
 

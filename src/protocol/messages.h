@@ -51,8 +51,17 @@ std::string EncodeReport(const Report& report);
 /// framing to EncodeReport.
 void EncodeReportTo(const Report& report, std::string* out);
 
-/// Parses a report; rejects unknown versions, unknown kinds, and
-/// trailing garbage. Borrows `buffer` for the duration of the call only.
+/// Parses a report into `*out`, reusing the capacity of `out->bits`, so
+/// a drainer that decodes every report of a batch into one Report
+/// allocates nothing once its bits have grown to the widest report.
+/// Rejects unknown versions, unknown kinds, truncation and trailing
+/// garbage with exactly the status DecodeReport returns. On success every
+/// field of `*out` is the decoded one, whatever it held before; on error
+/// `*out` is partly overwritten and must not be read. Borrows `buffer`
+/// for the duration of the call only.
+Status DecodeReportInto(std::string_view buffer, Report* out);
+
+/// DecodeReportInto into a fresh Report.
 Result<Report> DecodeReport(std::string_view buffer);
 
 /// A flat batch of encoded reports: one contiguous byte buffer plus end

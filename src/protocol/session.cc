@@ -189,9 +189,7 @@ void ReportAggregator::ConsumeReport(const Report& report) {
       ++rejected_;
       return;
     }
-    for (size_t i = 0; i < domain_; ++i) {
-      if (report.bits[i]) ++counts_[i];
-    }
+    for (size_t i = 0; i < domain_; ++i) counts_[i] += report.bits[i] != 0;
     ++accepted_;
     return;
   }

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "core/privshape.h"
 #include "protocol/messages.h"
+#include "protocol/session.h"
 
 namespace privshape {
 namespace {
@@ -334,6 +335,53 @@ TEST(ShardedAggregatorTest, RejectsMalformedAndOutOfWindow) {
   EXPECT_EQ(agg.accepted(), 1u);
   EXPECT_EQ(agg.rejected(), 4u);
   EXPECT_EQ(agg.bytes_ingested(), batch.bytes());
+}
+
+TEST(ShardedAggregatorTest, MixedClassRefineBatchTalliesLikeConsume) {
+  // One lane decodes a whole batch into one reused Report: wide P_e
+  // reports (18 candidates x 6 classes = 108 cells) around a truncated
+  // one, a 107-bit one and one with empty bits. Counts and tallies must
+  // equal those of a ReportAggregator fed the same reports one by one.
+  const size_t kCells = 108;
+  StageSpec spec;
+  spec.kind = ReportKind::kClassRefine;
+  spec.domain = kCells;
+  spec.epsilon = 2.0;
+  Rng rng(23);
+  auto wide = [&] {
+    Report report;
+    report.kind = ReportKind::kClassRefine;
+    uint64_t words[kCells];
+    rng.FillU64(words, kCells);
+    for (uint64_t word : words) report.bits.push_back(word >> 63);
+    return report;
+  };
+  Report narrow = wide();
+  narrow.bits.pop_back();
+  Report empty;
+  empty.kind = ReportKind::kClassRefine;
+  std::string truncated = proto::EncodeReport(wide());
+  truncated.resize(truncated.size() - 5);
+  std::vector<std::string> wires = {
+      proto::EncodeReport(wide()), truncated,
+      proto::EncodeReport(wide()), proto::EncodeReport(narrow),
+      proto::EncodeReport(wide()), proto::EncodeReport(empty),
+      proto::EncodeReport(wide())};
+
+  ShardedAggregator sharded(spec, 1);
+  proto::ReportAggregator single(spec.kind, spec.domain, spec.epsilon);
+  ReportBatch batch;
+  for (const std::string& wire : wires) {
+    batch.AppendEncoded(wire);
+    single.Consume(wire);
+  }
+  sharded.ConsumeBatch(0, batch);
+  EXPECT_EQ(sharded.accepted(), 4u);
+  EXPECT_EQ(sharded.rejected(), 3u);
+  EXPECT_EQ(sharded.accepted(), single.accepted());
+  EXPECT_EQ(sharded.rejected(), single.rejected());
+  EXPECT_EQ(sharded.MergedLevel(0).raw_counts(), single.raw_counts());
+  EXPECT_EQ(sharded.DebiasedCounts(0), single.EstimatedCounts());
 }
 
 TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {

@@ -245,6 +245,54 @@ TEST(ProtocolFuzzTest, ClassRefineReportSurvivesRoundTripAndTruncation) {
   EXPECT_FALSE(DecodeReport(wire + "x").ok());
 }
 
+/// Decodes `wire` with DecodeReport and into `*reused`, which holds the
+/// 108-bit `wide` report beforehand, and expects the same verdict: the
+/// same status and, on success, the same fields (no stale bit survives).
+void ExpectDecodeIntoAgrees(const std::string& wire, const Report& wide,
+                            Report* reused, const std::string& where) {
+  *reused = wide;
+  auto fresh = DecodeReport(wire);
+  Status into = proto::DecodeReportInto(wire, reused);
+  ASSERT_EQ(into, fresh.status()) << where;
+  if (into.ok()) {
+    EXPECT_EQ(*reused, *fresh) << where;
+  }
+}
+
+TEST(ProtocolFuzzTest, DecodeIntoReusedReportAgreesWithDecodeReport) {
+  // The drainers decode every report of a lane into one Report. Every
+  // truncation and every single-bit flip of a 108-cell P_e report
+  // (18 candidates x 6 classes) and of a P_c report, decoded into a
+  // Report that last held 108 bits, must read exactly as DecodeReport
+  // reads it.
+  Report wide;
+  wide.kind = ReportKind::kClassRefine;
+  for (size_t i = 0; i < 108; ++i) wide.bits.push_back(i % 3 == 0 ? 1 : 0);
+  Report selection;
+  selection.kind = ReportKind::kSelection;
+  selection.level = 4;
+  selection.value = 37;
+  Report reused;
+  for (const Report& report : {wide, selection}) {
+    std::string wire = EncodeReport(report);
+    ExpectDecodeIntoAgrees(wire, wide, &reused, "intact");
+    EXPECT_EQ(reused, report);
+    for (size_t len = 0; len < wire.size(); ++len) {
+      ExpectDecodeIntoAgrees(wire.substr(0, len), wide, &reused,
+                             "truncation at " + std::to_string(len));
+    }
+    for (size_t byte = 0; byte < wire.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::string flipped = wire;
+        flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
+        ExpectDecodeIntoAgrees(flipped, wide, &reused,
+                               "flip of byte " + std::to_string(byte) +
+                                   " bit " + std::to_string(bit));
+      }
+    }
+  }
+}
+
 TEST(ProtocolFuzzTest, LengthRequestCorruptionRejected) {
   proto::LengthRequest request;
   request.ell_low = 1;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -49,6 +50,58 @@ TEST(FillU64Test, InterleavesExactlyWithSingleDraws) {
   uint64_t next_a = a();
   for (size_t i = 0; i < 5; ++i) EXPECT_EQ(buf[i], b());
   EXPECT_EQ(next_a, b());
+}
+
+TEST(FillU64Test, EveryBlockMatchesStdMt19937_64FromEveryStart) {
+  // Every start position 0..156 and every block length 0..160: blocks
+  // inside the lazy prefix, blocks that end exactly at output 156 and
+  // blocks that cross it, plus the single draw after each block. Each
+  // start is reached by single draws or by earlier blocks (of lengths
+  // 1, 2, 3, ...), on an engine that SeedFresh seeded ahead for 1, 2, 3,
+  // 108 or 156 outputs or never seeded ahead. Every case has its own
+  // seed, so a fill that reads a word it did not seed reads a stale word
+  // of another stream, not the right one by accident.
+  const size_t kMaxStart = 156;
+  const size_t kMaxLength = 160;
+  std::vector<uint64_t> want(kMaxStart + kMaxLength + 1);
+  std::vector<uint64_t> got(want.size());
+  uint64_t id = 0;
+  for (size_t depth : {0, 1, 2, 3, 108, 156}) {
+    for (bool by_blocks : {false, true}) {
+      for (size_t start = 0; start <= kMaxStart; ++start) {
+        for (size_t len = 0; len <= kMaxLength; ++len) {
+          uint64_t seed = DeriveSeed(2404, id++);
+          std::mt19937_64 reference(seed);
+          size_t outputs = start + len + 1;
+          for (size_t i = 0; i < outputs; ++i) want[i] = reference();
+
+          LazyMt64 engine(seed);
+          LazyMt64* fresh = &engine;
+          LazyMt64::SeedFresh(&fresh, 1, LazyMt64::SeedWordsFor(depth));
+          for (size_t done = 0, chunk = 1; done < start; ++chunk) {
+            if (by_blocks) {
+              size_t take = std::min(chunk, start - done);
+              engine.FillU64(&got[done], take);
+              done += take;
+            } else {
+              got[done++] = engine();
+            }
+          }
+          engine.FillU64(&got[start], len);
+          got[start + len] = engine();
+
+          size_t wrong = static_cast<size_t>(
+              std::mismatch(want.begin(), want.begin() + outputs, got.begin())
+                  .first -
+              want.begin());
+          ASSERT_EQ(wrong, outputs)
+              << "depth " << depth << (by_blocks ? ", blocks" : ", draws")
+              << ", start " << start << ", length " << len
+              << ": first wrong output " << wrong;
+        }
+      }
+    }
+  }
 }
 
 // --- Block seeding ---------------------------------------------------------
