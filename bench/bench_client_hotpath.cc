@@ -225,8 +225,7 @@ int Main(int argc, char** argv) {
   std::vector<double> dists;
 
   const size_t cells = candidates.size() * 3;  // P_e grid, 3 classes
-  auto oue = ldp::UnaryEncoding::Create(
-      cells, epsilon, ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(cells, epsilon);
   auto grr = ldp::Grr::Create(candidates.size(), epsilon);
   if (!oue.ok() || !grr.ok()) {
     bench::PrintTitle("kernel bench setup failed");

@@ -55,8 +55,8 @@ class ShardedAggregator {
   /// single unsharded aggregator would have.
   proto::ReportAggregator MergedLevel(size_t level_bucket) const;
 
-  /// Debiased counts of one level bucket (GRR debias, or raw counts for
-  /// kSelection), via the merged aggregator.
+  /// Debiased counts of one level bucket (GRR or OUE debias, or raw
+  /// counts for kSelection), via the merged aggregator.
   std::vector<double> DebiasedCounts(size_t level_bucket) const;
 
   /// Totals across shards and levels.

@@ -30,9 +30,10 @@
 ///     literal `n` the analyzer cross-checks the declared count against
 ///     the call graph (FillU64 literals plus annotated callees must sum
 ///     to `n`, on a straight-line path). A symbolic expression (e.g.
-///     PS_RNG_WORDS(domain_size())) documents a data-dependent count;
-///     the analyzer then only enforces that every consumption site is
-///     blessed. Declaration and definition annotations must agree.
+///     PS_RNG_WORDS(d_), one word per OUE cell) documents a
+///     data-dependent count; the analyzer then only enforces that every
+///     consumption site is blessed. Declaration and definition
+///     annotations must agree.
 ///
 /// Under Clang the markers also expand to `annotate` attributes so AST
 /// tooling sees them natively; on other compilers they vanish. The

@@ -35,7 +35,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #if defined(PRIVSHAPE_SIMD_DISABLED)
 #define PS_SIMD_LEVEL 0
@@ -184,14 +183,13 @@ inline void LessThanU64(const uint64_t* in, size_t n, uint64_t threshold,
     __m256i u = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
     __m256i lt = _mm256_cmpgt_epi64(biased_t, _mm256_xor_si256(u, sign));
     // The mask lanes are all-ones (or all-zero), so each lane's sign bit
-    // is its 0/1 answer. The four bytes go out as one block: GCC 12's
-    // -Wstringop-overflow misreads four single-byte stores here.
+    // is its 0/1 answer. The four answers are spread to the low bit of
+    // one byte each and go out as one 32-bit vector store: GCC 12's
+    // -Wstringop-overflow misreads byte stores and a 4-byte memcpy here.
     const int mask = _mm256_movemask_pd(_mm256_castsi256_pd(lt));
-    const uint8_t bytes[4] = {static_cast<uint8_t>(mask & 1),
-                              static_cast<uint8_t>((mask >> 1) & 1),
-                              static_cast<uint8_t>((mask >> 2) & 1),
-                              static_cast<uint8_t>((mask >> 3) & 1)};
-    std::memcpy(out + i, bytes, sizeof(bytes));
+    const int bytes = (mask & 1) | (mask & 2) << 7 | (mask & 4) << 14 |
+                      (mask & 8) << 21;
+    _mm_storeu_si32(out + i, _mm_cvtsi32_si128(bytes));
   }
 #endif
   for (; i < n; ++i) out[i] = in[i] < threshold ? 1 : 0;

@@ -6,6 +6,7 @@
 
 #include "core/population.h"
 #include "ldp/accountant.h"
+#include "ldp/estimator_utils.h"
 #include "ldp/grr.h"
 
 namespace privshape::core {
@@ -87,11 +88,13 @@ Result<MechanismResult> PemMiner::Run(
     // Index for exact prefix lookup; "other" = last bucket.
     std::map<Sequence, size_t> index;
     for (size_t i = 0; i < candidates.size(); ++i) index[candidates[i]] = i;
-    size_t domain = candidates.size() + 1;
-    auto grr = ldp::Grr::Create(std::max<size_t>(domain, 2), config_.epsilon);
+    size_t domain = std::max<size_t>(candidates.size() + 1, 2);
+    auto grr = ldp::Grr::Create(domain, config_.epsilon);
     if (!grr.ok()) return grr.status();
 
-    for (size_t user : groups[static_cast<size_t>(round)]) {
+    std::vector<size_t> tally(domain, 0);
+    const std::vector<size_t>& group = groups[static_cast<size_t>(round)];
+    for (size_t user : group) {
       const Sequence& word = sequences[user];
       size_t value = candidates.size();  // "other"
       if (word.size() >= static_cast<size_t>(current_len)) {
@@ -99,12 +102,13 @@ Result<MechanismResult> PemMiner::Run(
         auto it = index.find(prefix);
         if (it != index.end()) value = it->second;
       }
-      PRIVSHAPE_RETURN_IF_ERROR(grr->SubmitUser(value, &rng));
+      tally[grr->PerturbValue(value, &rng)]++;
     }
     PRIVSHAPE_RETURN_IF_ERROR(result.accountant.Charge(
         "PEM.round" + std::to_string(round), config_.epsilon));
 
-    std::vector<double> counts = grr->EstimateCounts();
+    std::vector<double> counts =
+        ldp::DebiasGrrCounts(tally, group.size(), config_.epsilon);
     std::vector<size_t> order(candidates.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {

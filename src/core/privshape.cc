@@ -101,19 +101,23 @@ Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
       return RoundCounts{ldp::DebiasGrrCounts(counts, n, epsilon)};
     }
     case Stage::kClassRefine: {
-      auto oue = ldp::UnaryEncoding::Create(
-          round.candidates.size() * static_cast<size_t>(config.num_classes),
-          epsilon, ldp::UnaryEncoding::Variant::kOptimized);
+      size_t cells =
+          round.candidates.size() * static_cast<size_t>(config.num_classes);
+      auto oue = ldp::UnaryEncoding::Create(cells, epsilon);
       if (!oue.ok()) return oue.status();
+      std::vector<size_t> counts(cells, 0);
+      std::vector<uint64_t> words;
+      std::vector<uint8_t> bits;
       for (size_t user : round.population) {
         auto cell = ClassRefineCell(sequences[user], (*labels)[user],
                                     config.num_classes, table, *distance,
                                     &scratch.table);
         if (!cell.ok()) return cell.status();
         Rng rng(DeriveSeed(config.seed, user));
-        PRIVSHAPE_RETURN_IF_ERROR(oue->SubmitUser(*cell, &rng));
+        oue->EncodeInto(*cell, &rng, &words, &bits);
+        for (size_t i = 0; i < cells; ++i) counts[i] += bits[i];
       }
-      return RoundCounts{oue->EstimateCounts()};
+      return RoundCounts{ldp::DebiasOueCounts(counts, n, epsilon)};
     }
   }
   return Status::Internal("unknown stage");

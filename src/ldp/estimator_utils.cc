@@ -1,14 +1,25 @@
 #include "ldp/estimator_utils.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace privshape::ldp {
 
-double OracleVariance(double p, double q, double n, double n_v) {
-  double denom = (p - q) * (p - q);
-  return n * q * (1.0 - q) / denom + n_v * (1.0 - p - q) / (p - q);
+namespace {
+
+/// (counts[v] - n*q) / (p - q): the unbiased count estimate of an oracle
+/// that reports a user's own cell with probability p and any other cell
+/// with probability q.
+std::vector<double> Debias(const std::vector<size_t>& counts, size_t reports,
+                           double p, double q) {
+  std::vector<double> out(counts.size());
+  double n = static_cast<double>(reports);
+  for (size_t v = 0; v < counts.size(); ++v) {
+    out[v] = (static_cast<double>(counts[v]) - n * q) / (p - q);
+  }
+  return out;
 }
+
+}  // namespace
 
 void GrrParameters(size_t domain, double epsilon, double* p, double* q) {
   double e = std::exp(epsilon);
@@ -17,16 +28,10 @@ void GrrParameters(size_t domain, double epsilon, double* p, double* q) {
 }
 
 std::vector<double> DebiasGrrCounts(const std::vector<size_t>& counts,
-                                    size_t num_reports, double epsilon) {
-  std::vector<double> out(counts.size());
-  if (counts.empty()) return out;
+                                    size_t reports, double epsilon) {
   double p = 0.0, q = 0.0;
   GrrParameters(counts.size(), epsilon, &p, &q);
-  double n = static_cast<double>(num_reports);
-  for (size_t v = 0; v < counts.size(); ++v) {
-    out[v] = (static_cast<double>(counts[v]) - n * q) / (p - q);
-  }
-  return out;
+  return Debias(counts, reports, p, q);
 }
 
 void OueParameters(double epsilon, double* p, double* q) {
@@ -34,60 +39,11 @@ void OueParameters(double epsilon, double* p, double* q) {
   *q = 1.0 / (std::exp(epsilon) + 1.0);
 }
 
-double ConfidenceHalfWidth(double p, double q, double n, double n_v,
-                           double z) {
-  return z * std::sqrt(std::max(0.0, OracleVariance(p, q, n, n_v)));
-}
-
-std::vector<double> NormSub(const std::vector<double>& estimates,
-                            double total) {
-  std::vector<double> out = estimates;
-  if (out.empty()) return out;
-  total = std::max(total, 0.0);
-  // Iteratively clip negatives and shift the residual mass uniformly over
-  // the still-positive cells; converges in at most d rounds.
-  for (size_t round = 0; round < out.size() + 1; ++round) {
-    double sum = 0.0;
-    size_t positive = 0;
-    for (double v : out) {
-      if (v > 0.0) {
-        sum += v;
-        ++positive;
-      }
-    }
-    if (positive == 0) {
-      // All mass clipped: fall back to uniform.
-      std::fill(out.begin(), out.end(),
-                total / static_cast<double>(out.size()));
-      return out;
-    }
-    double delta = (total - sum) / static_cast<double>(positive);
-    bool any_negative = false;
-    for (double& v : out) {
-      if (v > 0.0) {
-        v += delta;
-        if (v < 0.0) any_negative = true;
-      } else {
-        v = 0.0;
-      }
-    }
-    if (!any_negative) break;
-  }
-  for (double& v : out) v = std::max(v, 0.0);
-  return out;
-}
-
-Result<size_t> MinimumPopulation(double p, double q, double target_count) {
-  if (target_count <= 0.0) {
-    return Status::InvalidArgument("target count must be positive");
-  }
-  if (p <= q) {
-    return Status::InvalidArgument("oracle requires p > q");
-  }
-  // Zero-frequency variance is n * q(1-q)/(p-q)^2; solve stddev <= target.
-  double per_user = q * (1.0 - q) / ((p - q) * (p - q));
-  double n = target_count * target_count / per_user;
-  return static_cast<size_t>(std::ceil(n));
+std::vector<double> DebiasOueCounts(const std::vector<size_t>& counts,
+                                    size_t reports, double epsilon) {
+  double p = 0.0, q = 0.0;
+  OueParameters(epsilon, &p, &q);
+  return Debias(counts, reports, p, q);
 }
 
 }  // namespace privshape::ldp

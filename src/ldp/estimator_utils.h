@@ -4,47 +4,30 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/status.h"
-
 namespace privshape::ldp {
 
-/// Analytic estimator variance of a frequency oracle for a value with true
-/// count n_v out of n reports (Wang et al., USENIX Security'17, Eq. (6)):
-///   Var = n * q(1-q)/(p-q)^2 + n_v * (1 - p - q)/(p - q).
-/// Used to pick oracles and to size populations in the benches.
-double OracleVariance(double p, double q, double n, double n_v);
-
-/// GRR p/q for a domain of size d at budget eps.
+/// GRR p/q for a domain of size d at budget eps — the one formula, which
+/// Grr::Create and DebiasGrrCounts both read.
 void GrrParameters(size_t domain, double epsilon, double* p, double* q);
 
 /// Debiases raw GRR report counts: out[v] = (counts[v] - n*q) / (p - q)
-/// with n = total reports. This is THE debias formula for the repo — the
-/// in-process Grr oracle, the wire-level ReportAggregator, and the sharded
-/// collector all route through it, so a given integer count vector yields
-/// byte-identical estimates regardless of which path produced it.
+/// with n = `reports` and d = counts.size(). This is THE GRR debias — the
+/// in-process runner, PEM, the wire-level ReportAggregator and the
+/// sharded collector all route through it, so a given integer count
+/// vector yields byte-identical estimates regardless of which path
+/// produced it.
 std::vector<double> DebiasGrrCounts(const std::vector<size_t>& counts,
-                                    size_t num_reports, double epsilon);
+                                    size_t reports, double epsilon);
 
-/// OUE p/q at budget eps.
+/// OUE p/q at budget eps — the one formula, which UnaryEncoding::Create
+/// and DebiasOueCounts both read.
 void OueParameters(double epsilon, double* p, double* q);
 
-/// Approximate two-sided confidence half-width for an estimated count at
-/// the given z-score (1.96 ~ 95%).
-double ConfidenceHalfWidth(double p, double q, double n, double n_v,
-                           double z = 1.96);
-
-/// Post-processes raw (possibly negative) debiased count estimates onto
-/// the probability simplex scaled by their total: Norm-Sub projection
-/// (Wang et al., VLDB'20): clip negatives and redistribute the deficit
-/// uniformly over the remaining positive cells until convergence. Returns
-/// non-negative counts summing to max(total, 0).
-std::vector<double> NormSub(const std::vector<double>& estimates,
-                            double total);
-
-/// The smallest population size for which the oracle's standard deviation
-/// on a zero-frequency value stays below `target_count`. Handy for sizing
-/// P_b / P_d in experiments.
-Result<size_t> MinimumPopulation(double p, double q, double target_count);
+/// Debiases per-cell OUE set-bit tallies over `reports` bit vectors:
+/// out[v] = (counts[v] - n*q) / (p - q). THE OUE debias — the in-process
+/// P_e runner and the wire-level ReportAggregator both call it.
+std::vector<double> DebiasOueCounts(const std::vector<size_t>& counts,
+                                    size_t reports, double epsilon);
 
 }  // namespace privshape::ldp
 

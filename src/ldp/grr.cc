@@ -19,7 +19,7 @@ Result<Grr> Grr::Create(size_t domain_size, double epsilon) {
   if (std::isnan(p)) {
     return Status::InvalidArgument("epsilon too large: e^epsilon overflows");
   }
-  return Grr(domain_size, epsilon, p, q);
+  return Grr(domain_size, p, q);
 }
 
 PS_RNG_WORDS(2)
@@ -41,27 +41,6 @@ size_t Grr::PerturbValue(size_t value, Rng* rng) const {
 
 double Grr::TransitionProbability(size_t x, size_t y) const {
   return x == y ? p_ : q_;
-}
-
-PS_RNG_WORDS(2)
-Status Grr::SubmitUser(size_t value, Rng* rng) {
-  if (value >= d_) {
-    return Status::OutOfRange("GRR input outside domain");
-  }
-  counts_[PerturbValue(value, rng)]++;
-  ++n_;
-  return Status::Ok();
-}
-
-std::vector<double> Grr::EstimateCounts() const {
-  // Shared debias path: the wire-level aggregators use the same function,
-  // so identical raw counts give byte-identical estimates.
-  return DebiasGrrCounts(counts_, n_, epsilon_);
-}
-
-void Grr::Reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  n_ = 0;
 }
 
 }  // namespace privshape::ldp

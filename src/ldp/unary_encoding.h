@@ -1,28 +1,27 @@
 #ifndef PRIVSHAPE_LDP_UNARY_ENCODING_H_
 #define PRIVSHAPE_LDP_UNARY_ENCODING_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/analysis_annotations.h"
-#include "ldp/frequency_oracle.h"
+#include "common/rng.h"
+#include "common/status.h"
 
 namespace privshape::ldp {
 
-/// Unary-encoding oracles (Wang et al., USENIX Security'17). A value is
-/// one-hot encoded over d bits; the 1-bit is kept with probability p and
-/// each 0-bit flips to 1 with probability q. eps-LDP requires
-/// p(1-q) / (q(1-p)) = e^eps.
-///
-///  - SUE ("basic RAPPOR"): p = e^{eps/2} / (e^{eps/2}+1), q = 1 - p.
-///  - OUE (optimized):      p = 1/2, q = 1 / (e^eps + 1) — minimizes
-///    estimator variance and is what the paper's classification refinement
-///    uses (§V-E).
-class UnaryEncoding : public FrequencyOracle {
+/// Optimized unary encoding, OUE (Wang et al., USENIX Security'17). A
+/// value is one-hot encoded over d bits; the 1-bit is kept with
+/// probability p = 1/2 and each 0-bit flips to 1 with probability
+/// q = 1 / (e^eps + 1), so p(1-q) / (q(1-p)) = e^eps gives eps-LDP with
+/// the least estimator variance among unary encodings. It is what the
+/// paper's classification refinement uses (§V-E). Callers tally the set
+/// bits per cell and debias them with DebiasOueCounts.
+class UnaryEncoding {
  public:
-  enum class Variant { kSymmetric, kOptimized };
-
-  static Result<UnaryEncoding> Create(size_t domain_size, double epsilon,
-                                      Variant variant);
+  /// Fails unless d >= 1 and eps > 0.
+  static Result<UnaryEncoding> Create(size_t domain_size, double epsilon);
 
   /// Perturbs the one-hot encoding of `value`; exposed for tests.
   /// Allocates fresh buffers — the hot path uses EncodeInto below.
@@ -40,40 +39,22 @@ class UnaryEncoding : public FrequencyOracle {
   void EncodeInto(size_t value, Rng* rng, std::vector<uint64_t>* words,
                   std::vector<uint8_t>* bits) const;
 
-  PS_RNG_WORDS(d_)
-  Status SubmitUser(size_t value, Rng* rng) override;
-  /// Accumulates an externally produced bit vector (used by the PrivShape
-  /// classification refinement, which encodes candidate x label cells).
-  Status SubmitBits(const std::vector<uint8_t>& bits);
-
-  std::vector<double> EstimateCounts() const override;
-  void Reset() override;
-
-  size_t domain_size() const override { return d_; }
-  double epsilon() const override { return epsilon_; }
-  size_t num_reports() const override { return n_; }
-
   double p() const { return p_; }
   double q() const { return q_; }
 
  private:
-  UnaryEncoding(size_t d, double epsilon, double p, double q)
+  UnaryEncoding(size_t d, double p, double q)
       : d_(d),
-        epsilon_(epsilon),
         p_(p),
         q_(q),
         p_threshold_(ThresholdForProbability(p)),
-        q_threshold_(ThresholdForProbability(q)),
-        bit_counts_(d, 0) {}
+        q_threshold_(ThresholdForProbability(q)) {}
 
   size_t d_;
-  double epsilon_;
   double p_;
   double q_;
   uint64_t p_threshold_;  ///< raw-u64 acceptance bound for the 1-bit
   uint64_t q_threshold_;  ///< raw-u64 acceptance bound for 0-bits
-  std::vector<size_t> bit_counts_;
-  size_t n_ = 0;
 };
 
 }  // namespace privshape::ldp

@@ -154,11 +154,9 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
         "candidates x num_classes exceeds the class-refinement cell cap");
   }
   size_t cells = static_cast<size_t>(wide_cells);
-  // Validation and p/q come from the one OUE implementation, so the
-  // context-path Bernoulli draws use bit-identical probabilities to the
-  // in-process runner's ldp::UnaryEncoding oracle.
-  auto oue = ldp::UnaryEncoding::Create(
-      cells, request.epsilon, ldp::UnaryEncoding::Variant::kOptimized);
+  // Validation and p/q come from the one OUE implementation, which the
+  // in-process runner encodes with too, so both draw identical bits.
+  auto oue = ldp::UnaryEncoding::Create(cells, request.epsilon);
   if (!oue.ok()) return oue.status();
   RoundContext ctx;
   ctx.kind_ = ReportKind::kClassRefine;
@@ -166,8 +164,6 @@ Result<RoundContext> RoundContext::ClassRefinement(ClassRefineRequest request,
   ctx.epsilon_ = request.epsilon;
   ctx.domain_ = cells;
   ctx.num_classes_ = static_cast<int>(request.num_classes);
-  ctx.oue_p_ = oue->p();
-  ctx.oue_q_ = oue->q();
   ctx.oue_ = std::move(*oue);
   ctx.distance_ = dist::MakeDistance(metric);
   ctx.table_ = dist::CandidateTable::Build(std::move(request.candidates));

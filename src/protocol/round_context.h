@@ -118,8 +118,6 @@ class RoundContext {
 
   // Classification-refinement parameters (kClassRefine only).
   int num_classes() const { return num_classes_; }
-  double oue_p() const { return oue_p_; }
-  double oue_q() const { return oue_q_; }
 
   /// The pre-built mechanisms. grr() is absent only for the one-value
   /// P_a domain; em() is present only for kSelection; oue() only for
@@ -144,8 +142,6 @@ class RoundContext {
   int ell_s_ = 0;
   bool allow_repeats_ = false;
   int num_classes_ = 0;
-  double oue_p_ = 0.0;
-  double oue_q_ = 0.0;
   std::optional<ldp::Grr> grr_;
   std::optional<ldp::ExponentialMechanism> em_;
   std::optional<ldp::UnaryEncoding> oue_;

@@ -4,7 +4,6 @@
 
 #include "core/rounds.h"
 #include "ldp/estimator_utils.h"
-#include "ldp/unary_encoding.h"
 
 namespace privshape::proto {
 
@@ -151,21 +150,7 @@ void ClientSession::SeedFresh(ClientSession* const* sessions, size_t count,
 
 ReportAggregator::ReportAggregator(ReportKind kind, size_t domain,
                                    double epsilon)
-    : kind_(kind), domain_(domain), epsilon_(epsilon), counts_(domain, 0) {
-  if (kind_ == ReportKind::kClassRefine) {
-    // p/q from the one OUE implementation so the debiased estimates are
-    // byte-identical to ldp::UnaryEncoding::EstimateCounts over the same
-    // bit tallies. A non-positive epsilon (impossible for any validated
-    // round) leaves p == q == 0.
-    auto oue = ldp::UnaryEncoding::Create(
-        std::max<size_t>(domain, 1), epsilon,
-        ldp::UnaryEncoding::Variant::kOptimized);
-    if (oue.ok()) {
-      oue_p_ = oue->p();
-      oue_q_ = oue->q();
-    }
-  }
-}
+    : kind_(kind), domain_(domain), epsilon_(epsilon), counts_(domain, 0) {}
 
 void ReportAggregator::Consume(std::string_view encoded) {
   auto report = DecodeReport(encoded);
@@ -220,20 +205,11 @@ std::vector<double> ReportAggregator::EstimatedCounts() const {
     }
     return out;
   }
+  // The one debias per oracle, which the in-process runner calls too:
+  // identical integer tallies give byte-identical estimates.
   if (kind_ == ReportKind::kClassRefine) {
-    // Same expression, same evaluation order as
-    // ldp::UnaryEncoding::EstimateCounts — identical integer tallies give
-    // byte-identical per-cell estimates.
-    std::vector<double> out(domain_);
-    double n = static_cast<double>(accepted_);
-    for (size_t v = 0; v < domain_; ++v) {
-      out[v] =
-          (static_cast<double>(counts_[v]) - n * oue_q_) / (oue_p_ - oue_q_);
-    }
-    return out;
+    return ldp::DebiasOueCounts(counts_, accepted_, epsilon_);
   }
-  // Shared debias path: identical raw counts give byte-identical
-  // estimates to the in-process ldp::Grr oracle.
   return ldp::DebiasGrrCounts(counts_, accepted_, epsilon_);
 }
 

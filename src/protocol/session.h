@@ -121,10 +121,10 @@ class ReportAggregator {
   /// domain, and epsilon match exactly.
   Status Merge(const ReportAggregator& other);
 
-  /// GRR-debiased counts over the domain (kLength/kRefinement kinds),
-  /// raw selection counts for kSelection, or OUE-debiased per-cell counts
-  /// for kClassRefine (where a report is a whole bit vector and counts_
-  /// tallies set bits per cell).
+  /// GRR-debiased counts over the domain (kLength/kSubShape/kRefinement
+  /// kinds), raw selection counts for kSelection, or OUE-debiased per-cell
+  /// counts for kClassRefine (where a report is a whole bit vector and
+  /// counts_ tallies set bits per cell).
   std::vector<double> EstimatedCounts() const;
 
   /// Raw per-value report tallies (pre-debias), for tests and metrics.
@@ -140,8 +140,6 @@ class ReportAggregator {
   ReportKind kind_;
   size_t domain_;
   double epsilon_;
-  double oue_p_ = 0.0;  ///< OUE keep probability (kClassRefine only)
-  double oue_q_ = 0.0;  ///< OUE flip probability (kClassRefine only)
   std::vector<size_t> counts_;
   size_t accepted_ = 0;
   size_t rejected_ = 0;

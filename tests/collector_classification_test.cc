@@ -16,6 +16,7 @@
 #include "core/classification.h"
 #include "core/em_selection.h"
 #include "core/privshape.h"
+#include "ldp/estimator_utils.h"
 #include "ldp/unary_encoding.h"
 #include "protocol/messages.h"
 #include "protocol/round_context.h"
@@ -198,8 +199,7 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
   auto ctx = proto::RoundContext::ClassRefinement(request, dist::Metric::kSed);
   ASSERT_TRUE(ctx.ok()) << ctx.status();
   size_t cells = request.candidates.size() * kClasses;
-  auto oue = ldp::UnaryEncoding::Create(
-      cells, 4.0, ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(cells, 4.0);
   ASSERT_TRUE(oue.ok());
 
   proto::AnswerScratch scratch;
@@ -229,15 +229,15 @@ TEST(CollectorClassificationTest, AnswerBitsMatchUnaryEncodingOracle) {
 TEST(CollectorClassificationTest, AggregatorMatchesOracleEstimates) {
   const double kEps = 3.0;
   const size_t kCells = 8;
-  auto oue = ldp::UnaryEncoding::Create(
-      kCells, kEps, ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(kCells, kEps);
   ASSERT_TRUE(oue.ok());
   proto::ReportAggregator agg(ReportKind::kClassRefine, kCells, kEps);
 
+  std::vector<size_t> tally(kCells, 0);
   for (uint64_t user = 0; user < 500; ++user) {
     Rng rng(DeriveSeed(21, user));
     std::vector<uint8_t> bits = oue->PerturbValue(user % kCells, &rng);
-    ASSERT_TRUE(oue->SubmitBits(bits).ok());
+    for (size_t cell = 0; cell < kCells; ++cell) tally[cell] += bits[cell];
     proto::Report report;
     report.kind = ReportKind::kClassRefine;
     report.bits = bits;
@@ -245,8 +245,9 @@ TEST(CollectorClassificationTest, AggregatorMatchesOracleEstimates) {
   }
   EXPECT_EQ(agg.accepted(), 500u);
   EXPECT_EQ(agg.rejected(), 0u);
+  EXPECT_EQ(agg.raw_counts(), tally);
   // Byte-identical estimates, not just close ones.
-  EXPECT_EQ(agg.EstimatedCounts(), oue->EstimateCounts());
+  EXPECT_EQ(agg.EstimatedCounts(), ldp::DebiasOueCounts(tally, 500, kEps));
 }
 
 TEST(CollectorClassificationTest, AggregatorMergePartitionInvariant) {
@@ -254,8 +255,7 @@ TEST(CollectorClassificationTest, AggregatorMergePartitionInvariant) {
   const size_t kCells = 6;
   auto make_report = [&](uint64_t user) {
     Rng rng(DeriveSeed(33, user));
-    auto oue = ldp::UnaryEncoding::Create(
-        kCells, kEps, ldp::UnaryEncoding::Variant::kOptimized);
+    auto oue = ldp::UnaryEncoding::Create(kCells, kEps);
     proto::Report report;
     report.kind = ReportKind::kClassRefine;
     report.bits = oue->PerturbValue(user % kCells, &rng);

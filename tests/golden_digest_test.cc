@@ -17,9 +17,17 @@
 /// nearest-shape matching of every word onto PrivShape's shapes — the
 /// cluster indices of eval::AssignToNearestShape for unlabeled cases, the
 /// labels of NearestShapeClassifier::ClassifyBatch for labeled ones.
+///
+/// A third digest pins core::PemMiner, the prefix-extension comparator
+/// bench_ablation_design runs, on the unlabeled Trace fleets: its shapes,
+/// then each shape's frequency rounded to an integer. A PEM frequency is
+/// a GRR-debiased tally (c - n*q) / (p - q), and p - q < 1 spreads
+/// consecutive tallies more than 1 apart, so the rounded value keeps the
+/// integer tally and drops libm's last bit.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,6 +37,7 @@
 #include "collector/round_coordinator.h"
 #include "common/thread_pool.h"
 #include "core/baseline.h"
+#include "core/pem.h"
 #include "core/privshape.h"
 #include "eval/shape_matching.h"
 
@@ -235,6 +244,38 @@ INSTANTIATE_TEST_SUITE_P(
                     GoldenCase{"symbols", 3, true, 0xb55b558c277ec602ULL,
                                0x8e1d97bc75ea2ce7ULL}),
     CaseName);
+
+TEST(PemGoldenDigestTest, PemMinerMatchesTheCommittedDigest) {
+  // The unlabeled Trace fleets' seeds and each PEM run's digest.
+  const std::pair<uint64_t, uint64_t> kCases[] = {
+      {1, 0x8120fa686f1eef4cULL},
+      {2, 0xbc9351ebc97e376aULL},
+      {3, 0xe30a50951d3125caULL}};
+  ThreadPool pool(2);
+  for (const auto& [seed, want] : kCases) {
+    GoldenFleet generated;
+    ASSERT_NO_FATAL_FAILURE(
+        MakeGoldenFleet({"trace", seed, false, 0, 0}, &pool, &generated));
+    // bench_ablation_design's PEM config at epsilon = 4.
+    core::PemConfig config;
+    config.epsilon = 4.0;
+    config.t = 4;
+    config.k = 3;
+    config.keep = 9;
+    config.gamma = 2;
+    config.ell = 8;
+    config.seed = seed;
+    auto result = core::PemMiner(config).Run(generated.words);
+    ASSERT_TRUE(result.ok()) << result.status();
+    Fnv1a64 digest;
+    HashShapes(*result, &digest);
+    for (const core::ShapeCandidate& shape : result->shapes) {
+      digest.Add(static_cast<uint64_t>(std::llround(shape.frequency)));
+    }
+    EXPECT_EQ(digest.value(), want)
+        << "seed " << seed << " computed 0x" << std::hex << digest.value();
+  }
+}
 
 }  // namespace
 }  // namespace privshape

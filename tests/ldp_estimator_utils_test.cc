@@ -3,18 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
-#include "common/rng.h"
 #include "ldp/grr.h"
+#include "ldp/unary_encoding.h"
 
 namespace privshape {
 namespace {
 
-using ldp::ConfidenceHalfWidth;
+using ldp::DebiasGrrCounts;
+using ldp::DebiasOueCounts;
 using ldp::GrrParameters;
-using ldp::MinimumPopulation;
-using ldp::NormSub;
-using ldp::OracleVariance;
 using ldp::OueParameters;
 
 TEST(EstimatorUtilsTest, GrrParametersMatchOracle) {
@@ -33,90 +32,33 @@ TEST(EstimatorUtilsTest, OueParametersClosedForm) {
   EXPECT_NEAR(q, 1.0 / (std::exp(2.0) + 1.0), 1e-12);
 }
 
-TEST(EstimatorUtilsTest, VarianceFormulaMatchesEmpiricalGrr) {
-  // Empirical variance of the debiased zero-count estimate vs the formula.
-  const double eps = 1.0;
-  const size_t d = 5;
-  const int n = 5000;
-  const int runs = 200;
-  double p, q;
-  GrrParameters(d, eps, &p, &q);
-  double predicted = OracleVariance(p, q, n, 0.0);
-
-  double sum = 0, sum2 = 0;
-  for (int run = 0; run < runs; ++run) {
-    auto grr = ldp::Grr::Create(d, eps);
-    Rng rng(1000 + static_cast<uint64_t>(run));
-    for (int i = 0; i < n; ++i) {
-      ASSERT_TRUE(grr->SubmitUser(0, &rng).ok());  // value 4 has count 0
+TEST(EstimatorUtilsTest, DebiasIsTheClosedFormOverTheMechanismParameters) {
+  // Each oracle's one debias is (c - n*q) / (p - q), bit for bit, over
+  // exactly the p and q its mechanism perturbs with.
+  const std::vector<size_t> tally = {0, 3, 17, 250, 1000};
+  const double n = 1000.0;
+  auto closed_form = [&](double p, double q) {
+    std::vector<double> out;
+    for (size_t c : tally) {
+      out.push_back((static_cast<double>(c) - n * q) / (p - q));
     }
-    double est = grr->EstimateCounts()[4];
-    sum += est;
-    sum2 += est * est;
+    return out;
+  };
+  for (double eps : {0.1, 0.5, 1.0, 2.0, 4.0, 8.0}) {
+    auto grr = ldp::Grr::Create(tally.size(), eps);
+    auto oue = ldp::UnaryEncoding::Create(tally.size(), eps);
+    ASSERT_TRUE(grr.ok() && oue.ok());
+    double p, q;
+    OueParameters(eps, &p, &q);
+    EXPECT_EQ(p, oue->p()) << eps;
+    EXPECT_EQ(q, oue->q()) << eps;
+    EXPECT_EQ(DebiasGrrCounts(tally, 1000, eps),
+              closed_form(grr->p(), grr->q()))
+        << eps;
+    EXPECT_EQ(DebiasOueCounts(tally, 1000, eps), closed_form(p, q)) << eps;
+    EXPECT_TRUE(DebiasGrrCounts({}, 0, eps).empty()) << eps;
+    EXPECT_TRUE(DebiasOueCounts({}, 0, eps).empty()) << eps;
   }
-  double mean = sum / runs;
-  double empirical = sum2 / runs - mean * mean;
-  EXPECT_NEAR(empirical / predicted, 1.0, 0.35);
-}
-
-TEST(EstimatorUtilsTest, ConfidenceHalfWidthScalesWithZ) {
-  double p, q;
-  GrrParameters(4, 1.0, &p, &q);
-  double w1 = ConfidenceHalfWidth(p, q, 1000, 10, 1.0);
-  double w2 = ConfidenceHalfWidth(p, q, 1000, 10, 2.0);
-  EXPECT_NEAR(w2 / w1, 2.0, 1e-9);
-}
-
-TEST(NormSubTest, PreservesTotalAndNonNegativity) {
-  std::vector<double> est = {50.0, -10.0, 70.0, -5.0, 15.0};
-  auto out = NormSub(est, 120.0);
-  double total = 0;
-  for (double v : out) {
-    EXPECT_GE(v, 0.0);
-    total += v;
-  }
-  EXPECT_NEAR(total, 120.0, 1e-9);
-}
-
-TEST(NormSubTest, NoOpWhenAlreadyConsistent) {
-  std::vector<double> est = {30.0, 20.0, 50.0};
-  auto out = NormSub(est, 100.0);
-  EXPECT_NEAR(out[0], 30.0, 1e-9);
-  EXPECT_NEAR(out[1], 20.0, 1e-9);
-  EXPECT_NEAR(out[2], 50.0, 1e-9);
-}
-
-TEST(NormSubTest, AllNegativeFallsBackToUniform) {
-  std::vector<double> est = {-5.0, -10.0};
-  auto out = NormSub(est, 40.0);
-  EXPECT_NEAR(out[0], 20.0, 1e-9);
-  EXPECT_NEAR(out[1], 20.0, 1e-9);
-}
-
-TEST(NormSubTest, OrderingPreservedAmongPositives) {
-  std::vector<double> est = {90.0, -20.0, 40.0, 10.0};
-  auto out = NormSub(est, 120.0);
-  EXPECT_GT(out[0], out[2]);
-  EXPECT_GT(out[2], out[3]);
-}
-
-TEST(MinimumPopulationTest, MatchesVarianceFormula) {
-  double p, q;
-  GrrParameters(10, 1.0, &p, &q);
-  auto n = MinimumPopulation(p, q, 25.0);
-  ASSERT_TRUE(n.ok());
-  // At the returned n, the zero-frequency stddev is <= 25.
-  double stddev = std::sqrt(OracleVariance(p, q, static_cast<double>(*n), 0));
-  EXPECT_LE(stddev, 25.0 * 1.01);
-  // And just below it, > 25.
-  double below = std::sqrt(
-      OracleVariance(p, q, static_cast<double>(*n) * 0.9, 0));
-  EXPECT_GT(below * 1.06, 25.0 * 0.9);
-}
-
-TEST(MinimumPopulationTest, RejectsBadInput) {
-  EXPECT_FALSE(MinimumPopulation(0.5, 0.5, 10.0).ok());  // p == q
-  EXPECT_FALSE(MinimumPopulation(0.9, 0.1, 0.0).ok());
 }
 
 }  // namespace

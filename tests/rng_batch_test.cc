@@ -273,8 +273,7 @@ TEST(GrrBatchTest, KeepRateTracksP) {
 
 TEST(OueBatchTest, EncodeConsumesOneWordPerCell) {
   const size_t kCells = 13;
-  auto oue = ldp::UnaryEncoding::Create(kCells, 1.5,
-                                        ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(kCells, 1.5);
   ASSERT_TRUE(oue.ok());
   Rng rng(31337);
   Rng reference(31337);
@@ -300,8 +299,7 @@ TEST(OueBatchTest, EncodeConsumesOneWordPerCell) {
 }
 
 TEST(OueBatchTest, PerturbValueDelegatesToEncodeInto) {
-  auto oue = ldp::UnaryEncoding::Create(9, 0.8,
-                                        ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(9, 0.8);
   ASSERT_TRUE(oue.ok());
   Rng a(77), b(77);
   std::vector<uint8_t> from_perturb = oue->PerturbValue(4, &a);

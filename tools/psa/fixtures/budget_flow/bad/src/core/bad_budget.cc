@@ -9,8 +9,7 @@ namespace privshape::core {
 void BadLiteralEpsilons(size_t domain) {
   auto grr = ldp::Grr::Create(domain, 1.0);
   auto em = ldp::ExponentialMechanism::Create(0.5);
-  auto oue = ldp::UnaryEncoding::Create(
-      domain, (2.0), ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(domain, (2.0));
   (void)grr;
   (void)em;
   (void)oue;

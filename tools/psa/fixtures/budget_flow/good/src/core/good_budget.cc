@@ -15,9 +15,7 @@ void GoodTracedEpsilons(size_t domain, const BudgetedConfig& config,
   auto grr = ldp::Grr::Create(domain, config.epsilon);
   auto em = ldp::ExponentialMechanism::Create(epsilon);
   // Splitting a traced budget with literal factors stays traced.
-  auto oue = ldp::UnaryEncoding::Create(
-      domain, config.epsilon / 2.0,
-      ldp::UnaryEncoding::Variant::kOptimized);
+  auto oue = ldp::UnaryEncoding::Create(domain, config.epsilon / 2.0);
   (void)grr;
   (void)em;
   (void)oue;
