@@ -136,6 +136,30 @@ Result<core::MechanismConfig> GeneratedDatasetConfig(
   return config;
 }
 
+Result<core::MechanismConfig> MechanismConfigFromArgs(
+    const CliArgs& args, const std::string& defaults_dataset) {
+  auto config = GeneratedDatasetConfig(defaults_dataset);
+  if (!config.ok()) {
+    return Status::InvalidArgument("--dataset: " + config.status().message());
+  }
+  auto epsilon = args.GetDoubleStatus("epsilon", config->epsilon);
+  if (!epsilon.ok()) return epsilon.status();
+  config->epsilon = *epsilon;
+  auto seed = args.GetIntStatus("seed", static_cast<int>(config->seed));
+  if (!seed.ok()) return seed.status();
+  config->seed = static_cast<uint64_t>(*seed);
+  auto k = args.GetIntStatus("k", config->k);
+  if (!k.ok()) return k.status();
+  config->k = *k;
+  auto c = args.GetIntStatus("c", config->c);
+  if (!c.ok()) return c.status();
+  config->c = *c;
+  auto classes = args.GetCount("num-classes", 0);
+  if (!classes.ok()) return classes.status();
+  config->num_classes = static_cast<int>(*classes);
+  return config;
+}
+
 Result<core::TransformOptions> GeneratedTransform(const std::string& dataset) {
   auto config = GeneratedDatasetConfig(dataset);
   if (!config.ok()) return config.status();

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/config.h"
@@ -159,6 +160,14 @@ Result<int> GeneratedNumClasses(const std::string& dataset);
 /// this one helper, so a dataset name means the same mechanism everywhere.
 Result<core::MechanismConfig> GeneratedDatasetConfig(
     const std::string& dataset);
+
+/// The mechanism flags of the three collection binaries (--epsilon,
+/// --seed, --k, --c and --num-classes >= 0) over
+/// GeneratedDatasetConfig(defaults_dataset)'s paper defaults, so a flag
+/// means the same mechanism in the collector, the daemon and loadgen.
+/// Every error names its flag.
+Result<core::MechanismConfig> MechanismConfigFromArgs(
+    const CliArgs& args, const std::string& defaults_dataset);
 
 /// The paper's Compressive-SAX transform for a generated dataset (§V-B3):
 /// Trace t=4/w=10, Symbols t=6/w=25 — the alphabet size matching

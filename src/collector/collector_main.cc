@@ -43,7 +43,6 @@ using namespace privshape;  // NOLINT(build/namespaces)
 struct FleetSetup {
   collector::ClientFleet::WordFn word_fn;
   collector::ClientFleet::LabelFn label_fn;  ///< null = unlabeled fleet
-  core::MechanismConfig config;
   std::string description;
 };
 
@@ -100,86 +99,58 @@ Result<std::vector<int>> ExtractLabelColumn(
   return labels;
 }
 
-Result<FleetSetup> BuildSetup(const CliArgs& args) {
+/// The paper defaults a dataset name selects (§V-B3), shared with the
+/// daemon and loadgen so a dataset name means the same mechanism
+/// everywhere. Any name other than "symbols" keeps the trace defaults (a
+/// --csv run may name its dataset freely).
+const char* DefaultsFor(const std::string& dataset) {
+  return dataset == "symbols" ? "symbols" : "trace";
+}
+
+/// Where the fleet's words and labels come from: --csv rows (labelled by
+/// --labels FILE or --label-column N) or the generated --dataset.
+struct FleetFlags {
+  std::string dataset;
+  std::string csv;
+  std::string labels_file;
+  int label_column = -1;
+};
+
+Result<FleetSetup> BuildSetup(const FleetFlags& flags,
+                              const core::MechanismConfig& config) {
   FleetSetup setup;
-  // Strict parsing: a typo'd numeric flag ("--epsilon 2,5") must fail
-  // loudly, not silently run the default experiment.
-  auto seed_flag = args.GetIntStatus("seed", 2023);
-  if (!seed_flag.ok()) return seed_flag.status();
-  uint64_t seed = static_cast<uint64_t>(*seed_flag);
-  std::string dataset = args.GetString("dataset", "trace");
-
-  // Paper-default mechanism configs (§V-B3), shared with the daemon and
-  // loadgen so a dataset name means the same mechanism everywhere. Any
-  // dataset name other than "symbols" keeps the trace defaults (a --csv
-  // run may name its dataset freely).
-  const char* defaults = dataset == "symbols" ? "symbols" : "trace";
-  auto base = collector::GeneratedDatasetConfig(defaults);
-  if (!base.ok()) return base.status();
-  core::MechanismConfig config = *base;
-  auto epsilon = args.GetDoubleStatus("epsilon", 4.0);
-  if (!epsilon.ok()) return epsilon.status();
-  config.epsilon = *epsilon;
-  config.seed = seed;
-  auto k = args.GetIntStatus("k", config.k);
-  if (!k.ok()) return k.status();
-  config.k = *k;
-  auto c = args.GetIntStatus("c", config.c);
-  if (!c.ok()) return c.status();
-  config.c = *c;
-
-  // Classification: --num-classes N > 0 switches the refinement round to
-  // P_e (OUE over candidate x class cells) and requires per-user labels.
-  auto classes_flag = args.GetIntStatus("num-classes", 0);
-  if (!classes_flag.ok()) return classes_flag.status();
-  if (*classes_flag < 0) {
-    return Status::InvalidArgument("--num-classes must be >= 0, got " +
-                                   std::to_string(*classes_flag));
-  }
-  config.num_classes = *classes_flag;
-  setup.config = config;
-
-  std::string labels_file = args.GetString("labels", "");
-  auto label_column_flag = args.GetIntStatus("label-column", -1);
-  if (!label_column_flag.ok()) return label_column_flag.status();
-  int label_column = *label_column_flag;
-  if (label_column < 0 && args.Has("label-column")) {
-    return Status::InvalidArgument("--label-column must be >= 0, got " +
-                                   std::to_string(label_column));
-  }
-  if ((!labels_file.empty() || label_column >= 0) &&
+  if ((!flags.labels_file.empty() || flags.label_column >= 0) &&
       config.num_classes == 0) {
     return Status::InvalidArgument(
         "--labels/--label-column require --num-classes > 0");
   }
-  if (!labels_file.empty() && label_column >= 0) {
+  if (!flags.labels_file.empty() && flags.label_column >= 0) {
     return Status::InvalidArgument(
         "--labels and --label-column are mutually exclusive");
   }
 
-  std::string csv = args.GetString("csv", "");
-  if (!csv.empty()) {
-    auto rows = ReadCsvDoubles(csv);
+  if (!flags.csv.empty()) {
+    auto rows = ReadCsvDoubles(flags.csv);
     if (!rows.ok()) return rows.status();
     if (rows->empty()) {
-      return Status::InvalidArgument("CSV dataset is empty: " + csv);
+      return Status::InvalidArgument("CSV dataset is empty: " + flags.csv);
     }
     std::vector<int> labels;
     if (config.num_classes > 0) {
-      if (label_column >= 0) {
+      if (flags.label_column >= 0) {
         auto extracted =
-            ExtractLabelColumn(&*rows, label_column, config.num_classes);
+            ExtractLabelColumn(&*rows, flags.label_column, config.num_classes);
         if (!extracted.ok()) return extracted.status();
         labels = std::move(*extracted);
-      } else if (!labels_file.empty()) {
-        auto text = ReadFileToString(labels_file);
+      } else if (!flags.labels_file.empty()) {
+        auto text = ReadFileToString(flags.labels_file);
         if (!text.ok()) return text.status();
         auto parsed = collector::ParseLabelsCsv(*text, config.num_classes);
         if (!parsed.ok()) return parsed.status();
         labels = std::move(*parsed);
         if (labels.size() != rows->size()) {
           return Status::InvalidArgument(
-              labels_file + " has " + std::to_string(labels.size()) +
+              flags.labels_file + " has " + std::to_string(labels.size()) +
               " labels for " + std::to_string(rows->size()) + " CSV rows");
         }
       } else {
@@ -188,7 +159,7 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
             "--label-column N");
       }
     }
-    auto transform = collector::GeneratedTransform(defaults);
+    auto transform = collector::GeneratedTransform(DefaultsFor(flags.dataset));
     if (!transform.ok()) return transform.status();
     std::vector<Sequence> words;
     words.reserve(rows->size());
@@ -198,12 +169,12 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
         // Fail loudly: a fleet of placeholder words would "succeed" end
         // to end while never ingesting the dataset.
         return Status::InvalidArgument(
-            "CSV row " + std::to_string(i) + " of " + csv +
+            "CSV row " + std::to_string(i) + " of " + flags.csv +
             " cannot be transformed (" + word.status().ToString() + ")");
       }
       words.push_back(std::move(*word));
     }
-    setup.description = "csv:" + csv;
+    setup.description = "csv:" + flags.csv;
     // Tile the CSV rows (and their labels, same modulo) across the
     // requested fleet size.
     setup.word_fn = collector::ClientFleet::TiledWords(std::move(words));
@@ -211,31 +182,31 @@ Result<FleetSetup> BuildSetup(const CliArgs& args) {
     return setup;
   }
 
-  if (!labels_file.empty() || label_column >= 0) {
+  if (!flags.labels_file.empty() || flags.label_column >= 0) {
     return Status::InvalidArgument(
         "--labels/--label-column require --csv (generated fleets label "
         "themselves)");
   }
-  auto words = collector::GeneratedWordSource(dataset, seed);
+  auto words = collector::GeneratedWordSource(flags.dataset, config.seed);
   if (!words.ok()) return words.status();
   if (config.num_classes > 0) {
     // Generated fleets are self-labeling: user u's instance is synthesized
     // from class u % dataset-classes. Reject a class count the synthesized
     // labels would overflow — at setup, not deep inside the P_e round.
-    auto dataset_classes = collector::GeneratedNumClasses(dataset);
+    auto dataset_classes = collector::GeneratedNumClasses(flags.dataset);
     if (!dataset_classes.ok()) return dataset_classes.status();
     if (config.num_classes < *dataset_classes) {
       return Status::OutOfRange(
-          "generated dataset '" + dataset + "' has " +
+          "generated dataset '" + flags.dataset + "' has " +
           std::to_string(*dataset_classes) +
           " classes; --num-classes must be >= that (got " +
           std::to_string(config.num_classes) + ")");
     }
-    auto labels = collector::GeneratedLabelSource(dataset);
+    auto labels = collector::GeneratedLabelSource(flags.dataset);
     if (!labels.ok()) return labels.status();
     setup.label_fn = std::move(*labels);
   }
-  setup.description = "generated:" + dataset;
+  setup.description = "generated:" + flags.dataset;
   setup.word_fn = std::move(*words);
   return setup;
 }
@@ -251,38 +222,52 @@ int Main(int argc, char** argv) {
   // SIGINT/SIGTERM mid-protocol: stop producing reports, drain the
   // queues, record the partial round, still write --json, exit 3.
   InstallShutdownHandler();
-  collector::CollectorOptions options;
-  // Fail fast on any malformed count flag, naming the flag.
+  auto fail = [](const Status& status) {
+    std::cerr << "privshape_collector: " << status << "\n";
+    return 1;
+  };
+  // Every flag is read here, before any work, so a malformed value or a
+  // flag no lookup reads fails fast, naming the flag.
   auto users_flag = args.GetCount("users", 100000);
   auto shards_flag = args.GetCount("shards", 0);
   auto batch_flag = args.GetCount("batch-size", 256);
   auto queue_flag = args.GetCount(
       "queue-depth",
       static_cast<int>(collector::CollectorOptions{}.queue_depth));
+  FleetFlags fleet_flags;
+  fleet_flags.dataset = args.GetString("dataset", "trace");
+  auto config = collector::MechanismConfigFromArgs(
+      args, DefaultsFor(fleet_flags.dataset));
+  fleet_flags.csv = args.GetString("csv", "");
+  fleet_flags.labels_file = args.GetString("labels", "");
+  auto label_column = args.GetCount("label-column", 0);
+  size_t threads = ThreadsFromArgs(args);
+  bool check_determinism = args.Has("check-determinism");
+  std::string trace_file = args.GetString("trace", "");
+  std::string json = args.GetString("json", "");
   for (const auto* flag :
-       {&users_flag, &shards_flag, &batch_flag, &queue_flag}) {
-    if (!flag->ok()) {
-      std::cerr << "privshape_collector: " << flag->status() << "\n";
-      return 1;
-    }
+       {&users_flag, &shards_flag, &batch_flag, &queue_flag, &label_column}) {
+    if (!flag->ok()) return fail(flag->status());
   }
+  if (!config.ok()) return fail(config.status());
+  Status unread = args.CheckAllRead();
+  if (!unread.ok()) return fail(unread);
+
+  collector::CollectorOptions options;
   size_t users = *users_flag;
   options.num_shards = *shards_flag;
   options.batch_size = *batch_flag;
   options.queue_depth = *queue_flag;
-  size_t threads = ThreadsFromArgs(args);
-
-  auto setup = BuildSetup(args);
-  if (!setup.ok()) {
-    std::cerr << "privshape_collector: " << setup.status() << "\n";
-    return 1;
+  if (args.Has("label-column")) {
+    fleet_flags.label_column = static_cast<int>(*label_column);
   }
+  auto setup = BuildSetup(fleet_flags, *config);
+  if (!setup.ok()) return fail(setup.status());
 
   ThreadPool pool(threads);
-  collector::ClientFleet fleet(users, setup->word_fn, setup->config.metric,
-                               setup->config.seed, setup->label_fn);
-  bool labeled = setup->config.num_classes > 0;
-  bool check_determinism = args.Has("check-determinism");
+  collector::ClientFleet fleet(users, setup->word_fn, config->metric,
+                               config->seed, setup->label_fn);
+  bool labeled = config->num_classes > 0;
   std::vector<Sequence> words;
   std::vector<int> labels;
   if (check_determinism) {
@@ -296,13 +281,13 @@ int Main(int argc, char** argv) {
     words = fleet.MaterializeWords();
     labels = fleet.MaterializeLabels();
     fleet = collector::ClientFleet::FromWords(words, users,
-                                              setup->config.metric,
-                                              setup->config.seed, labels);
+                                              config->metric,
+                                              config->seed, labels);
   }
 
   // --trace FILE: per-round spans across the protocol, written as
   // chrome://tracing JSON on exit.
-  telemetry::ScopedTraceFile trace(args.GetString("trace", ""));
+  telemetry::ScopedTraceFile trace(trace_file);
 
   std::printf(
       "privshape_collector: %s, %zu users, %zu threads, %zu shards, "
@@ -311,22 +296,17 @@ int Main(int argc, char** argv) {
       options.num_shards > 0 ? options.num_shards : pool.num_threads(),
       options.queue_depth);
   collector::CollectorMetrics metrics;
-  auto result = collector::RoundCoordinator(setup->config, options, &pool)
+  auto result = collector::RoundCoordinator(*config, options, &pool)
                     .Collect(fleet, &metrics);
   if (!result.ok()) {
     std::cerr << "privshape_collector: " << result.status() << "\n";
     if (result.status().code() != StatusCode::kCancelled) return 1;
     // Graceful shutdown: the run was abandoned, not failed — the rounds
     // recorded so far still make a usable metrics artifact.
-    std::string cancel_json = args.GetString("json", "");
-    if (!cancel_json.empty()) {
-      Status written =
-          collector::WriteJsonFile(metrics.ToJson(), cancel_json);
-      if (!written.ok()) {
-        std::cerr << "privshape_collector: " << written << "\n";
-        return 1;
-      }
-      std::printf("metrics written to %s\n", cancel_json.c_str());
+    if (!json.empty()) {
+      Status written = collector::WriteJsonFile(metrics.ToJson(), json);
+      if (!written.ok()) return fail(written);
+      std::printf("metrics written to %s\n", json.c_str());
     }
     return 3;
   }
@@ -342,15 +322,11 @@ int Main(int argc, char** argv) {
               metrics.TotalAccepted(), metrics.total_seconds,
               metrics.TotalAcceptedPerSec());
 
-  std::string json = args.GetString("json", "");
   if (!json.empty()) {
     JsonValue doc = metrics.ToJson();
     doc.Set("shapes", ShapesJson(*result, labeled));
     Status written = collector::WriteJsonFile(doc, json);
-    if (!written.ok()) {
-      std::cerr << "privshape_collector: " << written << "\n";
-      return 1;
-    }
+    if (!written.ok()) return fail(written);
     std::printf("metrics written to %s\n", json.c_str());
   }
 
@@ -360,7 +336,7 @@ int Main(int argc, char** argv) {
     // for shard counts {1, 4, 16}. `fleet` is already the materialized
     // word list, so the reference and every re-run below reuse the one
     // synthesis pass from above.
-    core::PrivShape reference(setup->config);
+    core::PrivShape reference(*config);
     auto expected = reference.Run(words, labeled ? &labels : nullptr);
     if (!expected.ok()) {
       std::cerr << "privshape_collector: core pipeline failed: "
@@ -372,7 +348,7 @@ int Main(int argc, char** argv) {
                 all_ok ? "OK" : "MISMATCH");
     auto check = [&](const collector::CollectorOptions& opt,
                      const std::string& label) {
-      auto got = collector::RoundCoordinator(setup->config, opt, &pool)
+      auto got = collector::RoundCoordinator(*config, opt, &pool)
                      .Collect(fleet);
       bool ok = got.ok() && SameShapes(*expected, *got);
       std::printf("  collector(%s) == core: %s\n", label.c_str(),

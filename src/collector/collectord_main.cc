@@ -30,44 +30,20 @@ namespace {
 
 using namespace privshape;  // NOLINT(build/namespaces)
 
-/// Mechanism config from flags: the generated-dataset defaults plus the
-/// same overrides privshape_collector accepts. The loadgen builds its
-/// fleet from the same flags — seed agreement is enforced by the
-/// handshake, the rest by --check.
-Result<core::MechanismConfig> ConfigFromArgs(const CliArgs& args) {
-  std::string dataset = args.GetString("dataset", "trace");
-  auto config = collector::GeneratedDatasetConfig(dataset);
-  if (!config.ok()) return config.status();
-  auto epsilon = args.GetDoubleStatus("epsilon", config->epsilon);
-  if (!epsilon.ok()) return epsilon.status();
-  config->epsilon = *epsilon;
-  auto seed = args.GetIntStatus("seed", 2023);
-  if (!seed.ok()) return seed.status();
-  config->seed = static_cast<uint64_t>(*seed);
-  auto k = args.GetIntStatus("k", config->k);
-  if (!k.ok()) return k.status();
-  config->k = *k;
-  auto c = args.GetIntStatus("c", config->c);
-  if (!c.ok()) return c.status();
-  config->c = *c;
-  auto classes = args.GetIntStatus("num-classes", 0);
-  if (!classes.ok()) return classes.status();
-  if (*classes < 0) {
-    return Status::InvalidArgument("--num-classes must be >= 0");
-  }
-  config->num_classes = *classes;
-  return config;
-}
-
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
   InstallShutdownHandler();
-
-  auto config = ConfigFromArgs(args);
-  if (!config.ok()) {
-    std::cerr << "privshape_collectord: " << config.status() << "\n";
+  auto fail = [](const Status& status) {
+    std::cerr << "privshape_collectord: " << status << "\n";
     return 1;
-  }
+  };
+
+  // Every flag is read here, before any work. The mechanism flags are the
+  // ones privshape_collector takes; the loadgen builds its fleet from the
+  // same flags — seed agreement is enforced by the handshake, the rest
+  // by --check.
+  auto config = collector::MechanismConfigFromArgs(
+      args, args.GetString("dataset", "trace"));
   // Counts parse strictly: typos fail loudly, never run defaults.
   auto users = args.GetCount("users", 100000);
   auto port = args.GetCount("port", 0);
@@ -76,22 +52,21 @@ int Main(int argc, char** argv) {
   auto queue_depth = args.GetCount(
       "queue-depth",
       static_cast<int>(collector::DaemonOptions{}.queue_depth));
+  auto stats_port = args.GetCount("stats-port", 0);
   auto accept_timeout = args.GetDoubleStatus("accept-timeout", 30.0);
   auto round_deadline = args.GetDoubleStatus("round-deadline", 30.0);
-  for (const auto* flag :
-       {&users, &port, &min_clients, &drainers, &queue_depth}) {
-    if (!flag->ok()) {
-      std::cerr << "privshape_collectord: " << flag->status() << "\n";
-      return 1;
-    }
+  std::string host = args.GetString("host", "127.0.0.1");
+  std::string trace_file = args.GetString("trace", "");
+  std::string json = args.GetString("json", "");
+  if (!config.ok()) return fail(config.status());
+  for (const auto* flag : {&users, &port, &min_clients, &drainers,
+                           &queue_depth, &stats_port}) {
+    if (!flag->ok()) return fail(flag->status());
   }
-  if (!accept_timeout.ok() || !round_deadline.ok()) {
-    std::cerr << "privshape_collectord: "
-              << (!accept_timeout.ok() ? accept_timeout.status()
-                                       : round_deadline.status())
-              << "\n";
-    return 1;
-  }
+  if (!accept_timeout.ok()) return fail(accept_timeout.status());
+  if (!round_deadline.ok()) return fail(round_deadline.status());
+  Status unread = args.CheckAllRead();
+  if (!unread.ok()) return fail(unread);
   if (*port > 65535) {
     std::cerr << "privshape_collectord: --port must be <= 65535\n";
     return 1;
@@ -102,7 +77,7 @@ int Main(int argc, char** argv) {
   }
 
   collector::DaemonOptions options;
-  options.host = args.GetString("host", "127.0.0.1");
+  options.host = host;
   options.port = static_cast<uint16_t>(*port);
   options.min_clients = *min_clients;
   options.accept_timeout_seconds = *accept_timeout;
@@ -110,8 +85,7 @@ int Main(int argc, char** argv) {
   options.num_drainers = *drainers;
   options.queue_depth = *queue_depth;
   if (args.Has("stats-port")) {
-    auto stats_port = args.GetCount("stats-port", 0);
-    if (!stats_port.ok() || *stats_port > 65535) {
+    if (*stats_port > 65535) {
       std::cerr << "privshape_collectord: --stats-port must be in "
                    "[0, 65535]\n";
       return 1;
@@ -122,14 +96,11 @@ int Main(int argc, char** argv) {
 
   // --trace FILE: record per-round/per-connection spans and write a
   // chrome://tracing JSON on exit.
-  telemetry::ScopedTraceFile trace(args.GetString("trace", ""));
+  telemetry::ScopedTraceFile trace(trace_file);
 
   collector::CollectorDaemon daemon(*config, *users, options);
   Status started = daemon.Start();
-  if (!started.ok()) {
-    std::cerr << "privshape_collectord: " << started << "\n";
-    return 1;
-  }
+  if (!started.ok()) return fail(started);
   // CI greps this line for the bound port; flush before blocking.
   std::printf("privshape_collectord: listening on %s:%u (%zu users, "
               "min %zu clients)\n",
@@ -145,7 +116,6 @@ int Main(int argc, char** argv) {
   auto result = daemon.Serve(&metrics);
 
   bool labeled = config->num_classes > 0;
-  std::string json = args.GetString("json", "");
   auto write_json = [&](const core::MechanismResult* shapes) -> bool {
     if (json.empty()) return true;
     JsonValue doc = metrics.ToJson();

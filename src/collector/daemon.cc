@@ -25,35 +25,6 @@ constexpr uint64_t kListenerTag = ~uint64_t{0};
 /// below kListenerTag, so the three tag families never collide.
 constexpr uint64_t kStatsTagBase = uint64_t{1} << 62;
 
-/// Daemon-side instruments, resolved once per process (relaxed-atomic
-/// record path thereafter, per the registry contract).
-struct DaemonInstruments {
-  telemetry::Counter* accepted;
-  telemetry::Counter* handshakes;
-  telemetry::Counter* disconnects;
-  telemetry::Counter* protocol_errors;
-  telemetry::Counter* stale_batches;
-  telemetry::Counter* deadline_drops;
-  telemetry::Gauge* live_connections;
-  telemetry::Gauge* current_round;
-
-  static DaemonInstruments& Get() {
-    static DaemonInstruments inst = [] {
-      telemetry::Registry& reg = telemetry::Registry::Default();
-      return DaemonInstruments{
-          reg.GetCounter("daemon_connections_accepted_total"),
-          reg.GetCounter("daemon_handshakes_total"),
-          reg.GetCounter("daemon_disconnects_total"),
-          reg.GetCounter("daemon_protocol_errors_total"),
-          reg.GetCounter("daemon_stale_batches_total"),
-          reg.GetCounter("daemon_deadline_drops_total"),
-          reg.GetGauge("daemon_connections_live"),
-          reg.GetGauge("daemon_current_round")};
-    }();
-    return inst;
-  }
-};
-
 /// How long the event loop sleeps per poll iteration while a round (or
 /// the accept phase) is in flight: short enough that deadlines and the
 /// shutdown flag are honored promptly.
@@ -184,24 +155,55 @@ Status CollectorDaemon::Start() {
 }
 
 std::string CollectorDaemon::StatsContent(std::string_view path) {
+  // The daemon's figures, read off its record at scrape time. This one
+  // table feeds both /metrics and the JSON snapshot's "daemon" object;
+  // the process registry holds none of them, so two daemons in one
+  // process never share a count.
+  struct Figure {
+    const char* key;     ///< /stats.json "daemon" key
+    const char* metric;  ///< /metrics name
+    const char* type;
+    uint64_t value;
+  };
+  const Figure figures[] = {
+      {"round", "daemon_current_round", "gauge", current_round_},
+      {"live_connections", "daemon_connections_live", "gauge",
+       LiveHandshaked()},
+      {"connections_accepted", "daemon_connections_accepted_total",
+       "counter", stats_.connections_accepted},
+      {"handshakes", "daemon_handshakes_total", "counter",
+       stats_.handshakes},
+      {"disconnects", "daemon_disconnects_total", "counter",
+       stats_.disconnects},
+      {"protocol_errors", "daemon_protocol_errors_total", "counter",
+       stats_.protocol_errors},
+      {"stale_batches", "daemon_stale_batches_total", "counter",
+       stats_.stale_batches},
+      {"deadline_drops", "daemon_deadline_drops_total", "counter",
+       stats_.deadline_drops},
+  };
   if (path == "/metrics") {
-    return telemetry::Registry::Default().TextExposition();
+    std::string text = telemetry::Registry::Default().TextExposition();
+    for (const Figure& figure : figures) {
+      telemetry::AppendSample(figure.metric, figure.type,
+                              std::to_string(figure.value), &text);
+    }
+    // Drainer d's queue depth: live mid-round, 0 between rounds.
+    for (size_t d = 0; d < EffectiveDrainers(); ++d) {
+      size_t depth = ingest_ != nullptr ? ingest_->QueueDepth(d) : 0;
+      telemetry::AppendSample("daemon_queue_depth_d" + std::to_string(d),
+                              "gauge", std::to_string(depth), &text);
+    }
+    return text;
   }
-  // Everything else gets the JSON snapshot: the registry plus the
-  // daemon's live protocol position. ContentFn runs on the event-loop
-  // thread, so these reads never race the handlers that write them.
-  JsonValue doc = JsonValue::Object();
+  // Everything else gets the JSON snapshot: the daemon's record and
+  // protocol position, plus the process registry.
   JsonValue daemon = JsonValue::Object();
-  daemon.Set("round", JsonValue::Uint(current_round_));
   daemon.Set("round_in_flight", JsonValue::Bool(ingest_ != nullptr));
-  daemon.Set("live_connections", JsonValue::Uint(LiveHandshaked()));
-  daemon.Set("connections_accepted",
-             JsonValue::Uint(stats_.connections_accepted));
-  daemon.Set("handshakes", JsonValue::Uint(stats_.handshakes));
-  daemon.Set("disconnects", JsonValue::Uint(stats_.disconnects));
-  daemon.Set("protocol_errors", JsonValue::Uint(stats_.protocol_errors));
-  daemon.Set("stale_batches", JsonValue::Uint(stats_.stale_batches));
-  daemon.Set("deadline_drops", JsonValue::Uint(stats_.deadline_drops));
+  for (const Figure& figure : figures) {
+    daemon.Set(figure.key, JsonValue::Uint(figure.value));
+  }
+  JsonValue doc = JsonValue::Object();
   doc.Set("daemon", std::move(daemon));
   doc.Set("registry", telemetry::Registry::Default().JsonSnapshot());
   return doc.Dump(2);
@@ -233,7 +235,6 @@ void CollectorDaemon::AcceptPending() {
     conn->connected_at_us = telemetry::TraceNowUs();
     if (!poller_.Add(conn->fd.get(), conn->id).ok()) continue;
     ++stats_.connections_accepted;
-    DaemonInstruments::Get().accepted->Add(1);
     conns_.push_back(std::move(conn));
   }
 }
@@ -267,10 +268,8 @@ void CollectorDaemon::DropConnection(Connection& conn,
                                      const std::string& reason,
                                      bool protocol_error) {
   if (conn.dead) return;
-  DaemonInstruments& inst = DaemonInstruments::Get();
   if (protocol_error) {
     ++stats_.protocol_errors;
-    inst.protocol_errors->Add(1);
     if (auto* trace = telemetry::GlobalTrace()) {
       trace->RecordInstant("protocol_error.conn." + std::to_string(conn.id),
                            "connection");
@@ -287,8 +286,6 @@ void CollectorDaemon::DropConnection(Connection& conn,
   conn.fd.Reset();
   conn.dead = true;
   ++stats_.disconnects;
-  inst.disconnects->Add(1);
-  if (conn.handshaked) inst.live_connections->Sub(1);
   conn.RecordLifetimeSpan();
 }
 
@@ -359,8 +356,6 @@ void CollectorDaemon::HandleHello(Connection& conn, const net::Frame& frame) {
   }
   conn.handshaked = true;
   ++stats_.handshakes;
-  DaemonInstruments::Get().handshakes->Add(1);
-  DaemonInstruments::Get().live_connections->Add(1);
   net::WelcomeMsg welcome;
   welcome.conn_id = conn.id;
   welcome.num_users = num_users_;
@@ -384,7 +379,6 @@ void CollectorDaemon::HandleBatchUpload(Connection& conn,
       // population split makes re-counting them impossible to do
       // exactly, so they are dropped — visibly.
       ++stats_.stale_batches;
-      DaemonInstruments::Get().stale_batches->Add(1);
       return;
     }
     DropConnection(conn,
@@ -494,13 +488,11 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
         ": every client disconnected")};
   }
 
-  DaemonInstruments::Get().current_round->Set(
-      static_cast<int64_t>(current_round_));
   // One lane per drainer: connection p feeds lane p mod D, whose only
   // writer is drainer p mod D.
   size_t num_lanes = EffectiveDrainers();
-  RoundIngest ingest(spec, num_lanes, num_lanes, options_.queue_depth,
-                     "daemon");
+  // No registry gauges: StatsContent reads the depths off the ingest.
+  RoundIngest ingest(spec, num_lanes, num_lanes, options_.queue_depth, "");
   ingest_ = &ingest;
 
   // Participant p answers for the contiguous population slice
@@ -548,7 +540,6 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
       for (Connection* conn : participants) {
         if (!conn->dead && !conn->done) {
           ++stats_.deadline_drops;
-          DaemonInstruments::Get().deadline_drops->Add(1);
           DropConnection(*conn, "round deadline exceeded", false);
         }
       }
@@ -609,9 +600,6 @@ void CollectorDaemon::CloseAll() {
       poller_.Remove(conn->fd.get());
       conn->fd.Reset();
       conn->dead = true;
-      if (conn->handshaked) {
-        DaemonInstruments::Get().live_connections->Sub(1);
-      }
       conn->RecordLifetimeSpan();
     }
   }
@@ -628,11 +616,7 @@ Result<core::MechanismResult> CollectorDaemon::Serve(
     metrics->num_shards = EffectiveDrainers();
     metrics->num_threads = EffectiveDrainers();
     metrics->queue_depth = options_.queue_depth;
-    metrics->connections = stats_.handshakes;
-    metrics->disconnects = stats_.disconnects;
-    metrics->protocol_errors = stats_.protocol_errors;
-    metrics->stale_batches = stats_.stale_batches;
-    metrics->deadline_drops = stats_.deadline_drops;
+    metrics->daemon = stats_;
   };
 
   // Accept phase: wait for the quorum of handshaked clients.

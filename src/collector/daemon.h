@@ -56,17 +56,6 @@ struct DaemonOptions {
   uint16_t stats_port = 0;
 };
 
-/// Wire-level health counters, exposed for tests and merged into the
-/// CollectorMetrics JSON. Only read them after Serve returned.
-struct DaemonStats {
-  size_t connections_accepted = 0;  ///< TCP accepts
-  size_t handshakes = 0;            ///< valid Hello/Welcome exchanges
-  size_t disconnects = 0;           ///< connections lost before Complete
-  size_t protocol_errors = 0;       ///< connections dropped for violations
-  size_t stale_batches = 0;         ///< uploads for a past round, discarded
-  size_t deadline_drops = 0;        ///< connections dropped at a deadline
-};
-
 /// The collection daemon. Usage:
 ///   CollectorDaemon daemon(config, num_users, options);
 ///   PRIVSHAPE_RETURN_IF_ERROR(daemon.Start());   // port() now valid
@@ -105,6 +94,8 @@ class CollectorDaemon {
   /// run got.
   Result<core::MechanismResult> Serve(CollectorMetrics* metrics = nullptr);
 
+  /// This daemon's record of its connection events. Only read it after
+  /// Serve returned.
   const DaemonStats& stats() const { return stats_; }
 
  private:
@@ -132,8 +123,9 @@ class CollectorDaemon {
   void BroadcastComplete(const core::MechanismResult& result);
   void CloseAll();
 
-  /// Scrape-response body for the stats endpoint: runs on the event-loop
-  /// thread, so reading daemon state here is race-free.
+  /// Scrape-response body for the stats endpoint, rendered from this
+  /// daemon's record: runs on the event-loop thread, so reading daemon
+  /// state here is race-free.
   std::string StatsContent(std::string_view path);
 
   // Thread-safety contract (checked by design, not by a mutex): every

@@ -35,53 +35,37 @@ using namespace privshape;  // NOLINT(build/namespaces)
 
 int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
-
-  std::string dataset = args.GetString("dataset", "trace");
-  auto config = collector::GeneratedDatasetConfig(dataset);
-  if (!config.ok()) {
-    std::cerr << "privshape_loadgen: " << config.status() << "\n";
+  auto fail = [](const Status& status) {
+    std::cerr << "privshape_loadgen: " << status << "\n";
     return 1;
-  }
-  auto epsilon = args.GetDoubleStatus("epsilon", config->epsilon);
-  auto timeout = args.GetDoubleStatus("timeout", 120.0);
-  auto seed = args.GetIntStatus("seed", 2023);
-  auto k = args.GetIntStatus("k", config->k);
-  auto c = args.GetIntStatus("c", config->c);
-  auto classes = args.GetIntStatus("num-classes", 0);
+  };
+
+  // Every flag is read here, before any work.
+  std::string dataset = args.GetString("dataset", "trace");
+  auto config = collector::MechanismConfigFromArgs(args, dataset);
   auto users = args.GetCount("users", 100000);
   auto port = args.GetCount("port", 0);
   auto connections = args.GetCount("connections", 1);
   auto batch_size = args.GetCount("batch-size", 256);
+  auto timeout = args.GetDoubleStatus("timeout", 120.0);
+  std::string host = args.GetString("host", "127.0.0.1");
+  std::string trace_file = args.GetString("trace", "");
+  std::string json = args.GetString("json", "");
+  bool check = args.Has("check");
+  if (!config.ok()) return fail(config.status());
   for (const auto* flag : {&users, &port, &connections, &batch_size}) {
-    if (!flag->ok()) {
-      std::cerr << "privshape_loadgen: " << flag->status() << "\n";
-      return 1;
-    }
+    if (!flag->ok()) return fail(flag->status());
   }
-  if (!epsilon.ok() || !timeout.ok() || !seed.ok() || !k.ok() || !c.ok() ||
-      !classes.ok()) {
-    std::cerr << "privshape_loadgen: malformed numeric flag\n";
-    return 1;
-  }
-  if (*classes < 0) {
-    std::cerr << "privshape_loadgen: --num-classes must be >= 0\n";
-    return 1;
-  }
+  if (!timeout.ok()) return fail(timeout.status());
+  Status unread = args.CheckAllRead();
+  if (!unread.ok()) return fail(unread);
   if (*port == 0 || *port > 65535) {
     std::cerr << "privshape_loadgen: --port must be in [1, 65535]\n";
     return 1;
   }
-  config->epsilon = *epsilon;
-  config->seed = static_cast<uint64_t>(*seed);
-  config->k = *k;
-  config->c = *c;
-  config->num_classes = *classes;
 
   auto words = collector::GeneratedWordSource(dataset, config->seed);
-  if (!words.ok()) {
-    std::cerr << "privshape_loadgen: " << words.status() << "\n";
-    return 1;
-  }
+  if (!words.ok()) return fail(words.status());
   collector::ClientFleet::LabelFn label_fn;
   if (config->num_classes > 0) {
     auto dataset_classes = collector::GeneratedNumClasses(dataset);
@@ -101,14 +85,14 @@ int Main(int argc, char** argv) {
                                config->seed, std::move(label_fn));
 
   collector::LoadgenOptions options;
-  options.host = args.GetString("host", "127.0.0.1");
+  options.host = host;
   options.port = static_cast<uint16_t>(*port);
   options.connections = *connections;
   options.batch_size = *batch_size;
   options.timeout_seconds = *timeout;
 
   // --trace FILE: per-round client spans, chrome://tracing JSON on exit.
-  telemetry::ScopedTraceFile trace(args.GetString("trace", ""));
+  telemetry::ScopedTraceFile trace(trace_file);
 
   std::printf("privshape_loadgen: %zu users over %zu connection(s) to "
               "%s:%u\n",
@@ -116,10 +100,7 @@ int Main(int argc, char** argv) {
               options.port);
   std::fflush(stdout);
   auto outcome = collector::RunLoadgen(fleet, options);
-  if (!outcome.ok()) {
-    std::cerr << "privshape_loadgen: " << outcome.status() << "\n";
-    return 1;
-  }
+  if (!outcome.ok()) return fail(outcome.status());
 
   bool labeled = config->num_classes > 0;
   collector::PrintShapes(outcome->result, labeled);
@@ -143,7 +124,7 @@ int Main(int argc, char** argv) {
 
   bool check_ran = false;
   bool check_ok = false;
-  if (args.Has("check")) {
+  if (check) {
     std::printf("check: materializing %zu words for the core reference\n",
                 *users);
     std::vector<Sequence> all_words = fleet.MaterializeWords();
@@ -167,7 +148,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::string json = args.GetString("json", "");
   if (!json.empty()) {
     JsonValue doc = JsonValue::Object();
     doc.Set("users", JsonValue::Uint(*users));

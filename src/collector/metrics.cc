@@ -14,6 +14,34 @@ double RoundStats::AcceptedPerSec() const {
   return static_cast<double>(accepted) / seconds;
 }
 
+void PublishRound(const RoundStats& round,
+                  const telemetry::HistogramSnapshot& ingest_latency) {
+  // Resolved once per process; adding through the cached pointers is the
+  // registry's lock-free path.
+  static telemetry::Registry& reg = telemetry::Registry::Default();
+  static telemetry::Counter* const rounds =
+      reg.GetCounter("collector_rounds_total");
+  static telemetry::Counter* const accepted =
+      reg.GetCounter("collector_reports_accepted_total");
+  static telemetry::Counter* const rejected =
+      reg.GetCounter("collector_reports_rejected_total");
+  static telemetry::Counter* const client_errors =
+      reg.GetCounter("collector_client_errors_total");
+  static telemetry::Counter* const bytes_up =
+      reg.GetCounter("collector_bytes_up_total");
+  static telemetry::Counter* const bytes_down =
+      reg.GetCounter("collector_bytes_down_total");
+  static telemetry::Histogram* const ingest =
+      reg.GetHistogram("collector_ingest_batch_ns");
+  rounds->Add(1);
+  accepted->Add(round.accepted);
+  rejected->Add(round.rejected);
+  client_errors->Add(round.client_errors);
+  bytes_up->Add(round.bytes_up);
+  bytes_down->Add(round.bytes_down);
+  ingest->Merge(ingest_latency);
+}
+
 size_t CollectorMetrics::TotalReports() const {
   size_t total = 0;
   for (const RoundStats& round : rounds) {
@@ -68,11 +96,11 @@ JsonValue CollectorMetrics::ToJson() const {
   doc.Set("ingested_per_sec", JsonValue::Num(TotalIngestedPerSec()));
   doc.Set("accepted_per_sec", JsonValue::Num(TotalAcceptedPerSec()));
   if (ingest == "socket") {
-    doc.Set("connections", JsonValue::Uint(connections));
-    doc.Set("disconnects", JsonValue::Uint(disconnects));
-    doc.Set("protocol_errors", JsonValue::Uint(protocol_errors));
-    doc.Set("stale_batches", JsonValue::Uint(stale_batches));
-    doc.Set("deadline_drops", JsonValue::Uint(deadline_drops));
+    doc.Set("connections", JsonValue::Uint(daemon.handshakes));
+    doc.Set("disconnects", JsonValue::Uint(daemon.disconnects));
+    doc.Set("protocol_errors", JsonValue::Uint(daemon.protocol_errors));
+    doc.Set("stale_batches", JsonValue::Uint(daemon.stale_batches));
+    doc.Set("deadline_drops", JsonValue::Uint(daemon.deadline_drops));
   }
   JsonValue stages = JsonValue::Array();
   for (const RoundStats& round : rounds) {

@@ -7,10 +7,13 @@
 
 #include "common/json.h"
 #include "common/status.h"
+#include "telemetry/telemetry.h"
 
 namespace privshape::collector {
 
-/// Throughput/latency counters of one collection round.
+/// Throughput/latency counters of one collection round: the one record of
+/// its outcome. PublishRound derives the process registry's collector_*
+/// figures from it, and CollectorMetrics keeps it for the JSON artifact.
 struct RoundStats {
   std::string stage;         ///< "Pa", "Pb", "Pc.level0", ..., "Pd"/"Pe"
   size_t users = 0;          ///< requests issued (population size)
@@ -24,7 +27,9 @@ struct RoundStats {
   /// Per-batch ingest latency distribution (one ConsumeBatch call = one
   /// sample), derived from the round's log-linear histogram — so the
   /// percentiles carry its <=6.25% relative bucketing error. All zero
-  /// when the runner did not time its batches.
+  /// when the runner did not time its batches. Six scalars, not the
+  /// ~7.8 KB snapshot: a benchmark keeps every round's record of every
+  /// run it times.
   uint64_t ingest_batches = 0;  ///< timed ConsumeBatch calls
   double ingest_p50_ns = 0.0;
   double ingest_p95_ns = 0.0;
@@ -42,6 +47,26 @@ struct RoundStats {
   double AcceptedPerSec() const;
 };
 
+/// Folds one finished round into the process registry: the six
+/// collector_*_total counters from `round` and collector_ingest_batch_ns
+/// from the round's batch latencies. The only writer of those figures;
+/// it runs once per round, never per report.
+void PublishRound(const RoundStats& round,
+                  const telemetry::HistogramSnapshot& ingest_latency);
+
+/// Wire-level health counters of one socket daemon: the one record of its
+/// connection events. Its scrape endpoint renders them (with the live
+/// connection count and the round) into /metrics and /stats.json, and
+/// CollectorMetrics keeps a copy for the JSON artifact.
+struct DaemonStats {
+  size_t connections_accepted = 0;  ///< TCP accepts
+  size_t handshakes = 0;            ///< valid Hello/Welcome exchanges
+  size_t disconnects = 0;           ///< connections lost before Complete
+  size_t protocol_errors = 0;       ///< connections dropped for violations
+  size_t stale_batches = 0;         ///< uploads for a past round, discarded
+  size_t deadline_drops = 0;        ///< connections dropped at a deadline
+};
+
 /// Whole-run metrics, exported as JSON so the perf trajectory of the
 /// collector is machine-readable from the first PR that ships it.
 struct CollectorMetrics {
@@ -53,12 +78,9 @@ struct CollectorMetrics {
   double total_seconds = 0.0;
   std::vector<RoundStats> rounds;
 
-  /// Socket-daemon counters (all zero for in-process runs).
-  size_t connections = 0;      ///< handshaked connections that served rounds
-  size_t disconnects = 0;      ///< connections lost before Complete
-  size_t protocol_errors = 0;  ///< connections dropped for wire violations
-  size_t stale_batches = 0;    ///< uploads for a past round, discarded
-  size_t deadline_drops = 0;   ///< connections dropped at a round deadline
+  /// The socket daemon's record (all zero for in-process runs); the JSON
+  /// reports its handshakes as "connections".
+  DaemonStats daemon;
 
   size_t TotalReports() const;  ///< ingested: accepted + rejected
   size_t TotalAccepted() const;

@@ -80,33 +80,18 @@ StageSpec SpecFor(const proto::RoundContext& ctx) {
 }
 
 /// Times one round, runs it (under a chrome-trace span when tracing is
-/// on), folds its telemetry into the process registry, and appends its
-/// RoundStats.
+/// on), fills its RoundStats, publishes that record to the process
+/// registry, and appends it to `metrics` when non-null.
 RoundOutcome RunTimedRound(const RoundRunner& run_round,
                            const std::vector<size_t>& population,
                            const StageSpec& spec,
                            const std::string& encoded_request,
                            const AnswerFn& answer, const std::string& stage,
                            CollectorMetrics* metrics) {
-  // Resolved once per process; Record/Add through the cached pointers is
-  // the lock-free path the registry's contract promises.
-  static telemetry::Registry& reg = telemetry::Registry::Default();
-  static telemetry::Counter* rounds_total =
-      reg.GetCounter("collector_rounds_total");
-  static telemetry::Counter* accepted_total =
-      reg.GetCounter("collector_reports_accepted_total");
-  static telemetry::Counter* rejected_total =
-      reg.GetCounter("collector_reports_rejected_total");
-  static telemetry::Counter* client_errors_total =
-      reg.GetCounter("collector_client_errors_total");
-  static telemetry::Counter* bytes_up_total =
-      reg.GetCounter("collector_bytes_up_total");
-  static telemetry::Counter* bytes_down_total =
-      reg.GetCounter("collector_bytes_down_total");
-  static telemetry::Histogram* ingest_global =
-      reg.GetHistogram("collector_ingest_batch_ns");
+  // Resolved once per process; Set through the cached pointer is the
+  // lock-free path the registry's contract promises.
   static telemetry::Gauge* round_users =
-      reg.GetGauge("collector_round_users");
+      telemetry::Registry::Default().GetGauge("collector_round_users");
 
   telemetry::TraceSpan span(telemetry::GlobalTrace(), stage, "round");
   round_users->Set(static_cast<int64_t>(population.size()));
@@ -116,35 +101,26 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
   span.Close();
   round_users->Set(0);
 
-  rounds_total->Add(1);
-  accepted_total->Add(outcome.agg.accepted());
-  rejected_total->Add(outcome.agg.rejected());
-  client_errors_total->Add(outcome.client_errors);
-  bytes_up_total->Add(outcome.agg.bytes_ingested());
-  bytes_down_total->Add(encoded_request.size() * population.size());
-  ingest_global->Merge(outcome.ingest_latency);
-
-  if (metrics != nullptr) {
-    RoundStats stats;
-    stats.stage = stage;
-    stats.users = population.size();
-    stats.accepted = outcome.agg.accepted();
-    stats.rejected = outcome.agg.rejected();
-    stats.client_errors = outcome.client_errors;
-    stats.bytes_up = outcome.agg.bytes_ingested();
-    stats.bytes_down = encoded_request.size() * population.size();
-    stats.seconds = seconds;
-    const telemetry::HistogramSnapshot& lat = outcome.ingest_latency;
-    if (!lat.empty()) {
-      stats.ingest_batches = lat.count;
-      stats.ingest_p50_ns = lat.Quantile(0.50);
-      stats.ingest_p95_ns = lat.Quantile(0.95);
-      stats.ingest_p99_ns = lat.Quantile(0.99);
-      stats.ingest_max_ns = lat.max;
-      stats.ingest_mean_ns = lat.Mean();
-    }
-    metrics->rounds.push_back(std::move(stats));
+  RoundStats stats;
+  stats.stage = stage;
+  stats.users = population.size();
+  stats.accepted = outcome.agg.accepted();
+  stats.rejected = outcome.agg.rejected();
+  stats.client_errors = outcome.client_errors;
+  stats.bytes_up = outcome.agg.bytes_ingested();
+  stats.bytes_down = encoded_request.size() * population.size();
+  stats.seconds = seconds;
+  const telemetry::HistogramSnapshot& lat = outcome.ingest_latency;
+  if (!lat.empty()) {
+    stats.ingest_batches = lat.count;
+    stats.ingest_p50_ns = lat.Quantile(0.50);
+    stats.ingest_p95_ns = lat.Quantile(0.95);
+    stats.ingest_p99_ns = lat.Quantile(0.99);
+    stats.ingest_max_ns = lat.max;
+    stats.ingest_mean_ns = lat.Mean();
   }
+  PublishRound(stats, lat);
+  if (metrics != nullptr) metrics->rounds.push_back(std::move(stats));
   return outcome;
 }
 
@@ -159,6 +135,7 @@ RoundIngest::RoundIngest(const StageSpec& spec, size_t num_lanes,
   errors_.resize(num_drainers);
   for (size_t d = 0; d < num_drainers; ++d) {
     queues_.push_back(std::make_unique<BatchQueue<LaneBatch>>(queue_depth));
+    if (gauge_prefix.empty()) continue;
     queues_.back()->set_depth_gauge(
         telemetry::Registry::Default()
             .GetGauge(gauge_prefix + "_queue_depth_d" + std::to_string(d))

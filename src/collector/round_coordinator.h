@@ -69,9 +69,11 @@ class RoundIngest {
  public:
   /// Starts min(num_drainers, num_lanes) drainers (at least one) over a
   /// `num_lanes`-lane aggregator for `spec`. Each queue holds at most
-  /// `queue_depth` batches (0 = unbounded) and mirrors its depth into the
-  /// `<gauge_prefix>_queue_depth_d<d>` gauge, so a mid-round scrape shows
-  /// which drainers are saturated.
+  /// `queue_depth` batches (0 = unbounded) and, unless `gauge_prefix` is
+  /// empty, mirrors its depth into the registry gauge
+  /// `<gauge_prefix>_queue_depth_d<d>`, so a mid-round scrape shows which
+  /// drainers are saturated. An owner that renders its own scrape reads
+  /// QueueDepth instead.
   RoundIngest(const StageSpec& spec, size_t num_lanes, size_t num_drainers,
               size_t queue_depth, const std::string& gauge_prefix);
   /// Closes the queues and joins the drainers, so a round abandoned by an
@@ -80,6 +82,9 @@ class RoundIngest {
 
   RoundIngest(const RoundIngest&) = delete;
   RoundIngest& operator=(const RoundIngest&) = delete;
+
+  /// Batches queued for drainer `d` right now (a racy snapshot).
+  size_t QueueDepth(size_t d) const { return queues_[d]->size(); }
 
   /// Hands one batch of lane `lane` to drainer lane % D; blocks while that
   /// queue is full (backpressure). Dropped once a drainer has failed —

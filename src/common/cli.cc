@@ -75,9 +75,13 @@ Result<double> ParseDoubleFlag(const std::string& name,
 CliArgs::CliArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      given_.push_back(arg);
+      continue;
+    }
     arg = arg.substr(2);
     auto eq = arg.find('=');
+    given_.push_back("--" + arg.substr(0, eq));
     if (eq != std::string::npos) {
       flags_[FlagKey(arg.substr(0, eq))] = arg.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
@@ -90,6 +94,7 @@ CliArgs::CliArgs(int argc, char** argv) {
 
 bool CliArgs::Lookup(const std::string& name, std::string* out) const {
   std::string key = FlagKey(name);
+  read_.insert(key);
   auto it = flags_.find(key);
   if (it != flags_.end()) {
     *out = it->second;
@@ -146,6 +151,18 @@ std::string CliArgs::GetString(const std::string& name,
 bool CliArgs::Has(const std::string& name) const {
   std::string v;
   return Lookup(name, &v);
+}
+
+Status CliArgs::CheckAllRead() const {
+  for (const std::string& arg : given_) {
+    if (arg.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument \"" + arg + "\"");
+    }
+    if (read_.count(FlagKey(arg.substr(2))) == 0) {
+      return Status::InvalidArgument("unknown flag " + arg);
+    }
+  }
+  return Status::Ok();
 }
 
 size_t ThreadsFromArgs(const CliArgs& args, size_t def) {

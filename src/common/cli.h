@@ -2,7 +2,9 @@
 #define PRIVSHAPE_COMMON_CLI_H_
 
 #include <map>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 
@@ -20,12 +22,13 @@ Result<double> ParseDoubleFlag(const std::string& name,
 /// Tiny flag parser for the bench/example binaries.
 ///
 /// Accepts `--name=value` and `--name value`. Unrecognized positional
-/// arguments are ignored. `-` and `_` are one character in flag names
-/// (`--min-clients` is `--min_clients`; the later spelling wins). For
-/// every lookup, an environment variable PRIVSHAPE_<NAME> (upper-cased,
-/// `-` spelled `_`, e.g. PRIVSHAPE_MIN_CLIENTS) acts as fallback before
-/// the default, so the whole harness can be scaled with e.g.
-/// PRIVSHAPE_TRIALS=50.
+/// arguments are ignored unless the binary calls CheckAllRead, which
+/// refuses them along with every flag no lookup read. `-` and `_` are
+/// one character in flag names (`--min-clients` is `--min_clients`; the
+/// later spelling wins). For every lookup, an environment variable
+/// PRIVSHAPE_<NAME> (upper-cased, `-` spelled `_`, e.g.
+/// PRIVSHAPE_MIN_CLIENTS) acts as fallback before the default, so the
+/// whole harness can be scaled with e.g. PRIVSHAPE_TRIALS=50.
 class CliArgs {
  public:
   CliArgs(int argc, char** argv);
@@ -50,11 +53,25 @@ class CliArgs {
                         const std::string& def) const;
   bool Has(const std::string& name) const;
 
+  /// InvalidArgument naming the first command-line flag, or stray
+  /// positional argument, that no lookup above has read: a misspelt flag
+  /// (`--user 300`) or one the binary does not take (`--help`) then fails
+  /// instead of running on defaults. Environment fallbacks are not
+  /// checked. Call it after the binary's last lookup, before any work.
+  Status CheckAllRead() const;
+
  private:
   /// Flag value, or env fallback, or empty optional semantics via bool.
+  /// Records `name` as read either way.
   bool Lookup(const std::string& name, std::string* out) const;
 
   std::map<std::string, std::string> flags_;
+  /// The command line without its values: each flag as spelt
+  /// (`--name`) and each stray positional argument, in order.
+  std::vector<std::string> given_;
+  /// Flag keys some lookup asked for. Recording them makes the const
+  /// lookups unsafe to call from two threads at once.
+  mutable std::set<std::string> read_;
 };
 
 /// The shared `--threads` flag (env PRIVSHAPE_THREADS): worker count for

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/rounds.h"
-#include "ldp/estimator_utils.h"
-#include "ldp/grr.h"
-
 namespace privshape::core {
 
 size_t PairToIndex(Symbol a, Symbol b, int t, bool allow_repeats) {
@@ -59,43 +55,6 @@ SubShapeEstimates RankSubShapes(
     }
   }
   return estimates;
-}
-
-Result<SubShapeEstimates> EstimateSubShapes(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, size_t top_m,
-    double epsilon, bool allow_repeats, Rng* rng) {
-  if (ell_s < 1) return Status::InvalidArgument("ell_s must be >= 1");
-  SubShapeEstimates estimates;
-  if (ell_s == 1) return estimates;  // no adjacent pairs exist
-
-  size_t num_levels = static_cast<size_t>(ell_s - 1);
-  size_t domain = SubShapeDomainSize(t, allow_repeats);
-  auto grr = ldp::Grr::Create(domain, epsilon);
-  if (!grr.ok()) return grr.status();
-
-  // Per-level raw tallies; a user contributes to exactly one level.
-  std::vector<std::vector<size_t>> counts(num_levels,
-                                          std::vector<size_t>(domain, 0));
-  std::vector<size_t> reports(num_levels, 0);
-  for (size_t user : population) {
-    if (user >= sequences.size()) {
-      return Status::OutOfRange("population index outside dataset");
-    }
-    // Shared user-side logic (same as ClientSession and PrivShape::Run),
-    // here drawing from the caller's shared engine (baseline semantics).
-    auto [level, value] = AnswerSubShapeValue(sequences[user], ell_s, t,
-                                              allow_repeats, *grr, rng);
-    counts[level - 1][value]++;
-    reports[level - 1]++;
-  }
-
-  std::vector<std::vector<double>> level_counts(num_levels);
-  for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-    level_counts[lvl] =
-        ldp::DebiasGrrCounts(counts[lvl], reports[lvl], epsilon);
-  }
-  return RankSubShapes(level_counts, t, top_m, allow_repeats);
 }
 
 }  // namespace privshape::core

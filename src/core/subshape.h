@@ -3,8 +3,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
-#include "common/status.h"
 #include "series/sequence.h"
 #include "trie/trie.h"
 
@@ -31,24 +29,14 @@ struct SubShapeEstimates {
   std::vector<std::vector<double>> counts;
 };
 
-/// Server-side ranking step shared by the in-process estimator and the
-/// collector: given per-level debiased pair counts (each vector sized
-/// SubShapeDomainSize, sentinel last), keeps the top-m real pairs per
-/// level by estimated count (stable order; sentinel dropped).
+/// P_b's server-side ranking step (PrivShapeServer, which both the
+/// in-process runner and the collector drive): given per-level debiased
+/// pair counts (each vector sized SubShapeDomainSize, sentinel last),
+/// keeps the top-m real pairs per level by estimated count (stable
+/// order; sentinel dropped).
 SubShapeEstimates RankSubShapes(
     const std::vector<std::vector<double>>& level_counts, int t, size_t top_m,
     bool allow_repeats);
-
-/// Padding-and-sampling estimation: each user pads/truncates their
-/// sequence to length ell_s, picks a level j uniformly from
-/// {1, ..., ell_s - 1}, and reports (j, GRR(pair at j)). Positions that
-/// fall in the padded region report the sentinel bucket, which the server
-/// debiases and then discards — this keeps the estimator unbiased on real
-/// pairs while every report stays eps-LDP.
-Result<SubShapeEstimates> EstimateSubShapes(
-    const std::vector<Sequence>& sequences,
-    const std::vector<size_t>& population, int ell_s, int t, size_t top_m,
-    double epsilon, bool allow_repeats, Rng* rng);
 
 }  // namespace privshape::core
 

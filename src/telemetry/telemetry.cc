@@ -119,6 +119,12 @@ void Histogram::Merge(const HistogramSnapshot& snapshot) {
   }
 }
 
+void AppendSample(const std::string& name, const char* type,
+                  const std::string& value, std::string* out) {
+  *out += "# TYPE " + name + " " + type + "\n";
+  *out += name + " " + value + "\n";
+}
+
 Registry& Registry::Default() {
   static Registry* registry = new Registry();  // never destroyed: cached
   return *registry;                            // pointers outlive exit
@@ -150,12 +156,10 @@ std::string Registry::TextExposition() const {
   std::string out;
   out.reserve(4096);
   for (const auto& [name, counter] : counters_) {
-    out += "# TYPE " + name + " counter\n";
-    out += name + " " + std::to_string(counter->Value()) + "\n";
+    AppendSample(name, "counter", std::to_string(counter->Value()), &out);
   }
   for (const auto& [name, gauge] : gauges_) {
-    out += "# TYPE " + name + " gauge\n";
-    out += name + " " + std::to_string(gauge->Value()) + "\n";
+    AppendSample(name, "gauge", std::to_string(gauge->Value()), &out);
   }
   for (const auto& [name, histogram] : histograms_) {
     HistogramSnapshot snap = histogram->Snapshot();

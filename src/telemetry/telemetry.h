@@ -176,6 +176,13 @@ class Histogram {
   std::atomic<uint64_t> max_{0};
 };
 
+/// Appends one counter or gauge sample, text-exposition style, with its
+/// type line: "# TYPE <name> <type>\n<name> <value>\n". The registry's
+/// exposition writes its counters and gauges through it, and so does an
+/// owner that renders its own record into a scrape.
+void AppendSample(const std::string& name, const char* type,
+                  const std::string& value, std::string* out);
+
 /// Named instrument directory. Get* registers on first use and returns
 /// the same pointer thereafter (mutex-guarded — resolve once, cache the
 /// pointer, record through it). Snapshots walk every instrument with

@@ -110,7 +110,7 @@ Result<core::MechanismResult> RunOverSockets(
   EXPECT_EQ(daemon.stats().stale_batches, 0u);
   EXPECT_EQ(daemon.stats().deadline_drops, 0u);
   EXPECT_EQ(metrics.ingest, "socket");
-  EXPECT_EQ(metrics.connections, connections);
+  EXPECT_EQ(metrics.daemon.handshakes, connections);
   EXPECT_EQ(metrics.num_shards, drainers);
   EXPECT_FALSE(metrics.rounds.empty());
   EXPECT_EQ(outcome->client_errors, 0u);

@@ -7,11 +7,13 @@
 #include "collector/client_fleet.h"
 #include "collector/round_coordinator.h"
 #include "collector/sharded_aggregator.h"
+#include "common/cli.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/privshape.h"
 #include "protocol/messages.h"
 #include "protocol/session.h"
+#include "telemetry/telemetry.h"
 
 namespace privshape {
 namespace {
@@ -187,6 +189,103 @@ TEST(RoundCoordinatorTest, MetricsCoverEveryRound) {
   EXPECT_NE(json.find("ingested_per_sec"), std::string::npos);
   EXPECT_NE(json.find("accepted_per_sec"), std::string::npos);
   EXPECT_EQ(json.find("reports_per_sec"), std::string::npos);
+}
+
+TEST(RoundCoordinatorTest, RegistryFiguresAreDerivedFromTheRoundRecords) {
+  // PublishRound is the only writer of the collector_* figures, so over
+  // one Collect each moves by exactly its RoundStats total.
+  const char* counters[] = {
+      "collector_rounds_total",           "collector_reports_accepted_total",
+      "collector_reports_rejected_total", "collector_client_errors_total",
+      "collector_bytes_up_total",         "collector_bytes_down_total"};
+  telemetry::Registry& reg = telemetry::Registry::Default();
+  telemetry::Histogram* ingest = reg.GetHistogram("collector_ingest_batch_ns");
+  auto read = [&] {
+    std::vector<uint64_t> values;
+    for (const char* name : counters) {
+      values.push_back(reg.GetCounter(name)->Value());
+    }
+    values.push_back(ingest->count());
+    return values;
+  };
+
+  MechanismConfig config = TestConfig();
+  ClientFleet fleet = PlantedFleet(2000, config);
+  ThreadPool pool(2);
+  RoundCoordinator coordinator(config, {}, &pool);
+  CollectorMetrics metrics;
+  std::vector<uint64_t> before = read();
+  auto result = coordinator.Collect(fleet, &metrics);
+  std::vector<uint64_t> after = read();
+  ASSERT_TRUE(result.ok()) << result.status();
+
+  std::vector<uint64_t> totals(7, 0);
+  totals[0] = metrics.rounds.size();
+  for (const auto& round : metrics.rounds) {
+    totals[1] += round.accepted;
+    totals[2] += round.rejected;
+    totals[3] += round.client_errors;
+    totals[4] += round.bytes_up;
+    totals[5] += round.bytes_down;
+    totals[6] += round.ingest_batches;
+  }
+  EXPECT_GT(totals[6], 0u);
+  for (size_t i = 0; i < totals.size(); ++i) {
+    EXPECT_EQ(after[i] - before[i], totals[i])
+        << (i < 6 ? counters[i] : "collector_ingest_batch_ns count");
+  }
+}
+
+TEST(MechanismConfigFromArgsTest, OverridesTheDatasetDefaults) {
+  const char* argv[] = {"prog", "--epsilon", "2.5", "--seed", "9",
+                        "--k",  "4",         "--c", "2",      "--num-classes",
+                        "6"};
+  CliArgs args(11, const_cast<char**>(argv));
+  auto config = collector::MechanismConfigFromArgs(args, "symbols");
+  ASSERT_TRUE(config.ok()) << config.status();
+  auto defaults = collector::GeneratedDatasetConfig("symbols");
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(config->t, defaults->t);
+  EXPECT_EQ(config->ell_high, defaults->ell_high);
+  EXPECT_EQ(config->metric, defaults->metric);
+  EXPECT_EQ(config->epsilon, 2.5);
+  EXPECT_EQ(config->seed, 9u);
+  EXPECT_EQ(config->k, 4);
+  EXPECT_EQ(config->c, 2);
+  EXPECT_EQ(config->num_classes, 6);
+  EXPECT_TRUE(args.CheckAllRead().ok());
+
+  const char* none[] = {"prog"};
+  CliArgs empty(1, const_cast<char**>(none));
+  auto trace = collector::MechanismConfigFromArgs(empty, "trace");
+  auto trace_defaults = collector::GeneratedDatasetConfig("trace");
+  ASSERT_TRUE(trace.ok() && trace_defaults.ok());
+  EXPECT_EQ(trace->epsilon, trace_defaults->epsilon);
+  EXPECT_EQ(trace->seed, trace_defaults->seed);
+  EXPECT_EQ(trace->k, trace_defaults->k);
+  EXPECT_EQ(trace->num_classes, 0);
+}
+
+TEST(MechanismConfigFromArgsTest, EveryErrorNamesItsFlag) {
+  for (const char* flag :
+       {"--epsilon", "--seed", "--k", "--c", "--num-classes"}) {
+    const char* argv[] = {"prog", flag, "2x"};
+    CliArgs args(3, const_cast<char**>(argv));
+    auto config = collector::MechanismConfigFromArgs(args, "trace");
+    ASSERT_FALSE(config.ok()) << flag;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(config.status().message().find(flag), std::string::npos)
+        << config.status();
+  }
+  const char* negative[] = {"prog", "--num-classes", "-1"};
+  CliArgs args(3, const_cast<char**>(negative));
+  auto config = collector::MechanismConfigFromArgs(args, "trace");
+  ASSERT_FALSE(config.ok());
+  EXPECT_NE(config.status().message().find("--num-classes"),
+            std::string::npos);
+  auto unknown = collector::MechanismConfigFromArgs(args, "ecg");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.status().message().find("--dataset"), std::string::npos);
 }
 
 // --- ClientFleet --------------------------------------------------------

@@ -267,6 +267,48 @@ TEST(CliTest, GetCountIsStrictAndNonNegative) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(CliTest, CheckAllReadNamesTheFirstUnreadFlag) {
+  // A misspelt flag parses like any other; only the check sees that no
+  // lookup asked for it. Flags are named as spelt, in command-line order.
+  const char* argv[] = {"prog", "--users", "5", "--user=300", "--help",
+                        "--min-clients", "2"};
+  CliArgs args(7, const_cast<char**>(argv));
+  EXPECT_EQ(args.GetInt("users", 0), 5);
+  Status unread = args.CheckAllRead();
+  EXPECT_EQ(unread.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(unread.message(), "unknown flag --user");
+  EXPECT_FALSE(args.Has("user-count"));  // a miss does not read --user
+  EXPECT_EQ(args.CheckAllRead().message(), "unknown flag --user");
+
+  EXPECT_EQ(args.GetString("user", ""), "300");
+  EXPECT_EQ(args.CheckAllRead().message(), "unknown flag --help");
+  EXPECT_TRUE(args.Has("help"));
+  // Every lookup form counts, in either spelling of `-` and `_`.
+  EXPECT_EQ(args.CheckAllRead().message(), "unknown flag --min-clients");
+  ASSERT_TRUE(args.GetCount("min_clients", 1).ok());
+  EXPECT_TRUE(args.CheckAllRead().ok());
+}
+
+TEST(CliTest, CheckAllReadRefusesStrayPositionalArguments) {
+  // "--check" before another flag stays a bare boolean; "extra" after a
+  // flag's value belongs to no flag.
+  const char* argv[] = {"prog", "--check", "--users", "5", "extra"};
+  CliArgs args(5, const_cast<char**>(argv));
+  EXPECT_TRUE(args.Has("check"));
+  EXPECT_EQ(args.GetInt("users", 0), 5);
+  Status stray = args.CheckAllRead();
+  EXPECT_EQ(stray.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stray.message(), "unexpected argument \"extra\"");
+}
+
+TEST(CliTest, CheckAllReadIgnoresEnvFallbacks) {
+  setenv("PRIVSHAPE_UNREAD_ENV_KEY", "1", 1);
+  const char* argv[] = {"prog"};
+  CliArgs args(1, const_cast<char**>(argv));
+  EXPECT_TRUE(args.CheckAllRead().ok());
+  unsetenv("PRIVSHAPE_UNREAD_ENV_KEY");
+}
+
 TEST(CliTest, MalformedNumberFallsBack) {
   const char* argv[] = {"prog", "--users=abc"};
   CliArgs args(2, const_cast<char**>(argv));
