@@ -242,7 +242,7 @@ int Main(int argc, char** argv) {
   fleet_flags.labels_file = args.GetString("labels", "");
   auto label_column = args.GetCount("label-column", 0);
   size_t threads = ThreadsFromArgs(args);
-  bool check_determinism = args.Has("check-determinism");
+  auto check_determinism = args.GetBool("check-determinism");
   std::string trace_file = args.GetString("trace", "");
   std::string json = args.GetString("json", "");
   for (const auto* flag :
@@ -250,6 +250,7 @@ int Main(int argc, char** argv) {
     if (!flag->ok()) return fail(flag->status());
   }
   if (!config.ok()) return fail(config.status());
+  if (!check_determinism.ok()) return fail(check_determinism.status());
   Status unread = args.CheckAllRead();
   if (!unread.ok()) return fail(unread);
 
@@ -270,7 +271,7 @@ int Main(int argc, char** argv) {
   bool labeled = config->num_classes > 0;
   std::vector<Sequence> words;
   std::vector<int> labels;
-  if (check_determinism) {
+  if (*check_determinism) {
     // The check needs every word materialized anyway (the core reference
     // runs on them), so synthesize each word exactly ONCE up front and
     // serve all runs — the primary one included — from the materialized
@@ -330,7 +331,7 @@ int Main(int argc, char** argv) {
     std::printf("metrics written to %s\n", json.c_str());
   }
 
-  if (check_determinism) {
+  if (*check_determinism) {
     // Contract: byte-identical shapes vs. the single-threaded core
     // pipeline on the same words — at queue depths {1, 8, default} and
     // for shard counts {1, 4, 16}. `fleet` is already the materialized

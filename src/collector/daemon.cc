@@ -492,7 +492,7 @@ RoundOutcome CollectorDaemon::RunNetworkRound(
   // writer is drainer p mod D.
   size_t num_lanes = EffectiveDrainers();
   // No registry gauges: StatsContent reads the depths off the ingest.
-  RoundIngest ingest(spec, num_lanes, num_lanes, options_.queue_depth, "");
+  RoundIngest ingest(spec, num_lanes, num_lanes, options_.queue_depth);
   ingest_ = &ingest;
 
   // Participant p answers for the contiguous population slice

@@ -51,8 +51,9 @@ int Main(int argc, char** argv) {
   std::string host = args.GetString("host", "127.0.0.1");
   std::string trace_file = args.GetString("trace", "");
   std::string json = args.GetString("json", "");
-  bool check = args.Has("check");
+  auto check = args.GetBool("check");
   if (!config.ok()) return fail(config.status());
+  if (!check.ok()) return fail(check.status());
   for (const auto* flag : {&users, &port, &connections, &batch_size}) {
     if (!flag->ok()) return fail(flag->status());
   }
@@ -124,7 +125,7 @@ int Main(int argc, char** argv) {
 
   bool check_ran = false;
   bool check_ok = false;
-  if (check) {
+  if (*check) {
     std::printf("check: materializing %zu words for the core reference\n",
                 *users);
     std::vector<Sequence> all_words = fleet.MaterializeWords();

@@ -127,19 +127,13 @@ RoundOutcome RunTimedRound(const RoundRunner& run_round,
 }  // namespace
 
 RoundIngest::RoundIngest(const StageSpec& spec, size_t num_lanes,
-                         size_t num_drainers, size_t queue_depth,
-                         const std::string& gauge_prefix)
+                         size_t num_drainers, size_t queue_depth)
     : outcome_{ShardedAggregator(spec, num_lanes), 0, {}},
       latency_(std::make_unique<telemetry::Histogram>()) {
   num_drainers = std::max<size_t>(1, std::min(num_drainers, num_lanes));
   errors_.resize(num_drainers);
   for (size_t d = 0; d < num_drainers; ++d) {
     queues_.push_back(std::make_unique<BatchQueue<LaneBatch>>(queue_depth));
-    if (gauge_prefix.empty()) continue;
-    queues_.back()->set_depth_gauge(
-        telemetry::Registry::Default()
-            .GetGauge(gauge_prefix + "_queue_depth_d" + std::to_string(d))
-            ->raw());
   }
   drainers_.reserve(num_drainers);
   for (size_t d = 0; d < num_drainers; ++d) {
@@ -211,7 +205,7 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
   // decode+count is far cheaper than answering, so half the workers
   // absorb it.
   RoundIngest ingest(spec, num_shards, (EffectiveThreads() + 1) / 2,
-                     options_.queue_depth, "collector");
+                     options_.queue_depth);
   std::atomic<size_t> client_errors{0};
 
   // Shard s owns the contiguous stripe [n*s/S, n*(s+1)/S) of the

@@ -69,13 +69,9 @@ class RoundIngest {
  public:
   /// Starts min(num_drainers, num_lanes) drainers (at least one) over a
   /// `num_lanes`-lane aggregator for `spec`. Each queue holds at most
-  /// `queue_depth` batches (0 = unbounded) and, unless `gauge_prefix` is
-  /// empty, mirrors its depth into the registry gauge
-  /// `<gauge_prefix>_queue_depth_d<d>`, so a mid-round scrape shows which
-  /// drainers are saturated. An owner that renders its own scrape reads
-  /// QueueDepth instead.
+  /// `queue_depth` batches (0 = unbounded).
   RoundIngest(const StageSpec& spec, size_t num_lanes, size_t num_drainers,
-              size_t queue_depth, const std::string& gauge_prefix);
+              size_t queue_depth);
   /// Closes the queues and joins the drainers, so a round abandoned by an
   /// exception never leaves a running drainer behind.
   ~RoundIngest();

@@ -9,10 +9,8 @@ ShardedAggregator::ShardedAggregator(const StageSpec& spec,
     : spec_(spec) {
   shards_.resize(std::max<size_t>(num_shards, 1));
   for (Shard& shard : shards_) {
-    shard.levels.reserve(spec_.num_levels);
-    for (size_t lvl = 0; lvl < spec_.num_levels; ++lvl) {
-      shard.levels.emplace_back(spec_.kind, spec_.domain, spec_.epsilon);
-    }
+    shard.counts.assign(spec_.num_levels * spec_.domain, 0);
+    shard.accepted.assign(spec_.num_levels, 0);
   }
 }
 
@@ -28,48 +26,67 @@ void ShardedAggregator::ConsumeBatch(size_t shard,
 void ShardedAggregator::ConsumeOne(Shard& lane, std::string_view encoded) {
   lane.bytes += encoded.size();
   proto::Report& report = lane.report;
-  if (!proto::DecodeReportInto(encoded, &report).ok()) {
-    ++lane.rejected;
-    return;
-  }
-  if (report.level < spec_.min_level ||
+  if (!proto::DecodeReportInto(encoded, &report).ok() ||
+      report.kind != spec_.kind || report.level < spec_.min_level ||
       report.level - spec_.min_level >= spec_.num_levels) {
     ++lane.rejected;
     return;
   }
-  lane.levels[static_cast<size_t>(report.level - spec_.min_level)]
-      .ConsumeReport(report);
+  size_t bucket = static_cast<size_t>(report.level - spec_.min_level);
+  // A local bound: a store through `counts` could alias spec_.domain, and
+  // a bound reloaded every iteration keeps the P_e loop scalar.
+  size_t domain = spec_.domain;
+  size_t* counts = lane.counts.data() + bucket * domain;
+  if (spec_.kind == proto::ReportKind::kClassRefine) {
+    // A P_e report is a whole OUE bit vector: anything but exactly one
+    // bit per cell, or a stray value, is malformed.
+    if (report.value != 0 || report.bits.size() != domain) {
+      ++lane.rejected;
+      return;
+    }
+    for (size_t i = 0; i < domain; ++i) counts[i] += report.bits[i] != 0;
+  } else {
+    if (report.value >= domain) {
+      ++lane.rejected;
+      return;
+    }
+    ++counts[report.value];
+  }
+  ++lane.accepted[bucket];
 }
 
-proto::ReportAggregator ShardedAggregator::MergedLevel(
-    size_t level_bucket) const {
-  proto::ReportAggregator merged(spec_.kind, spec_.domain, spec_.epsilon);
+std::vector<size_t> ShardedAggregator::Tally(size_t level_bucket) const {
+  std::vector<size_t> tally(spec_.domain, 0);
   for (const Shard& shard : shards_) {
-    // Same spec by construction, so Merge cannot fail.
-    (void)merged.Merge(shard.levels[level_bucket]);
+    const size_t* counts = shard.counts.data() + level_bucket * spec_.domain;
+    for (size_t v = 0; v < spec_.domain; ++v) tally[v] += counts[v];
   }
-  return merged;
+  return tally;
+}
+
+size_t ShardedAggregator::accepted(size_t level_bucket) const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.accepted[level_bucket];
+  return total;
 }
 
 std::vector<double> ShardedAggregator::DebiasedCounts(
     size_t level_bucket) const {
-  return MergedLevel(level_bucket).EstimatedCounts();
+  return proto::DebiasTally(spec_.kind, Tally(level_bucket),
+                            accepted(level_bucket), spec_.epsilon);
 }
 
 size_t ShardedAggregator::accepted() const {
   size_t total = 0;
-  for (const Shard& shard : shards_) {
-    for (const auto& agg : shard.levels) total += agg.accepted();
+  for (size_t bucket = 0; bucket < spec_.num_levels; ++bucket) {
+    total += accepted(bucket);
   }
   return total;
 }
 
 size_t ShardedAggregator::rejected() const {
   size_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.rejected;
-    for (const auto& agg : shard.levels) total += agg.rejected();
-  }
+  for (const Shard& shard : shards_) total += shard.rejected;
   return total;
 }
 

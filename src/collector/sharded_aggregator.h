@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/analysis_annotations.h"
-#include "protocol/session.h"
+#include "protocol/messages.h"
 
 namespace privshape::collector {
 
@@ -23,58 +23,62 @@ struct StageSpec {
   size_t num_levels = 1;
 };
 
-/// N-way sharded aggregation of one round's encoded reports.
+/// The server's tally of one round's encoded reports, in N lanes.
 ///
-/// Each shard wraps its own per-level proto::ReportAggregator plus local
-/// rejection/byte tallies, so ingestion is lock-free: a shard index must
-/// only be fed from one thread at a time (the RoundCoordinator assigns
-/// each shard to exactly one worker), and no synchronization is needed
-/// anywhere on the hot path. All aggregation state is integer counts, so
-/// the cross-shard merge is exact and associative: debiased estimates are
-/// byte-identical for any shard count and any ingestion order.
+/// Each lane holds one num_levels x domain integer table, the accepted
+/// count of each level bucket, its rejected and byte counts, so ingestion
+/// is lock-free: a lane must only be fed from one thread at a time (the
+/// round's ingest assigns each lane to exactly one drainer), and no
+/// synchronization is needed anywhere on the hot path. Summing integer
+/// tables is exact and associative, so debiased estimates are
+/// byte-identical for any lane count and any ingestion order.
 class ShardedAggregator {
  public:
   /// `num_shards` >= 1 independent ingestion lanes.
   ShardedAggregator(const StageSpec& spec, size_t num_shards);
 
-  size_t num_shards() const { return shards_.size(); }
-  const StageSpec& spec() const { return spec_; }
-
-  /// Ingests a batch of encoded reports into one shard. Each report is
+  /// Ingests a batch of encoded reports into one lane. Each report is
   /// decoded from an in-place view of the flat batch buffer into the
-  /// shard's one reused Report, so ingestion allocates nothing per
-  /// report. Undecodable reports and reports outside the
-  /// level window count as rejected; wrong kinds and out-of-domain values
-  /// are rejected by the underlying ReportAggregator. Not synchronized:
-  /// one thread per shard at a time.
+  /// lane's one reused Report, so ingestion allocates nothing per
+  /// report. A report is counted only if it decodes, has the round's
+  /// kind, lies inside the level window and fits the domain: a value
+  /// below it, or for kClassRefine a zero value and exactly `domain`
+  /// bits. Every other report counts as rejected. Not synchronized: one
+  /// thread per lane at a time.
   PS_REPORT_PATH
   void ConsumeBatch(size_t shard, const proto::ReportBatch& reports);
 
-  /// Exact cross-shard merge of one level bucket (0-based within the
-  /// level window). The returned aggregator sees exactly the counts a
-  /// single unsharded aggregator would have.
-  proto::ReportAggregator MergedLevel(size_t level_bucket) const;
+  /// The integer tally of one level bucket (0-based within the level
+  /// window), summed across lanes: reports per value, or set bits per
+  /// cell for kClassRefine. Exactly what one lane fed every report holds.
+  std::vector<size_t> Tally(size_t level_bucket) const;
 
-  /// Debiased counts of one level bucket (GRR or OUE debias, or raw
-  /// counts for kSelection), via the merged aggregator.
+  /// Reports accepted into one level bucket, across lanes.
+  size_t accepted(size_t level_bucket) const;
+
+  /// proto::DebiasTally of one level bucket's tally over its accepted
+  /// reports.
   std::vector<double> DebiasedCounts(size_t level_bucket) const;
 
-  /// Totals across shards and levels.
+  /// Totals across lanes and levels.
   size_t accepted() const;
   size_t rejected() const;
   size_t bytes_ingested() const;
 
  private:
   struct Shard {
-    std::vector<proto::ReportAggregator> levels;
-    size_t rejected = 0;  ///< undecodable or outside the level window
+    /// Bucket-major: bucket b's counts are [b * domain, (b + 1) * domain).
+    std::vector<size_t> counts;
+    std::vector<size_t> accepted;  ///< per level bucket
+    size_t rejected = 0;
     size_t bytes = 0;
     /// Every report of the lane decodes into this one, so its bits keep
     /// their capacity from report to report.
     proto::Report report;
   };
 
-  /// Decode (into lane.report) + route + count of one encoded report.
+  /// Decode (into lane.report) + validate + count of one encoded report:
+  /// the only code that counts a report on the server.
   void ConsumeOne(Shard& lane, std::string_view encoded);
 
   StageSpec spec_;

@@ -1,9 +1,7 @@
 #ifndef PRIVSHAPE_COMMON_BATCH_QUEUE_H_
 #define PRIVSHAPE_COMMON_BATCH_QUEUE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <utility>
 
@@ -47,10 +45,6 @@ class BatchQueue {
       if (closed_) return false;
       was_empty = items_.empty();
       items_.push_back(std::move(item));
-      if (depth_ != nullptr) {
-        depth_->store(static_cast<int64_t>(items_.size()),
-                      std::memory_order_relaxed);
-      }
     }
     // Edge-triggered: the (single) consumer can only be asleep when it
     // saw an empty queue, so steady-state pushes skip the syscall and the
@@ -72,10 +66,6 @@ class BatchQueue {
       was_full = capacity_ != 0 && items_.size() >= capacity_;
       *out = std::move(items_.front());
       items_.pop_front();
-      if (depth_ != nullptr) {
-        depth_->store(static_cast<int64_t>(items_.size()),
-                      std::memory_order_relaxed);
-      }
     }
     // Producers only sleep on a full queue; NotifyAll (not One) because
     // several may be blocked on the same full->not-full edge.
@@ -95,16 +85,6 @@ class BatchQueue {
 
   size_t capacity() const { return capacity_; }
 
-  /// Optional observability hook: when set, the queue mirrors its current
-  /// depth into `*gauge` (relaxed stores under the queue mutex). The
-  /// pointer must outlive the queue; pass a telemetry Gauge's raw atomic
-  /// so common/ stays free of a telemetry dependency. Call before any
-  /// producer or consumer starts.
-  void set_depth_gauge(std::atomic<int64_t>* gauge) PS_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    depth_ = gauge;
-  }
-
   /// Items currently queued (a racy snapshot under concurrency).
   size_t size() const PS_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -118,7 +98,6 @@ class BatchQueue {
   std::deque<T> items_ PS_GUARDED_BY(mu_);
   const size_t capacity_;
   bool closed_ PS_GUARDED_BY(mu_) = false;
-  std::atomic<int64_t>* depth_ PS_GUARDED_BY(mu_) = nullptr;
 };
 
 }  // namespace privshape

@@ -32,6 +32,9 @@ std::string FlagKey(std::string name) {
   return name;
 }
 
+/// The value the parser gives a flag written without one.
+constexpr char kBareFlagValue[] = "1";
+
 Status MalformedFlag(const std::string& name, const std::string& text,
                      const char* expected) {
   return Status::InvalidArgument("--" + name + ": expected " + expected +
@@ -87,7 +90,7 @@ CliArgs::CliArgs(int argc, char** argv) {
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[FlagKey(arg)] = argv[++i];
     } else {
-      flags_[FlagKey(arg)] = "1";  // bare flag acts as boolean
+      flags_[FlagKey(arg)] = kBareFlagValue;
     }
   }
 }
@@ -151,6 +154,16 @@ std::string CliArgs::GetString(const std::string& name,
 bool CliArgs::Has(const std::string& name) const {
   std::string v;
   return Lookup(name, &v);
+}
+
+Result<bool> CliArgs::GetBool(const std::string& name) const {
+  std::string v;
+  if (!Lookup(name, &v)) return false;
+  if (v != kBareFlagValue) {
+    return Status::InvalidArgument("--" + name + " takes no value, got \"" +
+                                   v + "\"");
+  }
+  return true;
 }
 
 Status CliArgs::CheckAllRead() const {

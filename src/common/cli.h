@@ -52,6 +52,11 @@ class CliArgs {
   std::string GetString(const std::string& name,
                         const std::string& def) const;
   bool Has(const std::string& name) const;
+  /// A boolean flag: false when absent, true when given bare (`--check`).
+  /// Any other value is an InvalidArgument naming the flag, so a bare
+  /// flag that swallowed the next argument (`--check stray`) stops the
+  /// binary instead of dropping that argument.
+  Result<bool> GetBool(const std::string& name) const;
 
   /// InvalidArgument naming the first command-line flag, or stray
   /// positional argument, that no lookup above has read: a misspelt flag

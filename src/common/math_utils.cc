@@ -86,30 +86,4 @@ double InverseNormalCdf(double p) {
 
 double NormalCdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
 
-double LogSumExp(const std::vector<double>& x) {
-  if (x.empty()) return -std::numeric_limits<double>::infinity();
-  double mx = *std::max_element(x.begin(), x.end());
-  if (!std::isfinite(mx)) return mx;
-  double acc = 0.0;
-  for (double v : x) acc += std::exp(v - mx);
-  return mx + std::log(acc);
-}
-
-std::vector<double> ResampleLinear(const std::vector<double>& v,
-                                   size_t target_len) {
-  if (v.empty() || target_len == 0) return {};
-  if (v.size() == 1) return std::vector<double>(target_len, v[0]);
-  std::vector<double> out(target_len);
-  double scale = static_cast<double>(v.size() - 1) /
-                 static_cast<double>(std::max<size_t>(target_len - 1, 1));
-  for (size_t i = 0; i < target_len; ++i) {
-    double pos = static_cast<double>(i) * scale;
-    size_t lo = static_cast<size_t>(pos);
-    size_t hi = std::min(lo + 1, v.size() - 1);
-    double frac = pos - static_cast<double>(lo);
-    out[i] = v[lo] * (1.0 - frac) + v[hi] * frac;
-  }
-  return out;
-}
-
 }  // namespace privshape

@@ -1,7 +1,6 @@
 #ifndef PRIVSHAPE_COMMON_MATH_UTILS_H_
 #define PRIVSHAPE_COMMON_MATH_UTILS_H_
 
-#include <cstddef>
 #include <vector>
 
 namespace privshape {
@@ -34,13 +33,6 @@ double InverseNormalCdf(double p);
 
 /// CDF of the standard normal distribution.
 double NormalCdf(double x);
-
-/// log(sum_i exp(x_i)) computed stably.
-double LogSumExp(const std::vector<double>& x);
-
-/// Linear interpolation of `v` resampled to `target_len` points.
-std::vector<double> ResampleLinear(const std::vector<double>& v,
-                                   size_t target_len);
 
 }  // namespace privshape
 

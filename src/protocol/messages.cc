@@ -2,6 +2,7 @@
 
 #include <limits>
 
+#include "ldp/estimator_utils.h"
 #include "protocol/codec.h"
 
 namespace privshape::proto {
@@ -20,6 +21,18 @@ Result<int> GetSmallInt(Decoder& dec, const char* what) {
 }
 
 }  // namespace
+
+std::vector<double> DebiasTally(ReportKind kind,
+                                const std::vector<size_t>& tally,
+                                size_t reports, double epsilon) {
+  if (kind == ReportKind::kSelection) {
+    return std::vector<double>(tally.begin(), tally.end());
+  }
+  if (kind == ReportKind::kClassRefine) {
+    return ldp::DebiasOueCounts(tally, reports, epsilon);
+  }
+  return ldp::DebiasGrrCounts(tally, reports, epsilon);
+}
 
 std::string EncodeReport(const Report& report) {
   std::string out;

@@ -24,6 +24,16 @@ enum class ReportKind : uint64_t {
   kClassRefine = 5,  ///< P_e (classification): OUE candidate x class bits
 };
 
+/// The server's one kind -> debias dispatch: the estimated counts of a
+/// round's integer `tally` over its `reports` accepted reports at budget
+/// `epsilon`. Raw counts for kSelection, ldp::DebiasOueCounts of the set
+/// bits per cell for kClassRefine, ldp::DebiasGrrCounts for the GRR kinds.
+/// The in-process runner calls the same two debiases, so identical
+/// integer tallies give byte-identical estimates.
+std::vector<double> DebiasTally(ReportKind kind,
+                                const std::vector<size_t>& tally,
+                                size_t reports, double epsilon);
+
 /// One user's report. Exactly one payload group is meaningful per kind:
 ///  kLength      -> value
 ///  kSubShape    -> level + value

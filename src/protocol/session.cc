@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "core/rounds.h"
-#include "ldp/estimator_utils.h"
 
 namespace privshape::proto {
 
@@ -146,71 +145,6 @@ void ClientSession::SeedFresh(ClientSession* const* sessions, size_t count,
     for (size_t i = 0; i < n; ++i) rngs[i] = &sessions[begin + i]->rng_;
     Rng::SeedFresh(rngs, n, outputs);
   }
-}
-
-ReportAggregator::ReportAggregator(ReportKind kind, size_t domain,
-                                   double epsilon)
-    : kind_(kind), domain_(domain), epsilon_(epsilon), counts_(domain, 0) {}
-
-void ReportAggregator::Consume(std::string_view encoded) {
-  auto report = DecodeReport(encoded);
-  if (!report.ok()) {
-    ++rejected_;
-    return;
-  }
-  ConsumeReport(*report);
-}
-
-void ReportAggregator::ConsumeReport(const Report& report) {
-  if (report.kind != kind_) {
-    ++rejected_;
-    return;
-  }
-  if (kind_ == ReportKind::kClassRefine) {
-    // A class-refinement report is a whole OUE bit vector; anything but
-    // exactly domain_ bits (or a stray value/level field) is malformed.
-    if (report.value != 0 || report.level != 0 ||
-        report.bits.size() != domain_) {
-      ++rejected_;
-      return;
-    }
-    for (size_t i = 0; i < domain_; ++i) counts_[i] += report.bits[i] != 0;
-    ++accepted_;
-    return;
-  }
-  if (report.value >= domain_) {
-    ++rejected_;
-    return;
-  }
-  counts_[report.value]++;
-  ++accepted_;
-}
-
-Status ReportAggregator::Merge(const ReportAggregator& other) {
-  if (other.kind_ != kind_ || other.domain_ != domain_ ||
-      other.epsilon_ != epsilon_) {
-    return Status::InvalidArgument("cannot merge mismatched aggregators");
-  }
-  for (size_t v = 0; v < domain_; ++v) counts_[v] += other.counts_[v];
-  accepted_ += other.accepted_;
-  rejected_ += other.rejected_;
-  return Status::Ok();
-}
-
-std::vector<double> ReportAggregator::EstimatedCounts() const {
-  if (kind_ == ReportKind::kSelection) {
-    std::vector<double> out(domain_);
-    for (size_t v = 0; v < domain_; ++v) {
-      out[v] = static_cast<double>(counts_[v]);
-    }
-    return out;
-  }
-  // The one debias per oracle, which the in-process runner calls too:
-  // identical integer tallies give byte-identical estimates.
-  if (kind_ == ReportKind::kClassRefine) {
-    return ldp::DebiasOueCounts(counts_, accepted_, epsilon_);
-  }
-  return ldp::DebiasGrrCounts(counts_, accepted_, epsilon_);
 }
 
 }  // namespace privshape::proto

@@ -8,10 +8,6 @@
 #ifndef PRIVSHAPE_PROTOCOL_SESSION_H_
 #define PRIVSHAPE_PROTOCOL_SESSION_H_
 
-#include <string>
-#include <string_view>
-#include <vector>
-
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -93,56 +89,6 @@ class ClientSession {
   Sequence word_;
   Rng rng_;
   int label_ = -1;
-};
-
-/// Server-side aggregation of encoded reports for one stage. Decodes,
-/// validates, and debiases; malformed reports are counted and skipped
-/// rather than poisoning the aggregate.
-///
-/// Aggregation state is pure integer counts, so Merge() is exact and
-/// associative: any partition of a report stream across aggregators (the
-/// collector runs one per shard) merges back to the counts a single
-/// aggregator would have produced, in any merge order.
-class ReportAggregator {
- public:
-  ReportAggregator(ReportKind kind, size_t domain, double epsilon);
-
-  /// Feeds one encoded report (borrowed view — the sharded collector
-  /// hands in slices of a flat batch buffer); invalid ones increment
-  /// rejected().
-  void Consume(std::string_view encoded);
-
-  /// Feeds an already-decoded report (the sharded collector decodes once
-  /// to route by level, then hands the report here). Wrong kind or
-  /// out-of-domain values increment rejected().
-  void ConsumeReport(const Report& report);
-
-  /// Folds another aggregator's counts into this one. Fails unless kind,
-  /// domain, and epsilon match exactly.
-  Status Merge(const ReportAggregator& other);
-
-  /// GRR-debiased counts over the domain (kLength/kSubShape/kRefinement
-  /// kinds), raw selection counts for kSelection, or OUE-debiased per-cell
-  /// counts for kClassRefine (where a report is a whole bit vector and
-  /// counts_ tallies set bits per cell).
-  std::vector<double> EstimatedCounts() const;
-
-  /// Raw per-value report tallies (pre-debias), for tests and metrics.
-  const std::vector<size_t>& raw_counts() const { return counts_; }
-
-  ReportKind kind() const { return kind_; }
-  size_t domain() const { return domain_; }
-  double epsilon() const { return epsilon_; }
-  size_t accepted() const { return accepted_; }
-  size_t rejected() const { return rejected_; }
-
- private:
-  ReportKind kind_;
-  size_t domain_;
-  double epsilon_;
-  std::vector<size_t> counts_;
-  size_t accepted_ = 0;
-  size_t rejected_ = 0;
 };
 
 }  // namespace privshape::proto

@@ -85,10 +85,6 @@ class Gauge {
   void Sub(int64_t n = 1) { value_.fetch_sub(n, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
 
-  /// The underlying atomic, for layers (common/batch_queue.h) that must
-  /// maintain a depth without depending on this module.
-  std::atomic<int64_t>* raw() { return &value_; }
-
  private:
   std::atomic<int64_t> value_{0};
 };

@@ -11,6 +11,7 @@
 
 #include "collector/client_fleet.h"
 #include "collector/round_coordinator.h"
+#include "collector/sharded_aggregator.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/classification.h"
@@ -29,6 +30,8 @@ using collector::ClientFleet;
 using collector::CollectorMetrics;
 using collector::CollectorOptions;
 using collector::RoundCoordinator;
+using collector::ShardedAggregator;
+using collector::StageSpec;
 using core::MechanismConfig;
 using proto::ReportKind;
 
@@ -231,9 +234,10 @@ TEST(CollectorClassificationTest, AggregatorMatchesOracleEstimates) {
   const size_t kCells = 8;
   auto oue = ldp::UnaryEncoding::Create(kCells, kEps);
   ASSERT_TRUE(oue.ok());
-  proto::ReportAggregator agg(ReportKind::kClassRefine, kCells, kEps);
+  ShardedAggregator agg(StageSpec{ReportKind::kClassRefine, kCells, kEps}, 1);
 
   std::vector<size_t> tally(kCells, 0);
+  proto::ReportBatch batch;
   for (uint64_t user = 0; user < 500; ++user) {
     Rng rng(DeriveSeed(21, user));
     std::vector<uint8_t> bits = oue->PerturbValue(user % kCells, &rng);
@@ -241,13 +245,14 @@ TEST(CollectorClassificationTest, AggregatorMatchesOracleEstimates) {
     proto::Report report;
     report.kind = ReportKind::kClassRefine;
     report.bits = bits;
-    agg.ConsumeReport(report);
+    batch.Append(report);
   }
+  agg.ConsumeBatch(0, batch);
   EXPECT_EQ(agg.accepted(), 500u);
   EXPECT_EQ(agg.rejected(), 0u);
-  EXPECT_EQ(agg.raw_counts(), tally);
+  EXPECT_EQ(agg.Tally(0), tally);
   // Byte-identical estimates, not just close ones.
-  EXPECT_EQ(agg.EstimatedCounts(), ldp::DebiasOueCounts(tally, 500, kEps));
+  EXPECT_EQ(agg.DebiasedCounts(0), ldp::DebiasOueCounts(tally, 500, kEps));
 }
 
 TEST(CollectorClassificationTest, AggregatorMergePartitionInvariant) {
@@ -261,18 +266,22 @@ TEST(CollectorClassificationTest, AggregatorMergePartitionInvariant) {
     report.bits = oue->PerturbValue(user % kCells, &rng);
     return report;
   };
-  proto::ReportAggregator single(ReportKind::kClassRefine, kCells, kEps);
-  proto::ReportAggregator left(ReportKind::kClassRefine, kCells, kEps);
-  proto::ReportAggregator right(ReportKind::kClassRefine, kCells, kEps);
+  const StageSpec spec{ReportKind::kClassRefine, kCells, kEps};
+  ShardedAggregator single(spec, 1);
+  ShardedAggregator split(spec, 2);
+  proto::ReportBatch all;
+  proto::ReportBatch lanes[2];
   for (uint64_t user = 0; user < 200; ++user) {
     proto::Report report = make_report(user);
-    single.ConsumeReport(report);
-    (user % 3 == 0 ? left : right).ConsumeReport(report);
+    all.Append(report);
+    lanes[user % 3 == 0 ? 0 : 1].Append(report);
   }
-  ASSERT_TRUE(left.Merge(right).ok());
-  EXPECT_EQ(left.accepted(), single.accepted());
-  EXPECT_EQ(left.raw_counts(), single.raw_counts());
-  EXPECT_EQ(left.EstimatedCounts(), single.EstimatedCounts());
+  single.ConsumeBatch(0, all);
+  split.ConsumeBatch(0, lanes[0]);
+  split.ConsumeBatch(1, lanes[1]);
+  EXPECT_EQ(split.accepted(), single.accepted());
+  EXPECT_EQ(split.Tally(0), single.Tally(0));
+  EXPECT_EQ(split.DebiasedCounts(0), single.DebiasedCounts(0));
 }
 
 TEST(CollectorClassificationTest, UnlabeledSessionFailsClassRefinement) {

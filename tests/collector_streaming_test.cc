@@ -197,9 +197,8 @@ TEST(StreamingFailureTest, BackpressureNeverDropsOrDuplicatesReports) {
   EXPECT_EQ(streamed.agg.rejected(), expected.agg.rejected());
   EXPECT_EQ(streamed.agg.bytes_ingested(), expected.agg.bytes_ingested());
   EXPECT_EQ(streamed.client_errors, expected.client_errors);
-  // Not just totals: the merged per-value counts are identical.
-  EXPECT_EQ(streamed.agg.MergedLevel(0).raw_counts(),
-            expected.agg.MergedLevel(0).raw_counts());
+  // Not just totals: the summed per-value counts are identical.
+  EXPECT_EQ(streamed.agg.Tally(0), expected.agg.Tally(0));
 }
 
 // --- Determinism contract: streaming ------------------------------------

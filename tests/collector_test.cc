@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/privshape.h"
+#include "ldp/estimator_utils.h"
 #include "protocol/messages.h"
 #include "protocol/session.h"
 #include "telemetry/telemetry.h"
@@ -411,8 +412,7 @@ TEST(ShardedAggregatorTest, MergeIsExactAcrossAnyPartition) {
   single.ConsumeBatch(0, all);
 
   EXPECT_EQ(single.accepted(), sharded.accepted());
-  EXPECT_EQ(single.MergedLevel(0).raw_counts(),
-            sharded.MergedLevel(0).raw_counts());
+  EXPECT_EQ(single.Tally(0), sharded.Tally(0));
   // Debiased estimates are byte-identical, not just close.
   EXPECT_EQ(single.DebiasedCounts(0), sharded.DebiasedCounts(0));
 }
@@ -440,7 +440,8 @@ TEST(ShardedAggregatorTest, MixedClassRefineBatchTalliesLikeConsume) {
   // One lane decodes a whole batch into one reused Report: wide P_e
   // reports (18 candidates x 6 classes = 108 cells) around a truncated
   // one, a 107-bit one and one with empty bits. Counts and tallies must
-  // equal those of a ReportAggregator fed the same reports one by one.
+  // be those of the four wide reports alone, as if each were consumed by
+  // itself.
   const size_t kCells = 108;
   StageSpec spec;
   spec.kind = ReportKind::kClassRefine;
@@ -455,6 +456,12 @@ TEST(ShardedAggregatorTest, MixedClassRefineBatchTalliesLikeConsume) {
     for (uint64_t word : words) report.bits.push_back(word >> 63);
     return report;
   };
+  std::vector<size_t> want(kCells, 0);
+  auto counted = [&] {
+    Report report = wide();
+    for (size_t i = 0; i < kCells; ++i) want[i] += report.bits[i];
+    return proto::EncodeReport(report);
+  };
   Report narrow = wide();
   narrow.bits.pop_back();
   Report empty;
@@ -462,25 +469,18 @@ TEST(ShardedAggregatorTest, MixedClassRefineBatchTalliesLikeConsume) {
   std::string truncated = proto::EncodeReport(wide());
   truncated.resize(truncated.size() - 5);
   std::vector<std::string> wires = {
-      proto::EncodeReport(wide()), truncated,
-      proto::EncodeReport(wide()), proto::EncodeReport(narrow),
-      proto::EncodeReport(wide()), proto::EncodeReport(empty),
-      proto::EncodeReport(wide())};
+      counted(), truncated, counted(), proto::EncodeReport(narrow),
+      counted(), proto::EncodeReport(empty), counted()};
 
   ShardedAggregator sharded(spec, 1);
-  proto::ReportAggregator single(spec.kind, spec.domain, spec.epsilon);
   ReportBatch batch;
-  for (const std::string& wire : wires) {
-    batch.AppendEncoded(wire);
-    single.Consume(wire);
-  }
+  for (const std::string& wire : wires) batch.AppendEncoded(wire);
   sharded.ConsumeBatch(0, batch);
   EXPECT_EQ(sharded.accepted(), 4u);
   EXPECT_EQ(sharded.rejected(), 3u);
-  EXPECT_EQ(sharded.accepted(), single.accepted());
-  EXPECT_EQ(sharded.rejected(), single.rejected());
-  EXPECT_EQ(sharded.MergedLevel(0).raw_counts(), single.raw_counts());
-  EXPECT_EQ(sharded.DebiasedCounts(0), single.EstimatedCounts());
+  EXPECT_EQ(sharded.Tally(0), want);
+  EXPECT_EQ(sharded.DebiasedCounts(0),
+            ldp::DebiasOueCounts(want, 4, spec.epsilon));
 }
 
 TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {
@@ -501,9 +501,60 @@ TEST(ShardedAggregatorTest, RoutesLevelsWithinWindow) {
   }
   agg.ConsumeBatch(0, batch);
   for (size_t bucket = 0; bucket < 3; ++bucket) {
-    auto merged = agg.MergedLevel(bucket);
-    EXPECT_EQ(merged.accepted(), 1u) << bucket;
-    EXPECT_EQ(merged.raw_counts()[bucket + 1], 1u) << bucket;
+    EXPECT_EQ(agg.accepted(bucket), 1u) << bucket;
+    EXPECT_EQ(agg.Tally(bucket)[bucket + 1], 1u) << bucket;
+  }
+}
+
+TEST(ShardedAggregatorTest, SubShapeBucketsDebiasOverTheirOwnReports) {
+  // P_b's window holds one GRR tally per level, each over its own n. Feed
+  // the three levels unevenly (10/30/60%) across four uneven lanes, with
+  // rejected reports in and around the window: each bucket must debias
+  // its own tally over its own accepted reports, on any lane count.
+  StageSpec spec;
+  spec.kind = ReportKind::kSubShape;
+  spec.domain = 6;
+  spec.epsilon = 1.5;
+  spec.min_level = 1;
+  spec.num_levels = 3;
+  std::vector<std::vector<size_t>> want_tally(3,
+                                              std::vector<size_t>(6, 0));
+  size_t want_accepted[3] = {0, 0, 0};
+  ReportBatch all;
+  std::vector<ReportBatch> lanes(4);
+  Rng rng(17);
+  for (size_t i = 0; i < 400; ++i) {
+    size_t bucket = i % 10 < 1 ? 0 : i % 10 < 4 ? 1 : 2;
+    Report report;
+    report.kind = ReportKind::kSubShape;
+    report.level = bucket + 1;
+    report.value = rng.Index(spec.domain);
+    if (i % 13 == 0) report.value = spec.domain;  // out of domain
+    if (i % 29 == 0) report.level = i % 2 == 0 ? 0 : 4;  // out of window
+    if (report.value < spec.domain && report.level == bucket + 1) {
+      ++want_tally[bucket][report.value];
+      ++want_accepted[bucket];
+    }
+    all.Append(report);
+    // Lane 3 takes about 5/8 of the reports, lanes 0-2 1/8 each.
+    lanes[std::min<size_t>(rng.Index(8), 3)].Append(report);
+  }
+  ShardedAggregator single(spec, 1);
+  single.ConsumeBatch(0, all);
+  ShardedAggregator sharded(spec, 4);
+  for (size_t lane = 0; lane < 4; ++lane) {
+    sharded.ConsumeBatch(lane, lanes[lane]);
+  }
+  EXPECT_EQ(sharded.rejected(), single.rejected());
+  for (size_t bucket = 0; bucket < 3; ++bucket) {
+    EXPECT_EQ(sharded.accepted(bucket), want_accepted[bucket]) << bucket;
+    EXPECT_EQ(sharded.Tally(bucket), want_tally[bucket]) << bucket;
+    EXPECT_EQ(sharded.DebiasedCounts(bucket),
+              ldp::DebiasGrrCounts(sharded.Tally(bucket),
+                                   want_accepted[bucket], spec.epsilon))
+        << bucket;
+    EXPECT_EQ(sharded.DebiasedCounts(bucket), single.DebiasedCounts(bucket))
+        << bucket;
   }
 }
 

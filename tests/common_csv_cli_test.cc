@@ -217,6 +217,24 @@ TEST(CliTest, BareFlagActsAsBoolean) {
   EXPECT_EQ(args.GetInt("verbose", 0), 1);
 }
 
+TEST(CliTest, GetBoolRefusesAnyValueButBare) {
+  // A bare flag before another flag is true; one before a stray argument
+  // swallowed it as its value, and GetBool names the flag.
+  const char* argv[] = {"prog", "--check", "--users", "5", "--verify",
+                        "stray"};
+  CliArgs args(6, const_cast<char**>(argv));
+  auto check = args.GetBool("check");
+  ASSERT_TRUE(check.ok());
+  EXPECT_TRUE(*check);
+  auto absent = args.GetBool("quiet");
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(*absent);
+  auto stray = args.GetBool("verify");
+  EXPECT_EQ(stray.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(stray.status().message(),
+            "--verify takes no value, got \"stray\"");
+}
+
 TEST(CliTest, EnvFallback) {
   setenv("PRIVSHAPE_FALLBACK_TEST_KEY", "99", 1);
   const char* argv[] = {"prog"};

@@ -68,42 +68,5 @@ TEST(MathTest, InverseNormalCdfEdgeCases) {
   EXPECT_GT(InverseNormalCdf(1.0), 0.0);
 }
 
-TEST(MathTest, LogSumExpMatchesDirectComputation) {
-  std::vector<double> x = {0.1, 0.7, -1.2};
-  double direct =
-      std::log(std::exp(0.1) + std::exp(0.7) + std::exp(-1.2));
-  EXPECT_NEAR(LogSumExp(x), direct, 1e-12);
-}
-
-TEST(MathTest, LogSumExpStableForLargeInputs) {
-  std::vector<double> x = {1000.0, 1000.0};
-  EXPECT_NEAR(LogSumExp(x), 1000.0 + std::log(2.0), 1e-9);
-}
-
-TEST(MathTest, ResampleLinearIdentity) {
-  std::vector<double> v = {1, 2, 3, 4};
-  auto r = ResampleLinear(v, 4);
-  ASSERT_EQ(r.size(), 4u);
-  for (size_t i = 0; i < 4; ++i) EXPECT_NEAR(r[i], v[i], 1e-12);
-}
-
-TEST(MathTest, ResampleLinearUpsamplesEndpoints) {
-  std::vector<double> v = {0.0, 10.0};
-  auto r = ResampleLinear(v, 11);
-  ASSERT_EQ(r.size(), 11u);
-  EXPECT_NEAR(r.front(), 0.0, 1e-12);
-  EXPECT_NEAR(r.back(), 10.0, 1e-12);
-  EXPECT_NEAR(r[5], 5.0, 1e-12);
-}
-
-TEST(MathTest, ResampleLinearDownsamples) {
-  std::vector<double> v;
-  for (int i = 0; i <= 100; ++i) v.push_back(i);
-  auto r = ResampleLinear(v, 5);
-  ASSERT_EQ(r.size(), 5u);
-  EXPECT_NEAR(r.front(), 0.0, 1e-9);
-  EXPECT_NEAR(r.back(), 100.0, 1e-9);
-}
-
 }  // namespace
 }  // namespace privshape

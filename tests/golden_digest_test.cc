@@ -133,7 +133,7 @@ TEST_P(GoldenDigestTest, CollectorAndCoreMatchTheCommittedDigest) {
   collector::ClientFleet fleet = collector::ClientFleet::FromWords(
       words, kUsers, config.metric, config.seed, labels);
 
-  // Every round's merged raw tallies, level bucket by level bucket.
+  // Every round's summed raw tallies, level bucket by level bucket.
   std::vector<std::vector<size_t>> tallies;
   collector::RoundCoordinator coordinator(config, {}, &pool);
   collector::RoundRunner recording =
@@ -143,7 +143,7 @@ TEST_P(GoldenDigestTest, CollectorAndCoreMatchTheCommittedDigest) {
         collector::RoundOutcome outcome =
             coordinator.RunRound(fleet, population, spec, answer);
         for (size_t bucket = 0; bucket < spec.num_levels; ++bucket) {
-          tallies.push_back(outcome.agg.MergedLevel(bucket).raw_counts());
+          tallies.push_back(outcome.agg.Tally(bucket));
         }
         return outcome;
       };

@@ -1,8 +1,8 @@
 /// Fuzz-style hardening tests for the wire layer: every systematically
 /// corrupted report (truncations, bit flips, wrong kinds, huge fields,
 /// trailing garbage) must either decode to an equivalent valid report or
-/// be counted in rejected() — and must never corrupt the aggregate
-/// estimates of the well-formed reports around it.
+/// be counted in the server tally's rejected() — and must never corrupt
+/// the aggregate estimates of the well-formed reports around it.
 
 #include <gtest/gtest.h>
 
@@ -10,19 +10,21 @@
 #include <string>
 #include <vector>
 
+#include "collector/sharded_aggregator.h"
 #include "protocol/codec.h"
 #include "protocol/messages.h"
-#include "protocol/session.h"
 
 namespace privshape {
 namespace {
 
+using collector::ShardedAggregator;
+using collector::StageSpec;
 using proto::Decoder;
 using proto::DecodeReport;
 using proto::Encoder;
 using proto::EncodeReport;
 using proto::Report;
-using proto::ReportAggregator;
+using proto::ReportBatch;
 using proto::ReportKind;
 
 Report ValidReport(uint64_t value = 3) {
@@ -42,12 +44,14 @@ TEST(ProtocolFuzzTest, EveryTruncationIsRejectedByDecode) {
 
 TEST(ProtocolFuzzTest, BitFlipsNeverSmuggleInvalidReportsThroughAggregation) {
   // A single flipped bit may legitimately still decode (e.g. it only
-  // moved the value within the domain). The invariant is that Consume
-  // agrees exactly with DecodeReport's verdict: everything else lands in
-  // rejected(), and nothing crashes along the way.
+  // moved the value within the domain). The invariant is that the tally
+  // agrees exactly with DecodeReport's verdict plus the round's kind,
+  // level window and domain: everything else lands in rejected(), and
+  // nothing crashes along the way.
   const size_t kDomain = 10;
   std::string wire = EncodeReport(ValidReport());
-  ReportAggregator agg(ReportKind::kLength, kDomain, 2.0);
+  ShardedAggregator agg(StageSpec{ReportKind::kLength, kDomain, 2.0}, 1);
+  ReportBatch flips;
   size_t expect_accepted = 0;
   size_t expect_rejected = 0;
   for (size_t byte = 0; byte < wire.size(); ++byte) {
@@ -56,14 +60,15 @@ TEST(ProtocolFuzzTest, BitFlipsNeverSmuggleInvalidReportsThroughAggregation) {
       flipped[byte] = static_cast<char>(flipped[byte] ^ (1 << bit));
       auto decoded = DecodeReport(flipped);
       if (decoded.ok() && decoded->kind == ReportKind::kLength &&
-          decoded->value < kDomain) {
+          decoded->level == 0 && decoded->value < kDomain) {
         ++expect_accepted;
       } else {
         ++expect_rejected;
       }
-      agg.Consume(flipped);
+      flips.AppendEncoded(flipped);
     }
   }
+  agg.ConsumeBatch(0, flips);
   EXPECT_EQ(agg.accepted(), expect_accepted);
   EXPECT_EQ(agg.rejected(), expect_rejected);
   // Version and kind flips alone guarantee a healthy rejected pile.
@@ -72,7 +77,7 @@ TEST(ProtocolFuzzTest, BitFlipsNeverSmuggleInvalidReportsThroughAggregation) {
 
 TEST(ProtocolFuzzTest, AggregatorCountsEveryMalformedInputAsRejected) {
   const size_t kDomain = 10;
-  ReportAggregator agg(ReportKind::kLength, kDomain, 2.0);
+  ShardedAggregator agg(StageSpec{ReportKind::kLength, kDomain, 2.0}, 1);
 
   std::vector<std::string> malformed;
   std::string wire = EncodeReport(ValidReport());
@@ -123,7 +128,9 @@ TEST(ProtocolFuzzTest, AggregatorCountsEveryMalformedInputAsRejected) {
   malformed.push_back(std::string(64, '\0'));
   malformed.push_back("not-a-report");
 
-  for (const std::string& bad : malformed) agg.Consume(bad);
+  ReportBatch batch;
+  for (const std::string& bad : malformed) batch.AppendEncoded(bad);
+  agg.ConsumeBatch(0, batch);
   EXPECT_EQ(agg.accepted(), 0u);
   EXPECT_EQ(agg.rejected(), malformed.size());
 }
@@ -133,35 +140,37 @@ TEST(ProtocolFuzzTest, MalformedReportsNeverCorruptEstimates) {
   const double kEps = 3.0;
 
   // Clean aggregate: 40 users reporting value 2, 20 reporting value 4.
-  auto feed_valid = [](ReportAggregator* agg) {
-    for (int i = 0; i < 40; ++i) agg->Consume(EncodeReport(ValidReport(2)));
-    for (int i = 0; i < 20; ++i) agg->Consume(EncodeReport(ValidReport(4)));
-  };
-  ReportAggregator clean(ReportKind::kLength, kDomain, kEps);
-  feed_valid(&clean);
+  ReportBatch valid;
+  for (int i = 0; i < 40; ++i) valid.Append(ValidReport(2));
+  for (int i = 0; i < 20; ++i) valid.Append(ValidReport(4));
+  ShardedAggregator clean(StageSpec{ReportKind::kLength, kDomain, kEps}, 1);
+  clean.ConsumeBatch(0, valid);
 
   // Same valid stream, interleaved with hostile inputs.
-  ReportAggregator attacked(ReportKind::kLength, kDomain, kEps);
+  ReportBatch hostile;
   std::string wire = EncodeReport(ValidReport(2));
   for (int i = 0; i < 40; ++i) {
-    attacked.Consume(EncodeReport(ValidReport(2)));
-    attacked.Consume(wire.substr(0, wire.size() / 2));
-    attacked.Consume(EncodeReport(ValidReport(uint64_t{1} << 50)));
+    hostile.Append(ValidReport(2));
+    hostile.AppendEncoded(wire.substr(0, wire.size() / 2));
+    hostile.Append(ValidReport(uint64_t{1} << 50));
   }
   for (int i = 0; i < 20; ++i) {
-    attacked.Consume(EncodeReport(ValidReport(4)));
+    hostile.Append(ValidReport(4));
     Report wrong;
     wrong.kind = ReportKind::kRefinement;
     wrong.value = 2;
-    attacked.Consume(EncodeReport(wrong));
+    hostile.Append(wrong);
   }
+  ShardedAggregator attacked(StageSpec{ReportKind::kLength, kDomain, kEps},
+                             1);
+  attacked.ConsumeBatch(0, hostile);
 
   EXPECT_EQ(attacked.accepted(), clean.accepted());
   EXPECT_EQ(attacked.rejected(), 100u);
-  EXPECT_EQ(attacked.raw_counts(), clean.raw_counts());
+  EXPECT_EQ(attacked.Tally(0), clean.Tally(0));
   // Byte-identical debiased estimates: rejects must not feed the `n` term.
-  EXPECT_EQ(attacked.EstimatedCounts(), clean.EstimatedCounts());
-  for (double v : attacked.EstimatedCounts()) {
+  EXPECT_EQ(attacked.DebiasedCounts(0), clean.DebiasedCounts(0));
+  for (double v : attacked.DebiasedCounts(0)) {
     EXPECT_TRUE(std::isfinite(v));
   }
 }
@@ -201,33 +210,36 @@ TEST(ProtocolFuzzTest, CandidateRequestCorruptionRejected) {
 }
 
 TEST(ProtocolFuzzTest, ClassRefineReportBitLengthEnforced) {
-  // A P_e report is a whole OUE bit vector; the aggregator must reject
+  // A P_e report is a whole OUE bit vector; the tally must reject
   // anything but exactly `domain` bits (shorter, longer, empty, or with a
-  // stray value field), and still count clean reports around the junk.
+  // stray value or level field), and still count clean reports around
+  // the junk.
   const size_t kCells = 6;
-  ReportAggregator agg(ReportKind::kClassRefine, kCells, 2.0);
+  ShardedAggregator agg(StageSpec{ReportKind::kClassRefine, kCells, 2.0}, 1);
+  ReportBatch batch;
   Report good;
   good.kind = ReportKind::kClassRefine;
   good.bits = {1, 0, 0, 1, 0, 1};
-  agg.Consume(EncodeReport(good));
+  batch.Append(good);
 
   for (size_t bits : {size_t{0}, size_t{1}, kCells - 1, kCells + 1,
                       size_t{64}}) {
     Report bad;
     bad.kind = ReportKind::kClassRefine;
     bad.bits.assign(bits, 1);
-    agg.Consume(EncodeReport(bad));
+    batch.Append(bad);
   }
   Report stray_value = good;
   stray_value.value = 3;
-  agg.Consume(EncodeReport(stray_value));
+  batch.Append(stray_value);
   Report stray_level = good;
   stray_level.level = 7;
-  agg.Consume(EncodeReport(stray_level));
+  batch.Append(stray_level);
+  agg.ConsumeBatch(0, batch);
 
   EXPECT_EQ(agg.accepted(), 1u);
   EXPECT_EQ(agg.rejected(), 7u);
-  EXPECT_EQ(agg.raw_counts(), (std::vector<size_t>{1, 0, 0, 1, 0, 1}));
+  EXPECT_EQ(agg.Tally(0), (std::vector<size_t>{1, 0, 0, 1, 0, 1}));
 }
 
 TEST(ProtocolFuzzTest, ClassRefineReportSurvivesRoundTripAndTruncation) {

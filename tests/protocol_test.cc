@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "collector/sharded_aggregator.h"
 #include "protocol/codec.h"
 #include "protocol/messages.h"
 #include "protocol/round_context.h"
@@ -8,6 +9,8 @@
 namespace privshape {
 namespace {
 
+using collector::ShardedAggregator;
+using collector::StageSpec;
 using proto::CandidateRequest;
 using proto::ClientSession;
 using proto::Decoder;
@@ -17,7 +20,7 @@ using proto::EncodeCandidateRequest;
 using proto::EncodeReport;
 using proto::Encoder;
 using proto::Report;
-using proto::ReportAggregator;
+using proto::ReportBatch;
 using proto::ReportKind;
 
 /// One client's encoded answer to a `kind` round broadcast as `request`,
@@ -284,9 +287,12 @@ TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
   // wire recovers 3 as the frequent length.
   const int kLow = 1, kHigh = 6;
   const double kEps = 4.0;
-  ReportAggregator agg(ReportKind::kLength,
-                       static_cast<size_t>(kHigh - kLow + 1), kEps);
+  ShardedAggregator agg(
+      StageSpec{ReportKind::kLength, static_cast<size_t>(kHigh - kLow + 1),
+                kEps},
+      1);
   std::string request = proto::EncodeLengthRequest({kLow, kHigh, kEps});
+  ReportBatch batch;
   for (int i = 0; i < 400; ++i) {
     Sequence word;
     size_t len = (i % 10) < 7 ? 3 : 5;
@@ -296,11 +302,12 @@ TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
     ClientSession client(std::move(word), 100 + static_cast<uint64_t>(i));
     auto wire = AnswerBroadcast(client, ReportKind::kLength, request);
     ASSERT_TRUE(wire.ok());
-    agg.Consume(*wire);
+    batch.AppendEncoded(*wire);
   }
+  agg.ConsumeBatch(0, batch);
   EXPECT_EQ(agg.accepted(), 400u);
   EXPECT_EQ(agg.rejected(), 0u);
-  auto counts = agg.EstimatedCounts();
+  auto counts = agg.DebiasedCounts(0);
   size_t best = 0;
   for (size_t v = 1; v < counts.size(); ++v) {
     if (counts[v] > counts[best]) best = v;
@@ -309,29 +316,33 @@ TEST(AggregatorTest, EndToEndLengthEstimationOverWire) {
 }
 
 TEST(AggregatorTest, RejectsWrongKindAndGarbage) {
-  ReportAggregator agg(ReportKind::kLength, 5, 1.0);
+  ShardedAggregator agg(StageSpec{ReportKind::kLength, 5, 1.0}, 1);
   Report wrong;
   wrong.kind = ReportKind::kSelection;
   wrong.value = 1;
-  agg.Consume(EncodeReport(wrong));
-  agg.Consume("not-a-report");
   Report out_of_domain;
   out_of_domain.kind = ReportKind::kLength;
   out_of_domain.value = 17;
-  agg.Consume(EncodeReport(out_of_domain));
+  ReportBatch batch;
+  batch.Append(wrong);
+  batch.AppendEncoded("not-a-report");
+  batch.Append(out_of_domain);
+  agg.ConsumeBatch(0, batch);
   EXPECT_EQ(agg.accepted(), 0u);
   EXPECT_EQ(agg.rejected(), 3u);
 }
 
 TEST(AggregatorTest, SelectionCountsAreRaw) {
-  ReportAggregator agg(ReportKind::kSelection, 3, 1.0);
+  ShardedAggregator agg(StageSpec{ReportKind::kSelection, 3, 1.0}, 1);
+  ReportBatch batch;
   for (int i = 0; i < 5; ++i) {
     Report report;
     report.kind = ReportKind::kSelection;
     report.value = 2;
-    agg.Consume(EncodeReport(report));
+    batch.Append(report);
   }
-  auto counts = agg.EstimatedCounts();
+  agg.ConsumeBatch(0, batch);
+  auto counts = agg.DebiasedCounts(0);
   EXPECT_DOUBLE_EQ(counts[2], 5.0);
   EXPECT_DOUBLE_EQ(counts[0], 0.0);
 }

@@ -154,9 +154,6 @@ TEST(Gauge, SetAddSubAndRaw) {
   gauge.Add(3);
   gauge.Sub();
   EXPECT_EQ(gauge.Value(), 9);
-  // raw() exposes the same atomic (the batch-queue depth bridge).
-  gauge.raw()->store(-2, std::memory_order_relaxed);
-  EXPECT_EQ(gauge.Value(), -2);
 }
 
 // ---------------------------------------------------------------------

@@ -9,10 +9,9 @@ docs/ARCHITECTURE.md and docs/OBSERVABILITY.md), made machine-checked:
     patch hiding a missing lock or an unannounced perf contract —
     both need a justified suppression, not a silent pass.
 
-  * src/common stays telemetry-free. common is the bottom of the DAG;
-    the one sanctioned bridge is the raw std::atomic<int64_t>* gauge
-    mirror (Gauge::raw()), so any telemetry include or telemetry::
-    reference in common is an inversion the layering lint's
+  * src/common stays telemetry-free. common is the bottom of the DAG
+    and has no bridge into telemetry, so any telemetry include or
+    telemetry:: reference in common is an inversion the layering lint's
     include-edge view can only partially see.
 """
 
@@ -48,8 +47,8 @@ def run(files, registry):
                     findings.append(ir.Finding(
                         CHECK_ID, src.path, line,
                         f'src/common must stay telemetry-free — remove '
-                        f'#include "{inc}" (bridge through '
-                        "Gauge::raw() instead)"))
+                        f'#include "{inc}" (common is the bottom of the '
+                        "module DAG)"))
             for i, tok in enumerate(src.tokens):
                 if (tok.kind == ir.IDENT and tok.text == "telemetry"
                         and i + 1 < len(src.tokens)
