@@ -1,9 +1,11 @@
 /// \file
 /// Per-report answer-path microbenchmark: reports/sec for each protocol
-/// stage (P_a..P_d) on a single thread through the shared-RoundContext
-/// path — decode and mechanism construction once per round, per-worker
-/// scratch, batched encoding, zero allocation per report. Writes
-/// BENCH_hotpath.json — the client hot path's perf trajectory per PR.
+/// stage (P_a..P_d) on a single thread through the path the serving loops
+/// run — a shared RoundContext (decode and mechanism construction once
+/// per round), sessions built, seeded and matched kSessionBlock at a time
+/// (ClientFleet::MakeSessions), per-worker scratch, batched encoding, zero
+/// allocation per report. Writes BENCH_hotpath.json — the client hot
+/// path's perf trajectory per PR.
 ///
 ///   bench_client_hotpath --users 20000 --trials 3 --json BENCH_hotpath.json
 ///
@@ -17,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -62,25 +65,30 @@ struct PathResult {
   size_t bytes = 0;
 };
 
-proto::ClientSession SessionFor(const std::vector<Sequence>& words,
-                                size_t user) {
-  return proto::ClientSession(words[user % words.size()],
-                              DeriveSeed(kSessionSeedBase, user));
-}
-
+/// Every stage over `users` users of `fleet`, as a serving loop answers
+/// them: one reused SessionBlock, kSessionBlock sessions built, seeded and
+/// matched together, then answered in order into one batch buffer.
 PathResult RunContextPath(const Stage& stage,
-                          const std::vector<Sequence>& words, size_t users) {
+                          const collector::ClientFleet& fleet, size_t users) {
+  constexpr size_t kBlock = collector::ClientFleet::kSessionBlock;
   PathResult out;
   proto::AnswerScratch scratch;
   proto::ReportBatch batch;
   batch.Reserve(256);
+  auto block = std::make_unique<collector::ClientFleet::SessionBlock>();
+  size_t ids[kBlock];
   double start = Now();
-  for (size_t u = 0; u < users; ++u) {
-    proto::ClientSession session = SessionFor(words, u);
-    (void)session.AnswerTo(stage.context, &scratch, &batch);
-    if (batch.size() >= 256) {
-      out.bytes += batch.bytes();
-      batch.Clear();
+  for (size_t first = 0; first < users; first += kBlock) {
+    const size_t count = std::min(kBlock, users - first);
+    for (size_t j = 0; j < count; ++j) ids[j] = first + j;
+    fleet.MakeSessions(ids, count, stage.context.kind(),
+                       stage.context.domain(), block.get());
+    for (size_t j = 0; j < count; ++j) {
+      (void)block->sessions[j]->AnswerTo(stage.context, &scratch, &batch);
+      if (batch.size() >= 256) {
+        out.bytes += batch.bytes();
+        batch.Clear();
+      }
     }
   }
   out.bytes += batch.bytes();
@@ -92,11 +100,14 @@ PathResult RunContextPath(const Stage& stage,
 // --- Per-kernel micro-records ------------------------------------------
 //
 // The stage benchmarks above measure whole reports; these isolate the
-// four kernels the SIMD work targets — DTW/SED matching against the SoA
-// candidate table, the batched OUE bit fill, and the two-word GRR draw —
+// four kernels the SIMD work targets — DTW/SED matching against the
+// candidate trie, the batched OUE bit fill, and the two-word GRR draw —
 // each against the scalar per-candidate / per-cell path it replaced.
 // Both variants live in every build (the scalar reference is
-// always-built), so one binary yields the scalar-vs-SIMD speedup.
+// always-built), so one binary yields the scalar-vs-SIMD speedup. The
+// match records' `simd` path is the serving loops' — MatchBlock over
+// kSessionBlock words, one word per op — and a `lone` path times the
+// one-word MatchInto that only tests and replays still run.
 
 struct KernelResult {
   double seconds = 0.0;
@@ -173,6 +184,10 @@ int Main(int argc, char** argv) {
   refine_request.epsilon = epsilon;
   refine_request.candidates = candidates;
 
+  // The bench's users: word u % 256, randomness DeriveSeed(seed base, u).
+  collector::ClientFleet fleet = collector::ClientFleet::FromWords(
+      words, scale.users, metric, kSessionSeedBase);
+
   std::vector<Stage> stages;
   auto add_stage = [&stages](const char* name,
                              Result<proto::RoundContext> context) {
@@ -185,13 +200,15 @@ int Main(int argc, char** argv) {
 
   bench::PrintTitle("Client answer hot path (" +
                     std::to_string(scale.users) +
-                    " reports/stage, single thread, shared context)");
+                    " reports/stage, single thread, shared context, " +
+                    std::to_string(collector::ClientFleet::kSessionBlock) +
+                    "-session blocks)");
   bench::PrintHeader({"stage", "reports/s", "seconds"});
 
   for (const Stage& stage : stages) {
     PathResult best;
     for (int trial = 0; trial < std::max(scale.trials, 1); ++trial) {
-      PathResult run = RunContextPath(stage, words, scale.users);
+      PathResult run = RunContextPath(stage, fleet, scale.users);
       if (run.rate > best.rate) best = run;
     }
     bench::PrintRow({stage.name, FormatDouble(best.rate, 6),
@@ -240,6 +257,7 @@ int Main(int argc, char** argv) {
     size_t ops;
     std::function<void(size_t)> scalar;
     std::function<void(size_t)> simd;
+    std::function<void(size_t)> lone;  ///< the one-word match, if any
   };
   // Scalar reference of the two match records: the per-candidate
   // kernel the table replaced, reusing one DP scratch across calls.
@@ -252,23 +270,34 @@ int Main(int argc, char** argv) {
     }
     sink += dists[0];
   };
+  // The serving loops' match: op i starting a block matches the block's
+  // kSessionBlock words (or the ops left) in one MatchBlock call.
+  auto block_match = [&](const dist::SequenceDistance& distance, size_t i) {
+    constexpr size_t kBlock = collector::ClientFleet::kSessionBlock;
+    if (i % kBlock != 0) return;
+    dist::SymbolView block[kBlock];
+    const size_t count = std::min(kBlock, scale.users - i);
+    for (size_t k = 0; k < count; ++k) block[k] = words[(i + k) % words.size()];
+    table.MatchBlock(block, count, distance, /*prefix_compare=*/false,
+                     &table_scratch, &dists);
+    sink += dists[0];
+  };
+  auto lone_match = [&](const dist::SequenceDistance& distance, size_t i) {
+    table.MatchInto(words[i % words.size()], distance,
+                    /*prefix_compare=*/false, &table_scratch, &dists);
+    sink += dists[0];
+  };
   std::vector<Kernel> kernels;
   kernels.push_back(Kernel{
       "dtw_vs_candidates", scale.users,
       [&](size_t i) { scalar_match(*dtw, i); },
-      [&](size_t i) {
-        table.MatchInto(words[i % words.size()], *dtw,
-                        /*prefix_compare=*/false, &table_scratch, &dists);
-        sink += dists[0];
-      }});
+      [&](size_t i) { block_match(*dtw, i); },
+      [&](size_t i) { lone_match(*dtw, i); }});
   kernels.push_back(Kernel{
       "sed_vs_candidates", scale.users,
       [&](size_t i) { scalar_match(*sed, i); },
-      [&](size_t i) {
-        table.MatchInto(words[i % words.size()], *sed,
-                        /*prefix_compare=*/false, &table_scratch, &dists);
-        sink += dists[0];
-      }});
+      [&](size_t i) { block_match(*sed, i); },
+      [&](size_t i) { lone_match(*sed, i); }});
   kernels.push_back(Kernel{
       "oue_bit_fill", scale.users,
       // Scalar reference: the pre-batching per-cell Bernoulli loop
@@ -284,7 +313,8 @@ int Main(int argc, char** argv) {
       [&, cells](size_t i) {
         oue->EncodeInto(i % cells, &kernel_rng, &word_buf, &bit_buf);
         sink += bit_buf[0];
-      }});
+      },
+      nullptr});
   const size_t grr_domain = candidates.size();
   kernels.push_back(Kernel{
       "grr_draw", scale.users * 8,
@@ -304,7 +334,8 @@ int Main(int argc, char** argv) {
       [&, grr_domain](size_t i) {
         sink += static_cast<double>(
             grr->PerturbValue(i % grr_domain, &kernel_rng));
-      }});
+      },
+      nullptr});
 
   double best_kernel_speedup = 0.0;
   for (const Kernel& kernel : kernels) {
@@ -320,6 +351,15 @@ int Main(int argc, char** argv) {
     bench::PrintRow({kernel.name, "simd", FormatDouble(simd.rate, 6),
                      FormatDouble(simd.seconds, 4),
                      FormatDouble(speedup, 3)});
+    KernelResult lone;
+    double lone_speedup = 0.0;
+    if (kernel.lone) {
+      lone = MeasureKernel(kernel.ops, scale.trials, kernel.lone);
+      lone_speedup = scalar.rate > 0 ? lone.rate / scalar.rate : 0.0;
+      bench::PrintRow({kernel.name, "lone", FormatDouble(lone.rate, 6),
+                       FormatDouble(lone.seconds, 4),
+                       FormatDouble(lone_speedup, 3)});
+    }
     if (json != nullptr) {
       auto record = [&](const char* path, const KernelResult& r, double s) {
         json->AddRecord("hotpath_kernel",
@@ -332,6 +372,7 @@ int Main(int argc, char** argv) {
       };
       record("scalar", scalar, 1.0);
       record("simd", simd, speedup);
+      if (kernel.lone) record("lone", lone, lone_speedup);
     }
   }
   // Keep `sink` observable without polluting the tables.

@@ -9,7 +9,7 @@
 #include "collector/client_fleet.h"
 #include "common/math_utils.h"
 #include "core/classification.h"
-#include "core/em_selection.h"
+#include "distance/candidate_table.h"
 #include "distance/distance.h"
 #include "eval/ari.h"
 #include "eval/kmeans.h"
@@ -123,13 +123,22 @@ ShapeQuality MeasureShapeQuality(
   // Greedy matching: each ground-truth shape to its DTW-nearest extraction
   // (the paper matches centers by DTW distance, Figs. 8/10).
   auto dtw = dist::MakeDistance(dist::Metric::kDtw);
-  for (const auto& gt : ground_truth) {
-    const Sequence& match =
-        extracted[core::ClosestCandidate(gt.shape, extracted, *dtw)];
-    quality.dtw += dist::DtwSymbolic(gt.shape, match);
-    quality.sed += dist::EditDistance(gt.shape, match);
-    quality.euclidean += dist::EuclideanSymbolic(gt.shape, match);
-  }
+  dist::CandidateTable table = dist::CandidateTable::Build(extracted);
+  dist::TableScratch scratch;
+  std::vector<double> rows;
+  // No callback fails, so neither does the walk.
+  (void)table.MatchEach(
+      ground_truth.size(),
+      [&](size_t k) { return dist::SymbolView(ground_truth[k].shape); },
+      *dtw, /*prefix_compare=*/false, &scratch, &rows,
+      [&](size_t k, Span<const double> row) {
+        const Sequence& gt = ground_truth[k].shape;
+        const Sequence& match = extracted[dist::FirstMinimum(row)];
+        quality.dtw += dist::DtwSymbolic(gt, match);
+        quality.sed += dist::EditDistance(gt, match);
+        quality.euclidean += dist::EuclideanSymbolic(gt, match);
+        return Status::Ok();
+      });
   double n = static_cast<double>(ground_truth.size());
   quality.dtw /= n;
   quality.sed /= n;

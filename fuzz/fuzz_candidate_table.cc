@@ -1,28 +1,34 @@
 /// \file
-/// Differential fuzz target: the SoA candidate-table kernels vs the
-/// scalar reference path, and P_c's EM draw vs its two-step reference.
-/// The input bytes steer a candidate list (with arbitrary lengths,
-/// including empty and duplicates — the padding and grouping arithmetic is
-/// exactly what we want stressed), a user word, the metric (selector bits
-/// 0-1: DTW, SED, Euclidean, Hausdorff), the prefix mode (bit 2) and the
-/// EM budget (bits 3-5); the harness then requires bit-identical
-/// distances from CandidateTable::MatchInto vs core::MatchDistances and
-/// an identical argmin (with tie-breaking) from Closest vs
-/// core::ClosestCandidate, for the vectorized metrics and the
-/// per-candidate Euclidean/Hausdorff loop alike. Symbols span the whole
-/// byte (the largest DTW cell costs), up to 80 candidates fill groups past
-/// two AVX2 sweeps, and word and candidate lengths of up to 255 cross
-/// n + m = 129, where groups leave the int16 lanes for the scalar kernel,
-/// and reach DTW distances that int16 cannot hold. The MatchInto
-/// distances are then drawn from through
-/// ExponentialMechanism::SelectFromDistances and through
+/// Differential fuzz target: the candidate-trie kernel vs the scalar
+/// reference path, and P_c's EM draw vs its two-step reference. The input
+/// bytes steer a block of words (1 to 2 * kI16Lanes + 1 of them, so one
+/// lane block, a partial one and several run), a candidate list (with
+/// arbitrary lengths, including empty candidates, duplicates and shared
+/// prefixes — the trie building and the per-pair guard are exactly what
+/// we want stressed), the metric (selector bits 0-1: DTW, SED, Euclidean,
+/// Hausdorff), the prefix mode (bit 2) and the EM budget (bits 3-5); the
+/// harness then requires every row of CandidateTable::MatchBlock to be
+/// bit-identical to core::MatchDistances for its word, its first minimum
+/// to be core::ClosestCandidate's argmin (with tie-breaking), and the
+/// one-word MatchInto/Closest to agree, for the lane metrics and the
+/// per-pair Euclidean/Hausdorff loop alike. Symbols span the whole byte
+/// (the largest DTW cell costs), up to 96 candidates (a whole 18 x 5 P_c
+/// frontier), and word and
+/// candidate lengths of up to 255 cross n + m = 129, where a pair leaves
+/// the int16 lanes for the scalar kernel, and reach DTW distances that
+/// int16 cannot hold. The first word's distances are then drawn from
+/// through ExponentialMechanism::SelectFromDistances and through
 /// ScoresFromDistancesInto + Select, by twin engines seeded from the
 /// input: integral DTW/SED distances below 512 take the per-value path
 /// (unless they spread wider than the candidate count),
 /// Euclidean/Hausdorff and longer DTW distances the fallback, and the two
 /// must release the same index and leave the engines at the same
-/// position. Any divergence or crash in the lane/padding math or the
-/// draw aborts.
+/// position. Any divergence or crash in the trie, lane or draw math
+/// aborts.
+///
+/// Input: selector byte, block byte (1 + byte % (2 * kI16Lanes + 1)
+/// words), the words as length byte + symbols, then length-prefixed
+/// candidates.
 
 #include <cstdint>
 #include <cstdlib>
@@ -30,6 +36,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
 #include "core/em_selection.h"
 #include "distance/candidate_table.h"
 #include "distance/distance.h"
@@ -61,14 +68,18 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   dist::Metric metric = kMetrics[selector & 3];
   bool prefix = (selector & 4) != 0;
 
-  size_t word_len = data[pos++];  // 0..255, empty words included
-  Sequence word;
-  for (size_t i = 0; i < word_len && pos < size; ++i) {
-    word.push_back(data[pos++]);
+  const size_t count =
+      1 + data[pos++] % (2 * privshape::simd::kI16Lanes + 1);
+  std::vector<Sequence> words(count);
+  for (Sequence& word : words) {
+    size_t word_len = pos < size ? data[pos++] : 0;  // 0..255, empty too
+    for (size_t i = 0; i < word_len && pos < size; ++i) {
+      word.push_back(data[pos++]);
+    }
   }
 
   std::vector<Sequence> candidates;
-  while (pos < size && candidates.size() < 80) {
+  while (pos < size && candidates.size() < 96) {
     size_t len = data[pos++];  // 0..255, empty candidates included
     Sequence cand;
     for (size_t i = 0; i < len && pos < size; ++i) {
@@ -82,15 +93,32 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   dist::CandidateTable table = dist::CandidateTable::Build(candidates);
   dist::TableScratch scratch;
 
-  std::vector<double> got;
-  table.MatchInto(word, *distance, prefix, &scratch, &got);
-  std::vector<double> want =
-      core::MatchDistances(word, candidates, prefix, *distance);
-  if (got.size() != want.size()) std::abort();
-  for (size_t i = 0; i < want.size(); ++i) {
-    if (!SameBits(got[i], want[i])) std::abort();
+  std::vector<dist::SymbolView> views(words.begin(), words.end());
+  std::vector<double> rows;
+  table.MatchBlock(views.data(), count, *distance, prefix, &scratch, &rows);
+  if (rows.size() != count * candidates.size()) std::abort();
+  for (size_t w = 0; w < count; ++w) {
+    std::vector<double> want =
+        core::MatchDistances(words[w], candidates, prefix, *distance);
+    privshape::Span<const double> row(rows.data() + w * candidates.size(),
+                                      candidates.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (!SameBits(row[i], want[i])) std::abort();
+    }
+    if (!prefix && dist::FirstMinimum(row) !=
+                       core::ClosestCandidate(words[w], candidates,
+                                              *distance)) {
+      std::abort();
+    }
   }
 
+  // The one-word case of the same kernel: MatchInto and Closest.
+  const Sequence& word = words[0];
+  std::vector<double> got;
+  table.MatchInto(word, *distance, prefix, &scratch, &got);
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (!SameBits(got[i], rows[i])) std::abort();
+  }
   size_t closest = table.Closest(word, *distance, &scratch);
   if (closest != core::ClosestCandidate(word, candidates, *distance)) {
     std::abort();

@@ -9,6 +9,7 @@
 /// Usage: make_seed_corpus OUTDIR
 /// Writes OUTDIR/{frame_reader,codec,csv,candidate_table}/NNN_name files.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/simd.h"
 #include "net/frame.h"
 #include "protocol/codec.h"
 #include "protocol/messages.h"
@@ -201,57 +203,62 @@ bool EmitCodecSeeds(const std::string& dir) {
 
 bool EmitCandidateTableSeeds(const std::string& dir) {
   // Format: selector (bits 0-1 the metric: 0 DTW, 1 SED, 2 Euclidean,
-  // 3 Hausdorff; bit 2 prefix mode), word length + symbols, then a run
-  // of length-prefixed candidates. Seeds target the grouping and
-  // padding arithmetic: mixed lengths, non-lane-multiple group sizes,
-  // empties, duplicates, exact ties, a group wider than two lane blocks
-  // and the int16 range guard.
+  // 3 Hausdorff; bit 2 prefix mode), the block byte (1 + byte %
+  // (2 * kI16Lanes + 1) words), each word as length + symbols, then a run
+  // of length-prefixed candidates. Seeds target the trie and the lane
+  // arithmetic: mixed lengths, shared prefixes, empties, duplicates,
+  // exact ties, sibling runs wider than two lane blocks, blocks of mixed
+  // words and the int16 range guard. Most seeds hold one word (block
+  // byte 0).
   bool ok = true;
   auto seq = [](std::initializer_list<uint8_t> bytes) {
     return std::string(bytes.begin(), bytes.end());
   };
-  // DTW, no prefix: three groups (lengths 1/3/3), word length 4.
+  auto one_word = [](uint8_t selector, const std::string& payload) {
+    return Steered(selector, std::string(1, '\0') + payload);
+  };
+  // DTW, no prefix: candidates of lengths 1/3/3/1, word length 4.
   ok &= WriteSeed(dir, "mixed_lengths",
-                  Steered(0, seq({4, 1, 2, 0, 3,            // word
-                                  1, 3,                     // {3}
-                                  3, 0, 1, 2,               // {0,1,2}
-                                  3, 2, 2, 2,               // {2,2,2}
-                                  1, 4})));                 // {4}
+                  one_word(0, seq({4, 1, 2, 0, 3,            // word
+                                   1, 3,                     // {3}
+                                   3, 0, 1, 2,               // {0,1,2}
+                                   3, 2, 2, 2,               // {2,2,2}
+                                   1, 4})));                 // {4}
   // SED + prefix: word longer than every candidate.
   ok &= WriteSeed(dir, "sed_prefix",
-                  Steered(5, seq({6, 0, 1, 2, 3, 4, 0,
-                                  2, 1, 2,
-                                  2, 0, 1,
-                                  3, 4, 4, 4})));
+                  one_word(5, seq({6, 0, 1, 2, 3, 4, 0,
+                                   2, 1, 2,
+                                   2, 0, 1,
+                                   3, 4, 4, 4})));
   // Euclidean + prefix: mixed lengths pad the shorter word with its last
   // symbol, and a tie between the two {1, 2} candidates.
   ok &= WriteSeed(dir, "euclidean_prefix",
-                  Steered(6, seq({4, 1, 2, 2, 0,
-                                  2, 1, 2,
-                                  5, 0, 0, 3, 3, 3,
-                                  2, 1, 2,
-                                  1, 2})));
+                  one_word(6, seq({4, 1, 2, 2, 0,
+                                   2, 1, 2,
+                                   5, 0, 0, 3, 3, 3,
+                                   2, 1, 2,
+                                   1, 2})));
   // Hausdorff, no prefix: an empty candidate (distance +infinity) first,
   // so the argmin must still move off index 0.
   ok &= WriteSeed(dir, "hausdorff_empty_first",
-                  Steered(3, seq({3, 2, 0, 2,
-                                  0,
-                                  3, 2, 0, 2,
-                                  1, 1,
-                                  4, 0, 1, 2, 3})));
+                  one_word(3, seq({3, 2, 0, 2,
+                                   0,
+                                   3, 2, 0, 2,
+                                   1, 1,
+                                   4, 0, 1, 2, 3})));
   // Empty word and an empty candidate: the degenerate DP branches.
   ok &= WriteSeed(dir, "empties",
-                  Steered(0, seq({0,
-                                  0,                        // empty candidate
-                                  2, 1, 3,
-                                  1, 0})));
+                  one_word(0, seq({0,
+                                   0,                        // empty candidate
+                                   2, 1, 3,
+                                   1, 0})));
   // Five identical candidates: all distances tie, argmin must stay 0.
   ok &= WriteSeed(dir, "all_ties",
-                  Steered(1, seq({2, 2, 2,
-                                  2, 1, 3, 2, 1, 3, 2, 1, 3,
-                                  2, 1, 3, 2, 1, 3})));
-  // One group of 40 length-3 candidates over the byte extremes: two
-  // full SSE2 sweeps plus a tail block, or an AVX2 pair plus a tail.
+                  one_word(1, seq({2, 2, 2,
+                                   2, 1, 3, 2, 1, 3, 2, 1, 3,
+                                   2, 1, 3, 2, 1, 3})));
+  // 40 length-3 candidates over the byte extremes: a trie of four-way
+  // sibling runs at every depth.
   const uint8_t kExtremes[] = {0, 1, 254, 255};
   std::string wide = seq({5, 0, 255, 1, 254, 3});
   for (size_t c = 0; c < 40; ++c) {
@@ -260,14 +267,14 @@ bool EmitCandidateTableSeeds(const std::string& dir) {
       wide.push_back(static_cast<char>(kExtremes[(c >> (2 * j)) & 3]));
     }
   }
-  ok &= WriteSeed(dir, "wide_group", Steered(0, wide));
+  ok &= WriteSeed(dir, "wide_group", one_word(0, wide));
   // All-255 word (n = 64) and candidate (m = 65): n + m = 129, the
   // first size past the int16 range guard.
   std::string guard(1, 64);
   guard.append(64, static_cast<char>(255));
   guard.push_back(65);
   guard.append(65, static_cast<char>(255));
-  ok &= WriteSeed(dir, "guard_boundary", Steered(0, guard));
+  ok &= WriteSeed(dir, "guard_boundary", one_word(0, guard));
   // All-255 word against an all-0 candidate, 130 symbols each: a DTW
   // distance of 130 * 255, past INT16_MAX, which only the guard keeps
   // off the int16 lanes.
@@ -275,7 +282,53 @@ bool EmitCandidateTableSeeds(const std::string& dir) {
   beyond.append(130, static_cast<char>(255));
   beyond.push_back(static_cast<char>(130));
   beyond.append(130, '\0');
-  ok &= WriteSeed(dir, "past_int16", Steered(0, beyond));
+  ok &= WriteSeed(dir, "past_int16", one_word(0, beyond));
+  // The widest block the harness draws: 2 * kI16Lanes + 1 words.
+  const size_t widest = 2 * privshape::simd::kI16Lanes + 1;
+  // A P_c frontier at depth 11, DTW with the prefix reading: 18 parents
+  // (no symbol repeated next to itself, as compressed words) x the 5
+  // children that differ from each parent's last symbol, against up to
+  // nine words from empty to longer than every candidate.
+  const size_t frontier_words = std::min<size_t>(9, widest);
+  std::string frontier(1, static_cast<char>(frontier_words - 1));
+  for (size_t w = 0; w < frontier_words; ++w) {
+    size_t length = (w * 7) % 17;
+    frontier.push_back(static_cast<char>(length));
+    for (size_t j = 0; j < length; ++j) {
+      frontier.push_back(static_cast<char>((w + 2 * j) % 6));
+    }
+  }
+  for (size_t parent = 0; parent < 18; ++parent) {
+    std::string path;
+    for (size_t j = 0; j < 10; ++j) {
+      path.push_back(static_cast<char>((parent + j * (1 + parent % 5)) % 6));
+      if (j > 0 && path[j] == path[j - 1]) path[j] = (path[j] + 1) % 6;
+    }
+    for (char next = 0; next < 6; ++next) {
+      if (next == path.back()) continue;
+      frontier.push_back(11);
+      frontier += path;
+      frontier.push_back(next);
+    }
+  }
+  ok &= WriteSeed(dir, "trie_frontier", Steered(4, frontier));
+  // SED over the widest block of words of 0..45 symbols over the whole
+  // byte, against duplicates, a candidate that is a prefix of others and
+  // an empty one.
+  std::string block(1, static_cast<char>(widest - 1));
+  for (size_t w = 0; w < widest; ++w) {
+    size_t length = (w * 11) % 46;
+    block.push_back(static_cast<char>(length));
+    for (size_t j = 0; j < length; ++j) {
+      block.push_back(static_cast<char>((w * 37 + j * 101) % 256));
+    }
+  }
+  block += seq({3, 1, 2, 3,
+                2, 1, 2,
+                0,
+                3, 1, 2, 3,
+                5, 1, 2, 3, 4, 5});
+  ok &= WriteSeed(dir, "mixed_block", Steered(1, block));
   return ok;
 }
 

@@ -61,10 +61,11 @@ void ClientFleet::MakeSessions(const size_t* users, size_t count,
   proto::ClientSession* sessions[kSessionBlock];
   for (size_t i = 0; i < count; ++i) {
     size_t user = users[i];
-    sessions[i] = &(*block)[i].emplace(word_fn_(user), DeriveSeed(seed_, user),
-                                       LabelFor(user));
+    sessions[i] = &block->sessions[i].emplace(
+        word_fn_(user), DeriveSeed(seed_, user), LabelFor(user));
   }
   proto::ClientSession::SeedFresh(sessions, count, kind, domain);
+  proto::ClientSession::MatchTogether(sessions, count, &block->match);
 }
 
 std::vector<Sequence> ClientFleet::MaterializeWords() const {

@@ -8,6 +8,7 @@
 #ifndef PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 #define PRIVSHAPE_COLLECTOR_CLIENT_FLEET_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
@@ -17,6 +18,7 @@
 
 #include "common/cli.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "core/config.h"
 #include "core/pipeline.h"
@@ -29,25 +31,32 @@ namespace privshape::collector {
 /// A simulated fleet of `num_users` clients, materialized lazily: the
 /// fleet holds only a word-synthesis function and a base seed, and builds
 /// user u's ClientSession on demand with randomness derived from
-/// DeriveSeed(seed, u). A session is 5064 bytes on x86-64 whatever its
+/// DeriveSeed(seed, u). A session is 5080 bytes on x86-64 whatever its
 /// word length — two 312-word engine states, LazyMt64's prefix array and
-/// its std::optional<std::mt19937_64> fallback — plus the word's heap
-/// buffer. Only sessions in flight exist: a serving loop holds one
-/// SessionBlock of kSessionBlock of them (~40 KB) per population stripe or
-/// loadgen connection, so a million-user fleet costs nothing until its
-/// users are asked to answer — and every materialization of the same user
-/// yields the same session.
+/// its std::optional<std::mt19937_64> fallback, and its block link —
+/// plus the word's heap buffer. Only sessions in flight exist: a serving
+/// loop holds one SessionBlock of kSessionBlock of them (~40 KB at 8,
+/// ~80 KB at 16) per population stripe or loadgen connection, so a
+/// million-user fleet costs nothing until its users are asked to answer —
+/// and every materialization of the same user yields the same session.
 class ClientFleet {
  public:
-  /// Users a serving loop builds, seeds and answers together: one
-  /// interleaved seeding group of LazyMt64::SeedFresh.
-  static constexpr size_t kSessionBlock = LazyMt64::kSeedLanes;
+  /// Users a serving loop builds, seeds, matches and answers together:
+  /// at least one interleaved seeding group of LazyMt64::SeedFresh, and
+  /// one word per int16 lane of CandidateTable::MatchBlock, so AVX2
+  /// builds fill their 16 lanes (8 at SSE2; the one-lane scalar build
+  /// keeps the 8 seeding lanes and matches a word at a time).
+  static constexpr size_t kSessionBlock =
+      std::max(LazyMt64::kSeedLanes, simd::kI16Lanes);
 
   /// Caller-owned storage for one block of sessions, reused across
   /// blocks: MakeSessions builds each session in place, so no engine is
-  /// moved or copied per user.
-  using SessionBlock =
-      std::array<std::optional<proto::ClientSession>, kSessionBlock>;
+  /// moved or copied per user, and links them to the block's shared
+  /// distance rows.
+  struct SessionBlock {
+    std::array<std::optional<proto::ClientSession>, kSessionBlock> sessions;
+    proto::BlockMatch match;
+  };
 
   /// Synthesizes user u's private compressed word. Must be deterministic
   /// in u and thread-safe (it is called concurrently from round workers).
@@ -103,11 +112,14 @@ class ClientFleet {
 
   /// Block form of MakeSession for the serving loops: builds the sessions
   /// of users[0..count) (count <= kSessionBlock) in place in
-  /// (*block)[0..count) — each the session MakeSession returns — and
+  /// block->sessions[0..count) — each the session MakeSession returns —
   /// seeds their engines together as deep as one answer to a round of
-  /// `kind` over `domain` reads (proto::ClientSession::SeedFresh). The
-  /// seeding draws nothing, so every answer is the one MakeSession's
-  /// session gives.
+  /// `kind` over `domain` reads (proto::ClientSession::SeedFresh), and
+  /// links them to block->match (proto::ClientSession::MatchTogether), so
+  /// the block's first P_c/P_d/P_e answer matches every member's word in
+  /// one trie walk. Neither draws anything, so every answer is the one
+  /// MakeSession's session gives. The block's sessions answer one round,
+  /// in place.
   void MakeSessions(const size_t* users, size_t count,
                     proto::ReportKind kind, size_t domain,
                     SessionBlock* block) const;

@@ -204,7 +204,7 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
       fleet.MakeSessions(ids, count, ctx->kind(), ctx->domain(),
                          block.get());
       for (size_t j = 0; j < count; ++j) {
-        Status answered = (*block)[j]->AnswerTo(*ctx, &scratch, &batch);
+        Status answered = block->sessions[j]->AnswerTo(*ctx, &scratch, &batch);
         if (!answered.ok()) {
           ++errors;
           continue;

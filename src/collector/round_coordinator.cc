@@ -217,11 +217,12 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
     size_t begin = n * shard / num_shards;
     size_t end = n * (shard + 1) / num_shards;
     size_t errors = 0;
-    // One scratch per stripe: the answer path reuses its DP rows and
+    // One scratch per stripe: the answer path reuses its DP columns and
     // score buffers across every user of the stripe, and reports encode
     // into the batch's flat buffer — no per-report allocation. Sessions
     // are built a block at a time into one reused block, which seeds
-    // their engines together; users still answer in population order.
+    // their engines together and matches their words in one trie walk;
+    // users still answer in population order.
     proto::AnswerScratch scratch;
     proto::ReportBatch batch;
     batch.Reserve(batch_size);
@@ -242,7 +243,7 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
           break;
         }
         size_t user = population[first + j];
-        Status answered = answer(*(*block)[j], user, scratch, batch);
+        Status answered = answer(*block->sessions[j], user, scratch, batch);
         if (!answered.ok()) {
           ++errors;
           continue;

@@ -1,7 +1,7 @@
 /// \file
 /// PS_SIMD dispatch: the one place that decides which vector width the
-/// hot-path kernels compile to. Consumers (the SoA distance kernels in
-/// `src/distance/candidate_table.cc`, the batched LDP bit fills in
+/// hot-path kernels compile to. Consumers (the candidate-trie DP columns
+/// in `src/distance/candidate_table.cc`, the batched LDP bit fills in
 /// `src/ldp`) write their inner loops once against `simd::VecI16` /
 /// `simd::LessThanU64` and get the widest instruction set the build
 /// allows:
@@ -17,8 +17,8 @@
 /// scalar int16 operation of `ScalarI16` (min, saturating add, |a-b| of
 /// non-negative values, != as a 0/1 cost). Integer operations have no
 /// rounding, so a kernel vectorized *across independent problems* (one
-/// candidate per lane) produces identical results at every level. The
-/// caller owns the range: the DP kernels keep every finite value below
+/// user's word per lane) produces identical results at every level. The
+/// caller owns the range: the DP kernels read only cells below
 /// INT16_MAX, which they use as +infinity (see candidate_table.cc). The
 /// scalar double kernels in `src/distance/distance.cc` remain the
 /// always-built reference; the exactness suite
@@ -162,8 +162,9 @@ using VecI16 = SseI16;
 using VecI16 = ScalarI16;
 #endif
 
-/// int16 lanes per VecI16 operation (= candidates per DP lane block in
-/// the SoA kernels, and the padding granularity of CandidateTable).
+/// int16 lanes per VecI16 operation: the words CandidateTable::MatchBlock
+/// matches per trie walk, one per lane, and so the least width of the
+/// serving loops' session block (collector::ClientFleet::kSessionBlock).
 inline constexpr size_t kI16Lanes = VecI16::kLanes;
 
 /// out[i] = (in[i] < threshold) for i in [0, n) — the batched Bernoulli

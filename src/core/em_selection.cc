@@ -48,17 +48,23 @@ Result<std::vector<double>> EmSelectionCounts(
   auto distance = dist::MakeDistance(metric);
   dist::CandidateTable table = dist::CandidateTable::Build(candidates);
 
-  std::vector<double> counts(candidates.size(), 0.0);
-  SelectionScratch scratch;
   for (size_t user : population) {
     if (user >= sequences.size()) {
       return Status::OutOfRange("population index outside dataset");
     }
-    auto pick = AnswerSelectionValue(sequences[user], table, *distance, *em,
-                                     &scratch, rng);
-    if (!pick.ok()) return pick.status();
-    counts[*pick] += 1.0;
   }
+  std::vector<double> counts(candidates.size(), 0.0);
+  SelectionScratch scratch;
+  PRIVSHAPE_RETURN_IF_ERROR(table.MatchEach(
+      population.size(),
+      [&](size_t k) { return dist::SymbolView(sequences[population[k]]); },
+      *distance, /*prefix_compare=*/true, &scratch.table, &scratch.distances,
+      [&](size_t, Span<const double> row) {
+        auto pick = AnswerSelectionValue(row, *em, &scratch, rng);
+        if (!pick.ok()) return pick.status();
+        counts[*pick] += 1.0;
+        return Status::Ok();
+      }));
   return counts;
 }
 

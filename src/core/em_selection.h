@@ -19,7 +19,7 @@ namespace privshape::core {
 ///
 /// The plain exhaustive scalar reference of `dist::CandidateTable`:
 /// tests/distance_simd_test.cc and fuzz/fuzz_candidate_table.cc require
-/// MatchInto to reproduce it bit for bit. No protocol path calls it.
+/// MatchBlock to reproduce it bit for bit. No protocol path calls it.
 std::vector<double> MatchDistances(const Sequence& seq,
                                    const std::vector<Sequence>& candidates,
                                    bool prefix_compare,
@@ -31,12 +31,13 @@ size_t ClosestCandidate(const Sequence& seq,
                         const std::vector<Sequence>& candidates,
                         const dist::SequenceDistance& distance);
 
-/// Reusable buffers of the per-user match -> EM-select chain
-/// (AnswerSelectionValue): one instance per worker amortizes every
-/// per-user allocation.
+/// Reusable buffers of the match -> EM-select chain
+/// (CandidateTable::MatchBlock, then AnswerSelectionValue per user): one
+/// instance per worker amortizes every per-user allocation.
 struct SelectionScratch {
   dist::TableScratch table;
-  std::vector<double> distances;  ///< MatchInto's, one per candidate
+  /// Distance rows: one word's (MatchInto), or one block's (MatchEach).
+  std::vector<double> distances;
   /// The draw's buffers (ldp::ExponentialMechanism::SelectFromDistances):
   /// the weight, then the probability, of each integral distance value
   /// (one slot per value below kDistanceSlots = 512), and the running sums
@@ -51,7 +52,9 @@ struct SelectionScratch {
 /// step (AnswerSelectionValue) against one table of `candidates` — the
 /// equally long prefix of a longer word (Lemma 1), scores S = normalized
 /// 1/dist, one EM-released index at budget `epsilon` — drawing from the
-/// caller's shared `rng`. Returns the selection count per candidate.
+/// caller's shared `rng` in population order. Users are matched a lane
+/// block at a time (CandidateTable::MatchEach). Returns the selection
+/// count per candidate.
 PS_REPORT_PATH
 Result<std::vector<double>> EmSelectionCounts(
     const std::vector<Sequence>& candidates,

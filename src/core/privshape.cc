@@ -21,7 +21,8 @@ namespace {
 /// The in-process round runner: user u answers with its stage's user-side
 /// helper from Rng(DeriveSeed(seed, u)) — exactly the draws its wire-level
 /// ClientSession makes — into integer tallies, which are debiased by the
-/// same formulas as the wire aggregator's.
+/// same formulas as the wire aggregator's. Matching rounds match their
+/// users in blocks (CandidateTable::MatchEach), as the serving loops do.
 PS_REPORT_PATH
 Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
                                     const std::vector<Sequence>& sequences,
@@ -32,6 +33,9 @@ Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
   auto distance = dist::MakeDistance(config.metric);
   dist::CandidateTable table = dist::CandidateTable::Build(round.candidates);
   SelectionScratch scratch;
+  auto word_of = [&](size_t k) {
+    return dist::SymbolView(sequences[round.population[k]]);
+  };
   switch (round.stage) {
     case Stage::kLength: {
       size_t domain =
@@ -78,13 +82,15 @@ Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
       auto em = ldp::ExponentialMechanism::Create(epsilon);
       if (!em.ok()) return em.status();
       std::vector<size_t> counts(round.candidates.size(), 0);
-      for (size_t user : round.population) {
-        Rng rng(DeriveSeed(config.seed, user));
-        auto pick = AnswerSelectionValue(sequences[user], table, *distance,
-                                         *em, &scratch, &rng);
-        if (!pick.ok()) return pick.status();
-        counts[*pick]++;
-      }
+      PRIVSHAPE_RETURN_IF_ERROR(table.MatchEach(
+          n, word_of, *distance, /*prefix_compare=*/true, &scratch.table,
+          &scratch.distances, [&](size_t k, Span<const double> row) {
+            Rng rng(DeriveSeed(config.seed, round.population[k]));
+            auto pick = AnswerSelectionValue(row, *em, &scratch, &rng);
+            if (!pick.ok()) return pick.status();
+            counts[*pick]++;
+            return Status::Ok();
+          }));
       // Selection counts feed the trie raw.
       return RoundCounts{std::vector<double>(counts.begin(), counts.end())};
     }
@@ -93,11 +99,14 @@ Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
       auto grr = ldp::Grr::Create(domain, epsilon);
       if (!grr.ok()) return grr.status();
       std::vector<size_t> counts(domain, 0);
-      for (size_t user : round.population) {
-        Rng rng(DeriveSeed(config.seed, user));
-        counts[AnswerRefinementValue(sequences[user], table, *distance, *grr,
-                                     &scratch.table, &rng)]++;
-      }
+      PRIVSHAPE_RETURN_IF_ERROR(table.MatchEach(
+          n, word_of, *distance, /*prefix_compare=*/false, &scratch.table,
+          &scratch.distances, [&](size_t k, Span<const double> row) {
+            Rng rng(DeriveSeed(config.seed, round.population[k]));
+            counts[AnswerRefinementValue(dist::FirstMinimum(row), *grr,
+                                         &rng)]++;
+            return Status::Ok();
+          }));
       return RoundCounts{ldp::DebiasGrrCounts(counts, n, epsilon)};
     }
     case Stage::kClassRefine: {
@@ -108,15 +117,18 @@ Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
       std::vector<size_t> counts(cells, 0);
       std::vector<uint64_t> words;
       std::vector<uint8_t> bits;
-      for (size_t user : round.population) {
-        auto cell = ClassRefineCell(sequences[user], (*labels)[user],
-                                    config.num_classes, table, *distance,
-                                    &scratch.table);
-        if (!cell.ok()) return cell.status();
-        Rng rng(DeriveSeed(config.seed, user));
-        oue->EncodeInto(*cell, &rng, &words, &bits);
-        for (size_t i = 0; i < cells; ++i) counts[i] += bits[i];
-      }
+      PRIVSHAPE_RETURN_IF_ERROR(table.MatchEach(
+          n, word_of, *distance, /*prefix_compare=*/false, &scratch.table,
+          &scratch.distances, [&](size_t k, Span<const double> row) {
+            size_t user = round.population[k];
+            auto cell = ClassRefineCell(dist::FirstMinimum(row),
+                                        (*labels)[user], config.num_classes);
+            if (!cell.ok()) return cell.status();
+            Rng rng(DeriveSeed(config.seed, user));
+            oue->EncodeInto(*cell, &rng, &words, &bits);
+            for (size_t i = 0; i < cells; ++i) counts[i] += bits[i];
+            return Status::Ok();
+          }));
       return RoundCounts{ldp::DebiasOueCounts(counts, n, epsilon)};
     }
   }

@@ -322,39 +322,25 @@ std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
 }
 
 PS_REPORT_PATH
-Result<size_t> AnswerSelectionValue(const Sequence& word,
-                                    const dist::CandidateTable& table,
-                                    const dist::SequenceDistance& distance,
+Result<size_t> AnswerSelectionValue(Span<const double> distances,
                                     const ldp::ExponentialMechanism& em,
                                     SelectionScratch* scratch, Rng* rng) {
-  table.MatchInto(word, distance, /*prefix_compare=*/true, &scratch->table,
-                  &scratch->distances);
-  return em.SelectFromDistances(scratch->distances, rng,
-                                &scratch->distance_weights,
+  return em.SelectFromDistances(distances, rng, &scratch->distance_weights,
                                 &scratch->running_sums);
 }
 
-PS_REPORT_PATH
-size_t AnswerRefinementValue(const Sequence& word,
-                             const dist::CandidateTable& table,
-                             const dist::SequenceDistance& distance,
-                             const ldp::Grr& grr, dist::TableScratch* scratch,
-                             Rng* rng) {
-  return grr.PerturbValue(table.Closest(word, distance, scratch), rng);
+PS_RNG_WORDS(2)
+size_t AnswerRefinementValue(size_t closest, const ldp::Grr& grr, Rng* rng) {
+  return grr.PerturbValue(closest, rng);
 }
 
 PS_REPORT_PATH
-Result<size_t> ClassRefineCell(const Sequence& word, int label,
-                               int num_classes,
-                               const dist::CandidateTable& table,
-                               const dist::SequenceDistance& distance,
-                               dist::TableScratch* scratch) {
+Result<size_t> ClassRefineCell(size_t closest, int label, int num_classes) {
   if (label < 0 || label >= num_classes) {
     return Status::FailedPrecondition(
         "session label outside [0, num_classes)");
   }
-  return table.Closest(word, distance, scratch) *
-             static_cast<size_t>(num_classes) +
+  return closest * static_cast<size_t>(num_classes) +
          static_cast<size_t>(label);
 }
 

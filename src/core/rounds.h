@@ -20,6 +20,7 @@
 
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
+#include "common/span.h"
 #include "core/config.h"
 #include "core/em_selection.h"
 #include "core/subshape.h"
@@ -143,38 +144,30 @@ std::pair<uint64_t, size_t> AnswerSubShapeValue(const Sequence& word,
                                                 const ldp::Grr& grr,
                                                 Rng* rng);
 
-/// P_c: matches the word against every candidate (a longer word through
-/// its equally long prefix, Lemma 1) and returns the EM-selected candidate
-/// index. The draw is ExponentialMechanism::SelectFromDistances, which
-/// weighs DTW and SED distances once per value rather than once per
-/// candidate, and releases the same index, from the same engine words, as
+/// P_c: the EM-selected candidate index for one word's distance row (the
+/// word against every candidate, a longer word through its equally long
+/// prefix, Lemma 1 — `CandidateTable::MatchBlock` with `prefix_compare`).
+/// The draw is ExponentialMechanism::SelectFromDistances, which weighs
+/// DTW and SED distances once per value rather than once per candidate,
+/// and releases the same index, from the same engine words, as
 /// ScoresFromDistancesInto + Select.
 PS_REPORT_PATH
-Result<size_t> AnswerSelectionValue(const Sequence& word,
-                                    const dist::CandidateTable& table,
-                                    const dist::SequenceDistance& distance,
+Result<size_t> AnswerSelectionValue(Span<const double> distances,
                                     const ldp::ExponentialMechanism& em,
                                     SelectionScratch* scratch, Rng* rng);
 
-/// P_d (clustering): GRR over the index of the closest candidate. `grr`
-/// must span max(|candidates|, 2) values; `scratch` may be nullptr.
-PS_REPORT_PATH
-size_t AnswerRefinementValue(const Sequence& word,
-                             const dist::CandidateTable& table,
-                             const dist::SequenceDistance& distance,
-                             const ldp::Grr& grr, dist::TableScratch* scratch,
-                             Rng* rng);
+/// P_d (clustering): GRR over the index of the closest candidate (the
+/// first minimum of the word's full-word row, dist::FirstMinimum). `grr`
+/// must span max(|candidates|, 2) values.
+PS_RNG_WORDS(2)
+size_t AnswerRefinementValue(size_t closest, const ldp::Grr& grr, Rng* rng);
 
 /// P_e (classification): the (closest candidate, label) cell of the
 /// row-major candidate x class grid, which the user's OUE report encodes.
 /// Fails when `label` is outside [0, num_classes): no report may leave an
-/// unlabeled or mislabeled device. `scratch` may be nullptr.
+/// unlabeled or mislabeled device.
 PS_REPORT_PATH
-Result<size_t> ClassRefineCell(const Sequence& word, int label,
-                               int num_classes,
-                               const dist::CandidateTable& table,
-                               const dist::SequenceDistance& distance,
-                               dist::TableScratch* scratch);
+Result<size_t> ClassRefineCell(size_t closest, int label, int num_classes);
 
 /// The collection stages of Algorithm 2.
 enum class Stage {

@@ -11,11 +11,17 @@ Result<std::vector<int>> AssignToNearestShape(
   auto distance = dist::MakeDistance(metric);
   dist::CandidateTable table = dist::CandidateTable::Build(shapes);
   dist::TableScratch scratch;
+  std::vector<double> rows;
   std::vector<int> out;
   out.reserve(sequences.size());
-  for (const auto& seq : sequences) {
-    out.push_back(static_cast<int>(table.Closest(seq, *distance, &scratch)));
-  }
+  PRIVSHAPE_RETURN_IF_ERROR(table.MatchEach(
+      sequences.size(),
+      [&](size_t k) { return dist::SymbolView(sequences[k]); }, *distance,
+      /*prefix_compare=*/false, &scratch, &rows,
+      [&](size_t, Span<const double> row) {
+        out.push_back(static_cast<int>(dist::FirstMinimum(row)));
+        return Status::Ok();
+      }));
   return out;
 }
 
@@ -45,9 +51,19 @@ int NearestShapeClassifier::Classify(const Sequence& sequence) const {
 
 std::vector<int> NearestShapeClassifier::ClassifyBatch(
     const std::vector<Sequence>& sequences) const {
+  dist::TableScratch scratch;
+  std::vector<double> rows;
   std::vector<int> out;
   out.reserve(sequences.size());
-  for (const auto& seq : sequences) out.push_back(Classify(seq));
+  // No callback fails, so neither does the walk.
+  (void)table_.MatchEach(
+      sequences.size(),
+      [&](size_t k) { return dist::SymbolView(sequences[k]); }, *distance_,
+      /*prefix_compare=*/false, &scratch, &rows,
+      [&](size_t, Span<const double> row) {
+        out.push_back(labels_[dist::FirstMinimum(row)]);
+        return Status::Ok();
+      });
   return out;
 }
 

@@ -26,7 +26,8 @@ struct LabeledShape {
 };
 
 /// Assigns every sequence to its nearest shape (by the metric; ties to the
-/// first shape) through `CandidateTable::Closest`; returns the shape index
+/// first shape), matching the sequences a lane block at a time through
+/// `CandidateTable::MatchEach`; returns the shape index
 /// per sequence. This realizes Def. 4's matching step and is how the paper
 /// turns PrivShape's top-k shapes into cluster assignments for ARI (§V-C).
 Result<std::vector<int>> AssignToNearestShape(
@@ -36,7 +37,8 @@ Result<std::vector<int>> AssignToNearestShape(
 /// 1-NN classifier over labeled shapes: a sequence receives the label of
 /// its nearest shape, the first one on ties (§V-E, "most frequent shapes
 /// within each class as the classification criteria"). Create builds the
-/// shapes' `CandidateTable` once; Classify matches through it.
+/// shapes' `CandidateTable` once; Classify matches one sequence through
+/// it, ClassifyBatch a lane block at a time.
 class NearestShapeClassifier {
  public:
   static Result<NearestShapeClassifier> Create(

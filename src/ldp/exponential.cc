@@ -44,7 +44,7 @@ Result<size_t> ExponentialMechanism::Select(
 
 PS_RNG_CANONICAL
 Result<size_t> ExponentialMechanism::SelectFromDistances(
-    const std::vector<double>& distances, Rng* rng,
+    Span<const double> distances, Rng* rng,
     std::vector<double>* distance_weights,
     std::vector<double>* running_sums) const {
   auto two_step = [&]() -> Result<size_t> {
@@ -103,7 +103,7 @@ Result<size_t> ExponentialMechanism::SelectFromDistances(
   return std::min(pick, n - 1);
 }
 
-void ScoresFromDistancesInto(const std::vector<double>& distances,
+void ScoresFromDistancesInto(Span<const double> distances,
                              std::vector<double>* scores) {
   scores->assign(distances.size(), 1.0);
   if (distances.empty()) return;

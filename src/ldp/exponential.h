@@ -5,6 +5,7 @@
 
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
+#include "common/span.h"
 #include "common/status.h"
 
 namespace privshape::ldp {
@@ -47,7 +48,7 @@ class ExponentialMechanism {
   /// probabilities in `*running_sums`. Both buffers are resized, capacity
   /// reused.
   PS_RNG_CANONICAL
-  Result<size_t> SelectFromDistances(const std::vector<double>& distances,
+  Result<size_t> SelectFromDistances(Span<const double> distances,
                                      Rng* rng,
                                      std::vector<double>* distance_weights,
                                      std::vector<double>* running_sums) const;
@@ -74,7 +75,7 @@ class ExponentialMechanism {
 /// while staying bounded for zero distances. Fills `*scores` (resized,
 /// capacity reused). With Select it is the two-step reference of
 /// ExponentialMechanism::SelectFromDistances, and that draw's fallback.
-void ScoresFromDistancesInto(const std::vector<double>& distances,
+void ScoresFromDistancesInto(Span<const double> distances,
                              std::vector<double>* scores);
 
 }  // namespace privshape::ldp

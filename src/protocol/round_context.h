@@ -105,8 +105,8 @@ class RoundContext {
     return table_.candidates();
   }
 
-  /// The SoA candidate table (built once at construction) the
-  /// vectorized answer paths match against; empty for P_a/P_b rounds.
+  /// The candidate trie (built once at construction) every answer of
+  /// the round matches against; empty for P_a/P_b rounds.
   const dist::CandidateTable& table() const { return table_; }
 
   // Stage parameters (meaningful for the kinds that set them).

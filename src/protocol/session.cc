@@ -38,12 +38,32 @@ Status ClientSession::AnswerSubShape(const RoundContext& ctx, Report* out) {
 }
 
 PS_REPORT_PATH
+Span<const double> ClientSession::DistanceRow(const RoundContext& ctx,
+                                              bool prefix_compare,
+                                              AnswerScratch* scratch) {
+  const dist::CandidateTable& table = ctx.table();
+  if (block_ == nullptr) {
+    table.MatchInto(word_, *ctx.distance(), prefix_compare, &scratch->table,
+                    &scratch->distances);
+    return scratch->distances;
+  }
+  if (block_->matched_ != &ctx) {
+    table.MatchBlock(block_->words_.data(), block_->words_.size(),
+                     *ctx.distance(), prefix_compare, &scratch->table,
+                     &block_->rows_);
+    block_->matched_ = &ctx;
+  }
+  return Span<const double>(block_->rows_.data() + member_ * table.size(),
+                            table.size());
+}
+
+PS_REPORT_PATH
 Status ClientSession::AnswerSelection(const RoundContext& ctx,
                                       AnswerScratch* scratch, Report* out) {
   AnswerScratch local;
+  AnswerScratch* s = scratch != nullptr ? scratch : &local;
   auto pick = core::AnswerSelectionValue(
-      word_, ctx.table(), *ctx.distance(), *ctx.em(),
-      scratch != nullptr ? scratch : &local, &rng_);
+      DistanceRow(ctx, /*prefix_compare=*/true, s), *ctx.em(), s, &rng_);
   if (!pick.ok()) return pick.status();
   out->kind = ReportKind::kSelection;
   out->level = ctx.level();
@@ -55,11 +75,13 @@ Status ClientSession::AnswerSelection(const RoundContext& ctx,
 PS_REPORT_PATH
 Status ClientSession::AnswerRefinement(const RoundContext& ctx,
                                        AnswerScratch* scratch, Report* out) {
+  AnswerScratch local;
+  AnswerScratch* s = scratch != nullptr ? scratch : &local;
   out->kind = ReportKind::kRefinement;
   out->level = 0;
   out->value = core::AnswerRefinementValue(
-      word_, ctx.table(), *ctx.distance(), *ctx.grr(),
-      scratch != nullptr ? &scratch->table : nullptr, &rng_);
+      dist::FirstMinimum(DistanceRow(ctx, /*prefix_compare=*/false, s)),
+      *ctx.grr(), &rng_);
   out->bits.clear();
   return Status::Ok();
 }
@@ -72,8 +94,9 @@ Status ClientSession::AnswerClassRefinement(const RoundContext& ctx,
   AnswerScratch* s = scratch != nullptr ? scratch : &local;
   // An unlabeled or mislabeled session fails here: a fabricated cell would
   // bias the per-class estimates instead of showing up as a client error.
-  auto cell = core::ClassRefineCell(word_, label_, ctx.num_classes(),
-                                    ctx.table(), *ctx.distance(), &s->table);
+  auto cell = core::ClassRefineCell(
+      dist::FirstMinimum(DistanceRow(ctx, /*prefix_compare=*/false, s)),
+      label_, ctx.num_classes());
   if (!cell.ok()) return cell.status();
   out->kind = ReportKind::kClassRefine;
   out->level = 0;
@@ -144,6 +167,17 @@ void ClientSession::SeedFresh(ClientSession* const* sessions, size_t count,
     size_t n = std::min(LazyMt64::kSeedLanes, count - begin);
     for (size_t i = 0; i < n; ++i) rngs[i] = &sessions[begin + i]->rng_;
     Rng::SeedFresh(rngs, n, outputs);
+  }
+}
+
+void ClientSession::MatchTogether(ClientSession* const* sessions,
+                                  size_t count, BlockMatch* block) {
+  block->words_.clear();
+  block->matched_ = nullptr;
+  for (size_t k = 0; k < count; ++k) {
+    sessions[k]->block_ = block;
+    sessions[k]->member_ = k;
+    block->words_.push_back(dist::SymbolView(sessions[k]->word_));
   }
 }
 

@@ -8,8 +8,11 @@
 #ifndef PRIVSHAPE_PROTOCOL_SESSION_H_
 #define PRIVSHAPE_PROTOCOL_SESSION_H_
 
+#include <vector>
+
 #include "common/analysis_annotations.h"
 #include "common/rng.h"
+#include "common/span.h"
 #include "common/status.h"
 #include "distance/distance.h"
 #include "protocol/messages.h"
@@ -18,13 +21,29 @@
 
 namespace privshape::proto {
 
+/// The distance rows of a block of sessions built together
+/// (collector::ClientFleet::MakeSessions). ClientSession::MatchTogether
+/// links the sessions to one BlockMatch; the first P_c/P_d/P_e answer
+/// among them matches every member's word in one CandidateTable::MatchBlock
+/// trie walk and leaves each member's row here for its own answer.
+/// Caller-owned and reused across blocks; it must outlive its sessions.
+class BlockMatch {
+ private:
+  friend class ClientSession;
+  std::vector<dist::SymbolView> words_;    ///< the members' words, in order
+  const RoundContext* matched_ = nullptr;  ///< the round the rows answer
+  std::vector<double> rows_;               ///< member k's at [k * size]
+};
+
 /// The user-side endpoint of the collection protocol. Owns the user's
 /// private compressed word; Answer performs the round's local
 /// perturbation — the stage's user-side helper from core/rounds.h,
 /// which the in-process runner calls too — against a shared pre-decoded
 /// RoundContext plus per-worker scratch, allocating nothing per report.
 /// The Report it writes is the only data that ever leaves the device, and
-/// all privacy-relevant randomness comes from the client's own Rng.
+/// all privacy-relevant randomness comes from the client's own Rng. A
+/// session matches its word alone, or, linked to a BlockMatch, together
+/// with the sessions built alongside it — the same row either way.
 class ClientSession {
  public:
   /// `label` is the user's private class label, required only for the
@@ -58,7 +77,22 @@ class ClientSession {
   static void SeedFresh(ClientSession* const* sessions, size_t count,
                         ReportKind kind, size_t domain);
 
+  /// Links sessions[0..count), built together and kept in place, to
+  /// `block` (reset): the first P_c/P_d/P_e answer among them matches all
+  /// of their words at once, and each then answers from its own row.
+  /// Every member answers the same round — the context is the key — as a
+  /// block seeded for one round by SeedFresh does.
+  static void MatchTogether(ClientSession* const* sessions, size_t count,
+                            BlockMatch* block);
+
  private:
+  /// This session's distance row against `ctx`'s candidates: its
+  /// block's (the block's first call matches every member), or, alone,
+  /// its own MatchInto into scratch->distances.
+  PS_REPORT_PATH
+  Span<const double> DistanceRow(const RoundContext& ctx,
+                                 bool prefix_compare, AnswerScratch* scratch);
+
   // One step per stage, each against a shared context of its own kind.
 
   /// P_a.
@@ -89,6 +123,8 @@ class ClientSession {
   Sequence word_;
   Rng rng_;
   int label_ = -1;
+  BlockMatch* block_ = nullptr;  ///< the block's shared rows, if linked
+  size_t member_ = 0;            ///< this session's row in block_
 };
 
 }  // namespace privshape::proto

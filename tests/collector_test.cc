@@ -351,13 +351,83 @@ TEST(ClientFleetTest, BlockSessionsAnswerLikeSingleSessions) {
       for (size_t j = 0; j < count; ++j) {
         size_t user = users[first + j];
         Report got, want;
-        ASSERT_TRUE(block[j]->Answer(ctx, nullptr, &got).ok());
+        ASSERT_TRUE(block.sessions[j]->Answer(ctx, nullptr, &got).ok());
         ASSERT_TRUE(fleet.MakeSession(user).Answer(ctx, nullptr, &want).ok());
         EXPECT_EQ(got, want) << "kind " << static_cast<int>(ctx.kind())
                              << ", domain " << ctx.domain() << ", user "
                              << user;
       }
       first += count;
+    }
+  }
+}
+
+TEST(ClientFleetTest, BlockSessionsWriteTheBytesOfLoneSessions) {
+  // All five round kinds, DTW and SED, words of mixed lengths (the empty
+  // word, words shorter and longer than every candidate) and a trie-shaped
+  // candidate list with a duplicate: a block's sessions, matched together
+  // on the block's first answer, encode byte for byte the reports lone
+  // MakeSession sessions encode, full and partial blocks alike.
+  const std::vector<Sequence> words = {
+      {},     {0},       {0, 1, 2, 0, 1, 2, 0, 1}, {2, 1},
+      {1, 0, 1, 2, 0, 2, 1, 0, 2, 1, 0, 1, 2},      {0, 2, 0},
+      {1, 2}, {2, 0, 1, 2}, {0, 1},
+  };
+  const std::vector<int> labels = {0, 1, 2, 0, 1, 2, 0, 1, 2};
+  std::vector<Sequence> frontier;
+  for (const Sequence& parent : {Sequence{0, 1}, Sequence{1, 2},
+                                 Sequence{2, 0}, Sequence{0, 2}}) {
+    for (Symbol next : {0, 1, 2}) {
+      if (next == parent.back()) continue;
+      Sequence child = parent;
+      child.push_back(next);
+      frontier.push_back(child);
+    }
+  }
+  frontier.push_back(frontier[3]);
+  for (dist::Metric metric : {dist::Metric::kDtw, dist::Metric::kSed}) {
+    ClientFleet fleet = ClientFleet::FromWords(words, 3 * 17 + 4, metric,
+                                               11, labels);
+    std::vector<proto::RoundContext> contexts;
+    auto add = [&contexts](Result<proto::RoundContext> ctx) {
+      ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+      contexts.push_back(std::move(*ctx));
+    };
+    add(proto::RoundContext::Length(1, 6, 4.0));
+    add(proto::RoundContext::SubShape(3, 4, 4.0, false));
+    add(proto::RoundContext::Selection({2, 4.0, frontier}, metric));
+    add(proto::RoundContext::Refinement({0, 4.0, frontier}, metric));
+    add(proto::RoundContext::ClassRefinement({4.0, 3, frontier}, metric));
+    std::vector<size_t> users(fleet.num_users());
+    for (size_t u = 0; u < users.size(); ++u) {
+      users[u] = (u * 13) % users.size();
+    }
+    ClientFleet::SessionBlock block;
+    for (const proto::RoundContext& ctx : contexts) {
+      proto::AnswerScratch scratch, lone_scratch;
+      proto::ReportBatch from_blocks, from_lone;
+      for (size_t first = 0; first < users.size();
+           first += ClientFleet::kSessionBlock) {
+        size_t count =
+            std::min(ClientFleet::kSessionBlock, users.size() - first);
+        fleet.MakeSessions(&users[first], count, ctx.kind(), ctx.domain(),
+                           &block);
+        for (size_t j = 0; j < count; ++j) {
+          ASSERT_TRUE(
+              block.sessions[j]->AnswerTo(ctx, &scratch, &from_blocks).ok());
+        }
+      }
+      for (size_t user : users) {
+        ASSERT_TRUE(fleet.MakeSession(user)
+                        .AnswerTo(ctx, &lone_scratch, &from_lone)
+                        .ok());
+      }
+      ASSERT_EQ(from_blocks.size(), from_lone.size());
+      for (size_t i = 0; i < from_lone.size(); ++i) {
+        EXPECT_EQ(from_blocks.view(i), from_lone.view(i))
+            << dist::MetricName(metric) << ", kind "
+            << static_cast<int>(ctx.kind()) << ", user " << users[i];
+      }
     }
   }
 }

@@ -252,7 +252,7 @@ TEST(SelectFromDistancesTest, EmptyCandidateSetFailsLikeSelect) {
 
 TEST(ScoresFromDistancesTest, NormalizedToUnitInterval) {
   std::vector<double> scores;
-  ScoresFromDistancesInto({2.0, 5.0, 8.0}, &scores);
+  ScoresFromDistancesInto(std::vector<double>{2.0, 5.0, 8.0}, &scores);
   ASSERT_EQ(scores.size(), 3u);
   EXPECT_DOUBLE_EQ(scores[0], 1.0);   // closest
   EXPECT_DOUBLE_EQ(scores[1], 0.5);
@@ -261,7 +261,7 @@ TEST(ScoresFromDistancesTest, NormalizedToUnitInterval) {
 
 TEST(ScoresFromDistancesTest, AllEqualDistancesScoreOne) {
   std::vector<double> scores;
-  ScoresFromDistancesInto({3.0, 3.0, 3.0}, &scores);
+  ScoresFromDistancesInto(std::vector<double>{3.0, 3.0, 3.0}, &scores);
   for (double s : scores) EXPECT_DOUBLE_EQ(s, 1.0);
 }
 
