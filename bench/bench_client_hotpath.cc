@@ -1,11 +1,11 @@
 /// \file
 /// Per-report answer-path microbenchmark: reports/sec for each protocol
-/// stage (P_a..P_d) on a single thread through the path the serving loops
-/// run — a shared RoundContext (decode and mechanism construction once
-/// per round), sessions built, seeded and matched kSessionBlock at a time
-/// (ClientFleet::MakeSessions), per-worker scratch, batched encoding, zero
-/// allocation per report. Writes BENCH_hotpath.json — the client hot
-/// path's perf trajectory per PR.
+/// stage (P_a..P_d) on a single thread through the one serving loop,
+/// ClientFleet::AnswerRound — a shared RoundContext (decode and mechanism
+/// construction once per round), sessions built, seeded and matched a
+/// block at a time, one scratch, batched encoding, zero allocation per
+/// report. With --json, writes the client hot path's perf records
+/// (BENCH_hotpath.json is the committed baseline).
 ///
 ///   bench_client_hotpath --users 20000 --trials 3 --json BENCH_hotpath.json
 ///
@@ -19,7 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -65,35 +65,28 @@ struct PathResult {
   size_t bytes = 0;
 };
 
-/// Every stage over `users` users of `fleet`, as a serving loop answers
-/// them: one reused SessionBlock, kSessionBlock sessions built, seeded and
-/// matched together, then answered in order into one batch buffer.
+/// Every stage over `users` of `fleet` through the serving loop,
+/// ClientFleet::AnswerRound: sessions built, seeded and matched a block
+/// at a time, answered in order into 256-report batches.
 PathResult RunContextPath(const Stage& stage,
-                          const collector::ClientFleet& fleet, size_t users) {
-  constexpr size_t kBlock = collector::ClientFleet::kSessionBlock;
+                          const collector::ClientFleet& fleet,
+                          const std::vector<size_t>& users) {
   PathResult out;
-  proto::AnswerScratch scratch;
-  proto::ReportBatch batch;
-  batch.Reserve(256);
-  auto block = std::make_unique<collector::ClientFleet::SessionBlock>();
-  size_t ids[kBlock];
   double start = Now();
-  for (size_t first = 0; first < users; first += kBlock) {
-    const size_t count = std::min(kBlock, users - first);
-    for (size_t j = 0; j < count; ++j) ids[j] = first + j;
-    fleet.MakeSessions(ids, count, stage.context.kind(),
-                       stage.context.domain(), block.get());
-    for (size_t j = 0; j < count; ++j) {
-      (void)block->sessions[j]->AnswerTo(stage.context, &scratch, &batch);
-      if (batch.size() >= 256) {
+  (void)fleet.AnswerRound(
+      users.data(), users.size(), stage.context.kind(),
+      stage.context.domain(), 256,
+      [&stage](proto::ClientSession& session, size_t,
+               proto::AnswerScratch& scratch, proto::ReportBatch& batch) {
+        return session.AnswerTo(stage.context, &scratch, &batch);
+      },
+      [&out](proto::ReportBatch& batch) {
         out.bytes += batch.bytes();
-        batch.Clear();
-      }
-    }
-  }
-  out.bytes += batch.bytes();
+        return Status::Ok();
+      });
   out.seconds = Now() - start;
-  out.rate = out.seconds > 0 ? static_cast<double>(users) / out.seconds : 0;
+  out.rate =
+      out.seconds > 0 ? static_cast<double>(users.size()) / out.seconds : 0;
   return out;
 }
 
@@ -105,9 +98,10 @@ PathResult RunContextPath(const Stage& stage,
 // each against the scalar per-candidate / per-cell path it replaced.
 // Both variants live in every build (the scalar reference is
 // always-built), so one binary yields the scalar-vs-SIMD speedup. The
-// match records' `simd` path is the serving loops' — MatchBlock over
-// kSessionBlock words, one word per op — and a `lone` path times the
-// one-word MatchInto that only tests and replays still run.
+// match records' `simd` path is MatchBlock over one int16 lane block of
+// words, one word per op — the serving loop's block at SSE2 and AVX2 —
+// and a `lone` path times the one-word MatchInto that only tests and
+// replays still run.
 
 struct KernelResult {
   double seconds = 0.0;
@@ -131,7 +125,7 @@ int Main(int argc, char** argv) {
   CliArgs args(argc, argv);
   ExperimentScale scale = bench::ScaleFromArgs(args, /*default_users=*/20000,
                                                /*default_trials=*/3);
-  auto json = bench::MaybeJson(args, "BENCH_hotpath.json");
+  auto json = bench::MaybeJson(args);
   if (json != nullptr) {
     // Stamp the build so records are never compared across configs
     // (scalar vs SSE2 vs AVX2, different compilers/flags) unnoticed.
@@ -187,6 +181,8 @@ int Main(int argc, char** argv) {
   // The bench's users: word u % 256, randomness DeriveSeed(seed base, u).
   collector::ClientFleet fleet = collector::ClientFleet::FromWords(
       words, scale.users, metric, kSessionSeedBase);
+  std::vector<size_t> users(scale.users);
+  std::iota(users.begin(), users.end(), size_t{0});
 
   std::vector<Stage> stages;
   auto add_stage = [&stages](const char* name,
@@ -200,15 +196,14 @@ int Main(int argc, char** argv) {
 
   bench::PrintTitle("Client answer hot path (" +
                     std::to_string(scale.users) +
-                    " reports/stage, single thread, shared context, " +
-                    std::to_string(collector::ClientFleet::kSessionBlock) +
-                    "-session blocks)");
+                    " reports/stage, single thread, shared context, "
+                    "ClientFleet::AnswerRound)");
   bench::PrintHeader({"stage", "reports/s", "seconds"});
 
   for (const Stage& stage : stages) {
     PathResult best;
     for (int trial = 0; trial < std::max(scale.trials, 1); ++trial) {
-      PathResult run = RunContextPath(stage, fleet, scale.users);
+      PathResult run = RunContextPath(stage, fleet, users);
       if (run.rate > best.rate) best = run;
     }
     bench::PrintRow({stage.name, FormatDouble(best.rate, 6),
@@ -270,10 +265,10 @@ int Main(int argc, char** argv) {
     }
     sink += dists[0];
   };
-  // The serving loops' match: op i starting a block matches the block's
-  // kSessionBlock words (or the ops left) in one MatchBlock call.
+  // The block match: op i starting a lane block matches the block's
+  // simd::kI16Lanes words (or the ops left) in one MatchBlock call.
   auto block_match = [&](const dist::SequenceDistance& distance, size_t i) {
-    constexpr size_t kBlock = collector::ClientFleet::kSessionBlock;
+    constexpr size_t kBlock = simd::kI16Lanes;
     if (i % kBlock != 0) return;
     dist::SymbolView block[kBlock];
     const size_t count = std::min(kBlock, scale.users - i);

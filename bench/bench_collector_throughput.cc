@@ -1,8 +1,9 @@
 /// \file
 /// Collector throughput scaling: runs the full four-round protocol over a
 /// generated Trace-style fleet and records reports/sec per configuration
-/// into BENCH_collector.json (the repo's perf baseline; later scaling PRs
-/// regress against it), sweeping thread counts (1, 2, 4, ... threads).
+/// (with --json; BENCH_collector.json is the repo's committed baseline,
+/// which later scaling changes regress against), sweeping thread counts
+/// (1, 2, 4, ... threads).
 ///
 ///   bench_collector_throughput --users 100000 --threads 8
 ///       --json BENCH_collector.json
@@ -86,7 +87,7 @@ int Main(int argc, char** argv) {
                            ? scale.threads
                            : std::max<size_t>(
                                  1, std::thread::hardware_concurrency());
-  auto json = bench::MaybeJson(args, "BENCH_collector.json");
+  auto json = bench::MaybeJson(args);
   // Records from different machines must be distinguishable, and a
   // single-core machine cannot measure thread scaling at all — both are
   // run-wide facts, so they live in the file's meta, not per record.

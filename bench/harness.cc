@@ -72,6 +72,57 @@ std::vector<std::vector<double>> RfFeatures(const series::Dataset& dataset,
   return out;
 }
 
+/// The one clustering body: PrivShape and the baseline differ only in the
+/// mechanism class that extracts the shapes.
+template <typename Mechanism>
+ClusteringOutcome RunMechanismClustering(
+    const series::Dataset& dataset, const core::TransformOptions& transform,
+    const core::MechanismConfig& config) {
+  ClusteringOutcome outcome;
+  auto sequences = core::TransformDataset(dataset, transform);
+  if (!sequences.ok()) return outcome;
+  double start = Now();
+  Mechanism mech(config);
+  auto result = mech.Run(*sequences);
+  outcome.seconds = Now() - start;
+  if (!result.ok()) return outcome;
+  for (const auto& s : result->shapes) outcome.shapes.push_back(s.shape);
+  outcome.ari = ShapeAssignmentAri(*sequences, outcome.shapes,
+                                   TrueLabels(dataset), config.metric);
+  outcome.quality = MeasureShapeQuality(outcome.shapes,
+                                        GroundTruthShapes(dataset, transform));
+  return outcome;
+}
+
+/// The one classification body: PrivShape and the baseline differ only in
+/// `extract(train words, train labels)`, which runs the mechanism and
+/// returns its labeled shapes.
+template <typename Extract>
+ClassificationOutcome RunMechanismClassification(
+    const series::Dataset& train, const series::Dataset& test,
+    const core::TransformOptions& transform,
+    const core::MechanismConfig& config, const Extract& extract) {
+  ClassificationOutcome outcome;
+  auto train_seqs = core::TransformDataset(train, transform);
+  auto test_seqs = core::TransformDataset(test, transform);
+  if (!train_seqs.ok() || !test_seqs.ok()) return outcome;
+  std::vector<int> train_labels = TrueLabels(train);
+  double start = Now();
+  auto shapes = extract(*train_seqs, train_labels);
+  outcome.seconds = Now() - start;
+  if (!shapes.ok()) return outcome;
+  outcome.shapes = *shapes;
+  auto clf = eval::NearestShapeClassifier::Create(*shapes, config.metric);
+  if (!clf.ok()) return outcome;
+  auto acc = eval::Accuracy(TrueLabels(test), clf->ClassifyBatch(*test_seqs));
+  outcome.accuracy = acc.ok() ? *acc : 0.0;
+  std::vector<Sequence> raw;
+  for (const auto& s : outcome.shapes) raw.push_back(s.shape);
+  outcome.quality =
+      MeasureShapeQuality(raw, GroundTruthShapes(train, transform));
+  return outcome;
+}
+
 }  // namespace
 
 ExperimentScale ScaleFromArgs(const CliArgs& args, size_t default_users,
@@ -174,39 +225,14 @@ core::MechanismConfig TraceConfig(double epsilon, uint64_t seed) {
 ClusteringOutcome RunPrivShapeClustering(
     const series::Dataset& dataset, const core::TransformOptions& transform,
     const core::MechanismConfig& config) {
-  ClusteringOutcome outcome;
-  auto sequences = core::TransformDataset(dataset, transform);
-  if (!sequences.ok()) return outcome;
-  double start = Now();
-  core::PrivShape mech(config);
-  auto result = mech.Run(*sequences);
-  outcome.seconds = Now() - start;
-  if (!result.ok()) return outcome;
-  for (const auto& s : result->shapes) outcome.shapes.push_back(s.shape);
-  outcome.ari = ShapeAssignmentAri(*sequences, outcome.shapes,
-                                   TrueLabels(dataset), config.metric);
-  outcome.quality = MeasureShapeQuality(outcome.shapes,
-                                        GroundTruthShapes(dataset, transform));
-  return outcome;
+  return RunMechanismClustering<core::PrivShape>(dataset, transform, config);
 }
 
 ClusteringOutcome RunBaselineClustering(
     const series::Dataset& dataset, const core::TransformOptions& transform,
     const core::MechanismConfig& config) {
-  ClusteringOutcome outcome;
-  auto sequences = core::TransformDataset(dataset, transform);
-  if (!sequences.ok()) return outcome;
-  double start = Now();
-  core::BaselineMechanism mech(config);
-  auto result = mech.Run(*sequences);
-  outcome.seconds = Now() - start;
-  if (!result.ok()) return outcome;
-  for (const auto& s : result->shapes) outcome.shapes.push_back(s.shape);
-  outcome.ari = ShapeAssignmentAri(*sequences, outcome.shapes,
-                                   TrueLabels(dataset), config.metric);
-  outcome.quality = MeasureShapeQuality(outcome.shapes,
-                                        GroundTruthShapes(dataset, transform));
-  return outcome;
+  return RunMechanismClustering<core::BaselineMechanism>(dataset, transform,
+                                                         config);
 }
 
 ClusteringOutcome RunPatternLdpKMeansClustering(
@@ -251,55 +277,28 @@ ClassificationOutcome RunPrivShapeClassification(
     const series::Dataset& train, const series::Dataset& test,
     const core::TransformOptions& transform,
     const core::MechanismConfig& config) {
-  ClassificationOutcome outcome;
-  auto train_seqs = core::TransformDataset(train, transform);
-  auto test_seqs = core::TransformDataset(test, transform);
-  if (!train_seqs.ok() || !test_seqs.ok()) return outcome;
-  std::vector<int> train_labels = TrueLabels(train);
-  double start = Now();
-  core::PrivShape mech(config);
-  auto shapes = core::PrivShapeLabeledShapes(mech, *train_seqs, train_labels);
-  outcome.seconds = Now() - start;
-  if (!shapes.ok()) return outcome;
-  outcome.shapes = *shapes;
-  auto clf = eval::NearestShapeClassifier::Create(*shapes, config.metric);
-  if (!clf.ok()) return outcome;
-  auto acc = eval::Accuracy(TrueLabels(test), clf->ClassifyBatch(*test_seqs));
-  outcome.accuracy = acc.ok() ? *acc : 0.0;
-  std::vector<Sequence> raw;
-  for (const auto& s : outcome.shapes) raw.push_back(s.shape);
-  outcome.quality =
-      MeasureShapeQuality(raw, GroundTruthShapes(train, transform));
-  return outcome;
+  return RunMechanismClassification(
+      train, test, transform, config,
+      [&config](const std::vector<Sequence>& words,
+                const std::vector<int>& labels) {
+        return core::PrivShapeLabeledShapes(core::PrivShape(config), words,
+                                            labels);
+      });
 }
 
 ClassificationOutcome RunBaselineClassification(
     const series::Dataset& train, const series::Dataset& test,
     const core::TransformOptions& transform,
     const core::MechanismConfig& config) {
-  ClassificationOutcome outcome;
-  auto train_seqs = core::TransformDataset(train, transform);
-  auto test_seqs = core::TransformDataset(test, transform);
-  if (!train_seqs.ok() || !test_seqs.ok()) return outcome;
-  std::vector<int> train_labels = TrueLabels(train);
   int num_classes = static_cast<int>(train.Labels().size());
-  double start = Now();
-  core::BaselineMechanism mech(config);
-  auto shapes = core::ExtractShapesPerClass(mech, *train_seqs, train_labels,
-                                            num_classes,
-                                            /*shapes_per_class=*/1);
-  outcome.seconds = Now() - start;
-  if (!shapes.ok()) return outcome;
-  outcome.shapes = *shapes;
-  auto clf = eval::NearestShapeClassifier::Create(*shapes, config.metric);
-  if (!clf.ok()) return outcome;
-  auto acc = eval::Accuracy(TrueLabels(test), clf->ClassifyBatch(*test_seqs));
-  outcome.accuracy = acc.ok() ? *acc : 0.0;
-  std::vector<Sequence> raw;
-  for (const auto& s : outcome.shapes) raw.push_back(s.shape);
-  outcome.quality =
-      MeasureShapeQuality(raw, GroundTruthShapes(train, transform));
-  return outcome;
+  return RunMechanismClassification(
+      train, test, transform, config,
+      [&config, num_classes](const std::vector<Sequence>& words,
+                             const std::vector<int>& labels) {
+        return core::ExtractShapesPerClass(core::BaselineMechanism(config),
+                                           words, labels, num_classes,
+                                           /*shapes_per_class=*/1);
+      });
 }
 
 ClassificationOutcome RunPatternLdpRfClassification(
@@ -410,9 +409,8 @@ JsonBenchWriter::~JsonBenchWriter() {
   if (!flushed_ && records_.size() > 0) Flush();
 }
 
-std::unique_ptr<JsonBenchWriter> MaybeJson(const CliArgs& args,
-                                           const std::string& default_path) {
-  std::string path = args.GetString("json", default_path);
+std::unique_ptr<JsonBenchWriter> MaybeJson(const CliArgs& args) {
+  std::string path = args.GetString("json", "");
   if (path.empty()) return nullptr;
   return std::make_unique<JsonBenchWriter>(path);
 }

@@ -155,11 +155,10 @@ class JsonBenchWriter {
   bool flushed_ = false;
 };
 
-/// JSON writer for `--json <path>` (env PRIVSHAPE_JSON); `default_path`
-/// non-empty makes the bench always emit there unless overridden.
-/// Returns nullptr when neither is set.
-std::unique_ptr<JsonBenchWriter> MaybeJson(
-    const CliArgs& args, const std::string& default_path = "");
+/// JSON writer for `--json <path>` (env PRIVSHAPE_JSON). Returns nullptr
+/// when neither is set: a bench writes JSON only when asked, so a plain
+/// run never overwrites a committed baseline.
+std::unique_ptr<JsonBenchWriter> MaybeJson(const CliArgs& args);
 
 }  // namespace privshape::bench
 

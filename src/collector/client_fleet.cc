@@ -53,11 +53,6 @@ proto::ClientSession ClientFleet::MakeSession(size_t user) const {
 void ClientFleet::MakeSessions(const size_t* users, size_t count,
                                proto::ReportKind kind, size_t domain,
                                SessionBlock* block) const {
-  if (count > kSessionBlock) {
-    PS_LOG(kError) << "MakeSessions: " << count << " users for a block of "
-                   << kSessionBlock;
-    std::abort();
-  }
   proto::ClientSession* sessions[kSessionBlock];
   for (size_t i = 0; i < count; ++i) {
     size_t user = users[i];

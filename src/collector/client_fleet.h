@@ -12,12 +12,15 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/analysis_annotations.h"
 #include "common/cli.h"
 #include "common/rng.h"
+#include "common/shutdown.h"
 #include "common/simd.h"
 #include "common/status.h"
 #include "core/config.h"
@@ -34,29 +37,21 @@ namespace privshape::collector {
 /// DeriveSeed(seed, u). A session is 5080 bytes on x86-64 whatever its
 /// word length — two 312-word engine states, LazyMt64's prefix array and
 /// its std::optional<std::mt19937_64> fallback, and its block link —
-/// plus the word's heap buffer. Only sessions in flight exist: a serving
-/// loop holds one SessionBlock of kSessionBlock of them (~40 KB at 8,
-/// ~80 KB at 16) per population stripe or loadgen connection, so a
+/// plus the word's heap buffer. Only sessions in flight exist: every
+/// serving loop — an in-process stripe, a loadgen connection's round, the
+/// hot-path bench — answers its users through AnswerRound, which holds
+/// one block of kSessionBlock of them (~40 KB at 8, ~80 KB at 16), so a
 /// million-user fleet costs nothing until its users are asked to answer —
 /// and every materialization of the same user yields the same session.
 class ClientFleet {
  public:
-  /// Users a serving loop builds, seeds, matches and answers together:
-  /// at least one interleaved seeding group of LazyMt64::SeedFresh, and
-  /// one word per int16 lane of CandidateTable::MatchBlock, so AVX2
-  /// builds fill their 16 lanes (8 at SSE2; the one-lane scalar build
-  /// keeps the 8 seeding lanes and matches a word at a time).
+  /// Users AnswerRound builds, seeds, matches and answers together: at
+  /// least one interleaved seeding group of LazyMt64::SeedFresh, and one
+  /// word per int16 lane of CandidateTable::MatchBlock, so AVX2 builds
+  /// fill their 16 lanes (8 at SSE2; the one-lane scalar build keeps the
+  /// 8 seeding lanes and matches a word at a time).
   static constexpr size_t kSessionBlock =
       std::max(LazyMt64::kSeedLanes, simd::kI16Lanes);
-
-  /// Caller-owned storage for one block of sessions, reused across
-  /// blocks: MakeSessions builds each session in place, so no engine is
-  /// moved or copied per user, and links them to the block's shared
-  /// distance rows.
-  struct SessionBlock {
-    std::array<std::optional<proto::ClientSession>, kSessionBlock> sessions;
-    proto::BlockMatch match;
-  };
 
   /// Synthesizes user u's private compressed word. Must be deterministic
   /// in u and thread-safe (it is called concurrently from round workers).
@@ -110,19 +105,51 @@ class ClientFleet {
   /// one round's population).
   proto::ClientSession MakeSession(size_t user) const;
 
-  /// Block form of MakeSession for the serving loops: builds the sessions
-  /// of users[0..count) (count <= kSessionBlock) in place in
-  /// block->sessions[0..count) — each the session MakeSession returns —
-  /// seeds their engines together as deep as one answer to a round of
-  /// `kind` over `domain` reads (proto::ClientSession::SeedFresh), and
-  /// links them to block->match (proto::ClientSession::MatchTogether), so
-  /// the block's first P_c/P_d/P_e answer matches every member's word in
-  /// one trie walk. Neither draws anything, so every answer is the one
-  /// MakeSession's session gives. The block's sessions answer one round,
-  /// in place.
-  void MakeSessions(const size_t* users, size_t count,
-                    proto::ReportKind kind, size_t domain,
-                    SessionBlock* block) const;
+  /// The one serving loop: answers users[0..count) of one round of
+  /// `kind` over `domain`, in order. Sessions are built kSessionBlock at a
+  /// time, in place in one reused block, with their engines seeded
+  /// together as deep as one answer reads (ClientSession::SeedFresh) and
+  /// their words matched in one trie walk on the block's first P_c/P_d/P_e
+  /// answer (ClientSession::MatchTogether); neither draws anything, so
+  /// every report is the one MakeSession's session writes. For each user
+  /// the loop calls `answer(session, user, scratch, batch)` — a Status
+  /// that appends one report to `batch` on success — with one scratch
+  /// reused across the call, and hands the batch to `emit(batch)` every
+  /// `batch_size` reports (0 acts as 1) and once at the end if it holds
+  /// any. `emit` may move the batch out; the loop clears and reserves it
+  /// again. A non-OK emit status ends the loop with that status; once
+  /// ShutdownRequested() the loop stops before the next user and emits
+  /// what it has. Returns how many users' answers failed.
+  template <typename Answer, typename Emit>
+  PS_REPORT_PATH Result<size_t> AnswerRound(const size_t* users, size_t count,
+                                            proto::ReportKind kind,
+                                            size_t domain, size_t batch_size,
+                                            const Answer& answer,
+                                            const Emit& emit) const {
+    auto block = std::make_unique<SessionBlock>();
+    proto::AnswerScratch scratch;
+    proto::ReportBatch batch;
+    batch.Reserve(batch_size);
+    size_t failed = 0;
+    for (size_t i = 0; i < count && !ShutdownRequested(); ++i) {
+      const size_t j = i % kSessionBlock;
+      if (j == 0) {
+        MakeSessions(users + i, std::min(kSessionBlock, count - i), kind,
+                     domain, block.get());
+      }
+      if (!answer(*block->sessions[j], users[i], scratch, batch).ok()) {
+        ++failed;
+        continue;
+      }
+      if (batch.size() >= batch_size) {
+        PRIVSHAPE_RETURN_IF_ERROR(emit(batch));
+        batch.Clear();
+        batch.Reserve(batch_size);
+      }
+    }
+    if (!batch.empty()) PRIVSHAPE_RETURN_IF_ERROR(emit(batch));
+    return failed;
+  }
 
   /// User u's word alone (used by the determinism check, which feeds the
   /// same words to the single-threaded core pipeline).
@@ -140,6 +167,23 @@ class ClientFleet {
   std::vector<int> MaterializeLabels() const;
 
  private:
+  /// AnswerRound's storage for one block of sessions, reused across
+  /// blocks: MakeSessions builds each session in place, so no engine is
+  /// moved or copied per user, and links them to the block's shared
+  /// distance rows.
+  struct SessionBlock {
+    std::array<std::optional<proto::ClientSession>, kSessionBlock> sessions;
+    proto::BlockMatch match;
+  };
+
+  /// Builds the sessions of users[0..count) (count <= kSessionBlock) in
+  /// place in block->sessions[0..count), each the session MakeSession
+  /// returns, seeds their engines together for one round of `kind` over
+  /// `domain` and links them to block->match.
+  void MakeSessions(const size_t* users, size_t count,
+                    proto::ReportKind kind, size_t domain,
+                    SessionBlock* block) const;
+
   size_t num_users_;
   WordFn word_fn_;
   LabelFn label_fn_;

@@ -241,12 +241,13 @@ int Main(int argc, char** argv) {
   fleet_flags.csv = args.GetString("csv", "");
   fleet_flags.labels_file = args.GetString("labels", "");
   auto label_column = args.GetCount("label-column", 0);
-  size_t threads = ThreadsFromArgs(args);
+  auto threads_flag = args.GetCount("threads", 0);
   auto check_determinism = args.GetBool("check-determinism");
   std::string trace_file = args.GetString("trace", "");
   std::string json = args.GetString("json", "");
   for (const auto* flag :
-       {&users_flag, &shards_flag, &batch_flag, &queue_flag, &label_column}) {
+       {&users_flag, &shards_flag, &batch_flag, &queue_flag, &label_column,
+        &threads_flag}) {
     if (!flag->ok()) return fail(flag->status());
   }
   if (!config.ok()) return fail(config.status());
@@ -265,7 +266,7 @@ int Main(int argc, char** argv) {
   auto setup = BuildSetup(fleet_flags, *config);
   if (!setup.ok()) return fail(setup.status());
 
-  ThreadPool pool(threads);
+  ThreadPool pool(*threads_flag);
   collector::ClientFleet fleet(users, setup->word_fn, config->metric,
                                config->seed, setup->label_fn);
   bool labeled = config->num_classes > 0;

@@ -1,11 +1,7 @@
 #include "collector/daemon.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "common/logging.h"
@@ -40,40 +36,6 @@ constexpr double kFlushTimeoutSeconds = 5.0;
 struct DaemonAbort {
   Status status;
 };
-
-/// Non-blocking send of as much of `data` as the socket accepts right
-/// now. Returns the byte count (0 = the socket is full, try again on
-/// EPOLLOUT); a peer that vanished surfaces as a status, never SIGPIPE.
-Result<size_t> SendSome(int fd, std::string_view data) {
-  while (true) {
-    ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
-    if (n >= 0) return static_cast<size_t>(n);
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
-    return Status::Internal(std::string("send: ") + std::strerror(errno));
-  }
-}
-
-struct RecvOutcome {
-  size_t n = 0;
-  bool eof = false;
-  bool again = false;
-};
-
-/// Non-blocking read of up to `cap` bytes, with EOF and would-block
-/// reported as distinct non-error outcomes.
-Result<RecvOutcome> RecvSome(int fd, void* buf, size_t cap) {
-  while (true) {
-    ssize_t n = ::recv(fd, buf, cap, 0);
-    if (n > 0) return RecvOutcome{static_cast<size_t>(n), false, false};
-    if (n == 0) return RecvOutcome{0, true, false};
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return RecvOutcome{0, false, true};
-    }
-    return Status::Internal(std::string("recv: ") + std::strerror(errno));
-  }
-}
 
 }  // namespace
 

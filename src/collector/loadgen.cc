@@ -147,8 +147,6 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
         std::to_string(welcome->num_classes) + ") but the fleet is unlabeled");
   }
 
-  size_t batch_size = options.batch_size > 0 ? options.batch_size : 1;
-  auto block = std::make_unique<ClientFleet::SessionBlock>();
   size_t selection_rounds = 0;
   while (true) {
     auto frame = ReadFrame(fd.get(), &reader, &outcome.bytes_down);
@@ -188,56 +186,35 @@ Result<ConnOutcome> RunConnection(const ClientFleet& fleet,
       }
     }
 
-    // Same answer path as the in-process stripes: one scratch, one flat
-    // batch buffer and one session block reused across the assignment,
-    // answered in assignment order.
-    proto::AnswerScratch scratch;
-    proto::ReportBatch batch;
-    batch.Reserve(batch_size);
-    size_t errors = 0;
-    const std::vector<uint64_t>& users = round->users;
-    for (size_t first = 0; first < users.size();
-         first += ClientFleet::kSessionBlock) {
-      size_t count = std::min(ClientFleet::kSessionBlock, users.size() - first);
-      size_t ids[ClientFleet::kSessionBlock];
-      std::copy(users.begin() + first, users.begin() + first + count, ids);
-      fleet.MakeSessions(ids, count, ctx->kind(), ctx->domain(),
-                         block.get());
-      for (size_t j = 0; j < count; ++j) {
-        Status answered = block->sessions[j]->AnswerTo(*ctx, &scratch, &batch);
-        if (!answered.ok()) {
-          ++errors;
-          continue;
-        }
-        if (batch.size() >= batch_size) {
-          outcome.reports_sent += batch.size();
-          PRIVSHAPE_RETURN_IF_ERROR(
-              SendFrame(fd.get(), net::MsgType::kBatchUpload,
-                        net::EncodeBatchUpload(round->round_id, batch),
-                        &outcome.bytes_up));
-          batch = proto::ReportBatch();
-          batch.Reserve(batch_size);
-        }
-      }
-    }
-    if (!batch.empty()) {
-      outcome.reports_sent += batch.size();
-      PRIVSHAPE_RETURN_IF_ERROR(
-          SendFrame(fd.get(), net::MsgType::kBatchUpload,
-                    net::EncodeBatchUpload(round->round_id, batch),
-                    &outcome.bytes_up));
-    }
+    // The in-process stripes' serving loop, over the assignment in order;
+    // each batch goes up as one BatchUpload frame.
+    size_t uploaded = 0;
+    Result<size_t> failed = fleet.AnswerRound(
+        round->users.data(), round->users.size(), ctx->kind(), ctx->domain(),
+        options.batch_size,
+        [&ctx](proto::ClientSession& session, size_t,
+               proto::AnswerScratch& scratch, proto::ReportBatch& batch) {
+          return session.AnswerTo(*ctx, &scratch, &batch);
+        },
+        [&](proto::ReportBatch& batch) {
+          uploaded += batch.size();
+          return SendFrame(fd.get(), net::MsgType::kBatchUpload,
+                           net::EncodeBatchUpload(round->round_id, batch),
+                           &outcome.bytes_up);
+        });
+    if (!failed.ok()) return failed.status();
     net::RoundDoneMsg done;
     done.round_id = round->round_id;
-    done.answered = round->users.size() - errors;
-    done.client_errors = errors;
+    done.answered = uploaded;
+    done.client_errors = *failed;
     PRIVSHAPE_RETURN_IF_ERROR(SendFrame(fd.get(), net::MsgType::kRoundDone,
                                         net::EncodeRoundDone(done),
                                         &outcome.bytes_up));
     round_span.Close();
     outcome.round_latency.emplace_back(std::move(stage),
                                        NowNs() - round_start_ns);
-    outcome.client_errors += errors;
+    outcome.reports_sent += uploaded;
+    outcome.client_errors += *failed;
     ++outcome.rounds;
   }
 }

@@ -199,7 +199,6 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
                                         const StageSpec& spec,
                                         const AnswerFn& answer) const {
   size_t num_shards = EffectiveShards();
-  size_t batch_size = options_.batch_size > 0 ? options_.batch_size : 1;
   // Drainers count against the thread budget: ceil(threads/2) of them, so
   // a T-thread round schedules at most 1.5T runnable threads —
   // decode+count is far cheaper than answering, so half the workers
@@ -209,54 +208,24 @@ RoundOutcome RoundCoordinator::RunRound(const ClientFleet& fleet,
   std::atomic<size_t> client_errors{0};
 
   // Shard s owns the contiguous stripe [n*s/S, n*(s+1)/S) of the
-  // population and feeds lane s. Integer-count merging makes the final
-  // estimates independent of this partition (and of which lane ingests
-  // what).
+  // population, answers it through the fleet's serving loop in
+  // population order, and feeds lane s. Integer-count merging makes the
+  // final estimates independent of this partition (and of which lane
+  // ingests what). A shutdown stops the stripe before its next user; the
+  // already-pushed batches drain normally, so the partial round's
+  // accounting stays exact, and DriveProtocol turns the flag into a
+  // Cancelled status before any server-side decision.
   auto produce_stripe = [&](size_t shard) {
     size_t n = population.size();
     size_t begin = n * shard / num_shards;
     size_t end = n * (shard + 1) / num_shards;
-    size_t errors = 0;
-    // One scratch per stripe: the answer path reuses its DP columns and
-    // score buffers across every user of the stripe, and reports encode
-    // into the batch's flat buffer — no per-report allocation. Sessions
-    // are built a block at a time into one reused block, which seeds
-    // their engines together and matches their words in one trie walk;
-    // users still answer in population order.
-    proto::AnswerScratch scratch;
-    proto::ReportBatch batch;
-    batch.Reserve(batch_size);
-    auto block = std::make_unique<ClientFleet::SessionBlock>();
-    bool stopped = false;
-    for (size_t first = begin; first < end && !stopped;
-         first += ClientFleet::kSessionBlock) {
-      size_t count = std::min(ClientFleet::kSessionBlock, end - first);
-      fleet.MakeSessions(&population[first], count, spec.kind, spec.domain,
-                         block.get());
-      for (size_t j = 0; j < count; ++j) {
-        // Graceful shutdown: stop producing new reports mid-stripe. The
-        // already-pushed batches drain normally, so the partial round's
-        // accounting stays exact; DriveProtocol turns the flag into a
-        // Cancelled status before any server-side decision.
-        if (ShutdownRequested()) {
-          stopped = true;
-          break;
-        }
-        size_t user = population[first + j];
-        Status answered = answer(*block->sessions[j], user, scratch, batch);
-        if (!answered.ok()) {
-          ++errors;
-          continue;
-        }
-        if (batch.size() >= batch_size) {
+    Result<size_t> failed = fleet.AnswerRound(
+        population.data() + begin, end - begin, spec.kind, spec.domain,
+        options_.batch_size, answer, [&](proto::ReportBatch& batch) {
           ingest.Push(shard, std::move(batch));
-          batch = proto::ReportBatch();
-          batch.Reserve(batch_size);
-        }
-      }
-    }
-    if (!batch.empty()) ingest.Push(shard, std::move(batch));
-    client_errors.fetch_add(errors);
+          return Status::Ok();
+        });
+    client_errors.fetch_add(*failed);  // the emit above never fails
   };
   if (pool_ != nullptr) {
     pool_->ParallelFor(num_shards, produce_stripe);

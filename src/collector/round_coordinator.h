@@ -163,9 +163,10 @@ class RoundCoordinator {
                                         CollectorMetrics* metrics = nullptr);
 
   /// Broadcasts one round to `population` and ingests the answers: each
-  /// shard's population stripe is answered by a pool worker that pushes
-  /// encoded batches into a RoundIngest with one lane per stripe and
-  /// ceil(threads/2) drainers.
+  /// shard's population stripe is answered by a pool worker through
+  /// ClientFleet::AnswerRound, calling `answer` once per user in
+  /// population order and pushing encoded batches into a RoundIngest with
+  /// one lane per stripe and ceil(threads/2) drainers.
   RoundOutcome RunRound(const ClientFleet& fleet,
                         const std::vector<size_t>& population,
                         const StageSpec& spec, const AnswerFn& answer) const;

@@ -79,11 +79,11 @@ class CliArgs {
   mutable std::set<std::string> read_;
 };
 
-/// The shared `--threads` flag (env PRIVSHAPE_THREADS): worker count for
-/// every multi-threaded binary — the collector, the benches, and the bench
-/// harness scale knobs all consume this one flag. `0` (the default) means
+/// The lenient `--threads` flag (env PRIVSHAPE_THREADS) of the bench and
+/// example binaries: their worker count. `0` (the default) means
 /// "hardware concurrency", matching ThreadPool's convention; negative or
-/// malformed values also fall back to `def`.
+/// malformed values fall back to `def`. privshape_collector reads the
+/// same flag strictly, through GetCount, like its other counts.
 size_t ThreadsFromArgs(const CliArgs& args, size_t def = 0);
 
 }  // namespace privshape

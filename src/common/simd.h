@@ -164,7 +164,8 @@ using VecI16 = ScalarI16;
 
 /// int16 lanes per VecI16 operation: the words CandidateTable::MatchBlock
 /// matches per trie walk, one per lane, and so the least width of the
-/// serving loops' session block (collector::ClientFleet::kSessionBlock).
+/// block of sessions the serving loop (collector::ClientFleet::AnswerRound)
+/// builds at a time.
 inline constexpr size_t kI16Lanes = VecI16::kLanes;
 
 /// out[i] = (in[i] < threshold) for i in [0, n) — the batched Bernoulli

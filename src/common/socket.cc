@@ -164,6 +164,29 @@ Result<size_t> ReadSome(int fd, void* buf, size_t cap) {
   }
 }
 
+Result<size_t> SendSome(int fd, std::string_view data) {
+  while (true) {
+    ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    return ErrnoStatus("send");
+  }
+}
+
+Result<RecvOutcome> RecvSome(int fd, void* buf, size_t cap) {
+  while (true) {
+    ssize_t n = ::recv(fd, buf, cap, 0);
+    if (n > 0) return RecvOutcome{static_cast<size_t>(n), false, false};
+    if (n == 0) return RecvOutcome{0, true, false};
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return RecvOutcome{0, false, true};
+    }
+    return ErrnoStatus("recv");
+  }
+}
+
 Poller::Poller() : epoll_fd_(::epoll_create1(0)) {}
 
 Status Poller::Add(int fd, uint64_t tag, bool want_write) {

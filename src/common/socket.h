@@ -92,6 +92,22 @@ Status WriteAll(int fd, std::string_view data);
 /// EINTR retries; a timeout (SetRecvTimeout elapsed) is an error status.
 Result<size_t> ReadSome(int fd, void* buf, size_t cap);
 
+/// Non-blocking send of as much of `data` as the socket accepts right
+/// now. Returns the byte count (0 = the socket is full, try again on
+/// EPOLLOUT); a peer that vanished surfaces as a status, never SIGPIPE.
+Result<size_t> SendSome(int fd, std::string_view data);
+
+/// What one non-blocking RecvSome call read.
+struct RecvOutcome {
+  size_t n = 0;        ///< bytes read into the buffer
+  bool eof = false;    ///< the peer closed its side
+  bool again = false;  ///< nothing to read now (the socket would block)
+};
+
+/// Non-blocking read of up to `cap` bytes, with EOF and would-block
+/// reported as distinct non-error outcomes. EINTR retries.
+Result<RecvOutcome> RecvSome(int fd, void* buf, size_t cap);
+
 /// One readiness event from Poller::Wait. `tag` is the caller's id for
 /// the fd (connection index, listener sentinel, ...).
 struct PollEvent {

@@ -22,7 +22,7 @@ namespace {
 /// helper from Rng(DeriveSeed(seed, u)) — exactly the draws its wire-level
 /// ClientSession makes — into integer tallies, which are debiased by the
 /// same formulas as the wire aggregator's. Matching rounds match their
-/// users in blocks (CandidateTable::MatchEach), as the serving loops do.
+/// users in blocks (CandidateTable::MatchEach), as the serving loop does.
 PS_REPORT_PATH
 Result<RoundCounts> AnswerInProcess(const MechanismConfig& config,
                                     const std::vector<Sequence>& sequences,

@@ -22,7 +22,7 @@
 namespace privshape::proto {
 
 /// The distance rows of a block of sessions built together
-/// (collector::ClientFleet::MakeSessions). ClientSession::MatchTogether
+/// (collector::ClientFleet::AnswerRound). ClientSession::MatchTogether
 /// links the sessions to one BlockMatch; the first P_c/P_d/P_e answer
 /// among them matches every member's word in one CandidateTable::MatchBlock
 /// trie walk and leaves each member's row here for its own answer.

@@ -1,9 +1,5 @@
 #include "telemetry/stats_endpoint.h"
 
-#include <sys/socket.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 namespace privshape::telemetry {
@@ -117,23 +113,21 @@ void StatsEndpoint::HandleClient(size_t slot, const PollEvent& event) {
   if (event.readable && client.response.empty()) {
     char buf[4096];
     while (true) {
-      ssize_t n = ::recv(client.fd.get(), buf, sizeof(buf), 0);
-      if (n > 0) {
-        client.request.append(buf, static_cast<size_t>(n));
-        if (client.request.size() > kMaxRequestBytes) {
+      auto read = RecvSome(client.fd.get(), buf, sizeof(buf));
+      if (!read.ok() || read->again) break;
+      if (read->eof) {
+        // EOF before a complete request: nothing to serve.
+        if (client.request.find('\n') == std::string::npos) {
           CloseClient(slot);
           return;
         }
-        continue;
+        break;
       }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      // EOF or a hard error before a complete request: nothing to serve.
-      if (n == 0 && client.request.find('\n') == std::string::npos) {
+      client.request.append(buf, read->n);
+      if (client.request.size() > kMaxRequestBytes) {
         CloseClient(slot);
         return;
       }
-      break;
     }
     // A complete request line (or a blank-line-terminated header block)
     // is enough — scrape responses don't depend on headers.
@@ -162,16 +156,14 @@ void StatsEndpoint::RespondAndFlush(size_t slot) {
     client.response += body;
   }
   while (client.response_sent < client.response.size()) {
-    std::string_view rest =
-        std::string_view(client.response).substr(client.response_sent);
-    ssize_t n = ::send(client.fd.get(), rest.data(), rest.size(),
-                       MSG_NOSIGNAL);
-    if (n >= 0) {
-      client.response_sent += static_cast<size_t>(n);
-      continue;
+    auto sent = SendSome(
+        client.fd.get(),
+        std::string_view(client.response).substr(client.response_sent));
+    if (!sent.ok()) {
+      CloseClient(slot);
+      return;
     }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+    if (*sent == 0) {
       // Socket full: arm EPOLLOUT and resume on the next event.
       if (!client.want_write) {
         client.want_write = true;
@@ -179,8 +171,7 @@ void StatsEndpoint::RespondAndFlush(size_t slot) {
       }
       return;
     }
-    CloseClient(slot);
-    return;
+    client.response_sent += *sent;
   }
   CloseClient(slot);  // response fully flushed: one-shot connection
 }

@@ -9,6 +9,7 @@
 #include "collector/sharded_aggregator.h"
 #include "common/cli.h"
 #include "common/rng.h"
+#include "common/shutdown.h"
 #include "common/thread_pool.h"
 #include "core/privshape.h"
 #include "ldp/estimator_utils.h"
@@ -304,11 +305,48 @@ TEST(ClientFleetTest, SessionsAreReproducible) {
   }
 }
 
+/// Answers `users` through ClientFleet::AnswerRound in consecutive calls
+/// whose lengths cycle through full and partial blocks and whose batch
+/// sizes cycle through 1, 3 and more than any call's count. Every emitted
+/// report is appended to `*emitted` in order; each call must answer
+/// every user, emitting full batches and at most one short last batch.
+template <typename Answer>
+void AnswerInCalls(const ClientFleet& fleet, const std::vector<size_t>& users,
+                   const proto::RoundContext& ctx, const Answer& answer,
+                   ReportBatch* emitted) {
+  const size_t lengths[] = {ClientFleet::kSessionBlock, 5, 1,
+                            2 * ClientFleet::kSessionBlock + 3, 3};
+  const size_t batch_sizes[] = {1, 3, 1000};
+  size_t first = 0;
+  for (size_t call = 0; first < users.size(); ++call) {
+    const size_t count = std::min(lengths[call % 5], users.size() - first);
+    const size_t batch_size = batch_sizes[call % 3];
+    size_t reports = 0;
+    auto failed = fleet.AnswerRound(
+        &users[first], count, ctx.kind(), ctx.domain(), batch_size, answer,
+        [&](ReportBatch& batch) {
+          EXPECT_TRUE(batch.size() == batch_size ||
+                      (batch.size() < batch_size &&
+                       reports + batch.size() == count))
+              << "batch of " << batch.size() << " at report " << reports;
+          for (size_t i = 0; i < batch.size(); ++i) {
+            emitted->AppendEncoded(batch.view(i));
+          }
+          reports += batch.size();
+          return Status::Ok();
+        });
+    ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+    EXPECT_EQ(*failed, 0u);
+    EXPECT_EQ(reports, count);
+    first += count;
+  }
+}
+
 TEST(ClientFleetTest, BlockSessionsAnswerLikeSingleSessions) {
   // Every round kind, P_e both within (72 cells) and past (180 cells) the
-  // 156-output lazy prefix, full and partial blocks, one block storage
-  // reused across all of them: the block-built, block-seeded sessions
-  // answer exactly as MakeSession's do.
+  // 156-output lazy prefix, full and partial blocks: the sessions
+  // AnswerRound builds and seeds a block at a time answer exactly as
+  // MakeSession's do, in the callers' order.
   MechanismConfig config = TestConfig();
   std::vector<Sequence> words = {{0, 1, 2}, {2, 1, 0}, {1, 0, 1}, {0, 2}};
   ClientFleet fleet = ClientFleet::FromWords(words, 40, config.metric,
@@ -339,35 +377,38 @@ TEST(ClientFleetTest, BlockSessionsAnswerLikeSingleSessions) {
                                            config.metric));
   std::vector<size_t> users(fleet.num_users());
   for (size_t u = 0; u < users.size(); ++u) users[u] = (u * 7) % users.size();
-  const size_t sizes[] = {ClientFleet::kSessionBlock, 5, 1,
-                          ClientFleet::kSessionBlock, 3};
-  ClientFleet::SessionBlock block;
   for (const proto::RoundContext& ctx : contexts) {
-    size_t first = 0;
-    for (size_t b = 0; first < users.size(); ++b) {
-      size_t count = std::min(sizes[b % 5], users.size() - first);
-      fleet.MakeSessions(&users[first], count, ctx.kind(), ctx.domain(),
-                         &block);
-      for (size_t j = 0; j < count; ++j) {
-        size_t user = users[first + j];
-        Report got, want;
-        ASSERT_TRUE(block.sessions[j]->Answer(ctx, nullptr, &got).ok());
-        ASSERT_TRUE(fleet.MakeSession(user).Answer(ctx, nullptr, &want).ok());
-        EXPECT_EQ(got, want) << "kind " << static_cast<int>(ctx.kind())
-                             << ", domain " << ctx.domain() << ", user "
-                             << user;
-      }
-      first += count;
-    }
+    std::vector<size_t> seen;
+    ReportBatch emitted;
+    AnswerInCalls(
+        fleet, users, ctx,
+        [&](proto::ClientSession& session, size_t user,
+            proto::AnswerScratch&, ReportBatch& batch) {
+          seen.push_back(user);
+          Report got, want;
+          Status answered = session.Answer(ctx, nullptr, &got);
+          if (!answered.ok()) return answered;
+          EXPECT_TRUE(
+              fleet.MakeSession(user).Answer(ctx, nullptr, &want).ok());
+          EXPECT_EQ(got, want) << "kind " << static_cast<int>(ctx.kind())
+                               << ", domain " << ctx.domain() << ", user "
+                               << user;
+          batch.Append(got);
+          return Status::Ok();
+        },
+        &emitted);
+    EXPECT_EQ(seen, users);
+    EXPECT_EQ(emitted.size(), users.size());
   }
 }
 
 TEST(ClientFleetTest, BlockSessionsWriteTheBytesOfLoneSessions) {
   // All five round kinds, DTW and SED, words of mixed lengths (the empty
   // word, words shorter and longer than every candidate) and a trie-shaped
-  // candidate list with a duplicate: a block's sessions, matched together
-  // on the block's first answer, encode byte for byte the reports lone
-  // MakeSession sessions encode, full and partial blocks alike.
+  // candidate list with a duplicate: AnswerRound's sessions, matched a
+  // block at a time on the block's first answer, encode byte for byte the
+  // reports lone MakeSession sessions encode, full and partial blocks and
+  // every batch size alike.
   const std::vector<Sequence> words = {
       {},     {0},       {0, 1, 2, 0, 1, 2, 0, 1}, {2, 1},
       {1, 0, 1, 2, 0, 2, 1, 0, 2, 1, 0, 1, 2},      {0, 2, 0},
@@ -402,21 +443,16 @@ TEST(ClientFleetTest, BlockSessionsWriteTheBytesOfLoneSessions) {
     for (size_t u = 0; u < users.size(); ++u) {
       users[u] = (u * 13) % users.size();
     }
-    ClientFleet::SessionBlock block;
     for (const proto::RoundContext& ctx : contexts) {
-      proto::AnswerScratch scratch, lone_scratch;
-      proto::ReportBatch from_blocks, from_lone;
-      for (size_t first = 0; first < users.size();
-           first += ClientFleet::kSessionBlock) {
-        size_t count =
-            std::min(ClientFleet::kSessionBlock, users.size() - first);
-        fleet.MakeSessions(&users[first], count, ctx.kind(), ctx.domain(),
-                           &block);
-        for (size_t j = 0; j < count; ++j) {
-          ASSERT_TRUE(
-              block.sessions[j]->AnswerTo(ctx, &scratch, &from_blocks).ok());
-        }
-      }
+      proto::AnswerScratch lone_scratch;
+      ReportBatch from_blocks, from_lone;
+      AnswerInCalls(
+          fleet, users, ctx,
+          [&ctx](proto::ClientSession& session, size_t,
+                 proto::AnswerScratch& scratch, ReportBatch& batch) {
+            return session.AnswerTo(ctx, &scratch, &batch);
+          },
+          &from_blocks);
       for (size_t user : users) {
         ASSERT_TRUE(fleet.MakeSession(user)
                         .AnswerTo(ctx, &lone_scratch, &from_lone)
@@ -430,6 +466,99 @@ TEST(ClientFleetTest, BlockSessionsWriteTheBytesOfLoneSessions) {
       }
     }
   }
+}
+
+/// The length round every AnswerRound test below serves; each user
+/// answers it with one report.
+proto::RoundContext LengthRound() {
+  return proto::RoundContext::Length(1, 6, 4.0).value();
+}
+
+TEST(ClientFleetTest, AnswerRoundEndsOnAnEmitError) {
+  // The second batch's emit fails: the loop returns that status at once,
+  // no later user answers and nothing more is emitted.
+  ClientFleet fleet = PlantedFleet(40, TestConfig());
+  proto::RoundContext ctx = LengthRound();
+  std::vector<size_t> users(fleet.num_users());
+  for (size_t u = 0; u < users.size(); ++u) users[u] = u;
+  size_t answered = 0, emits = 0;
+  auto failed = fleet.AnswerRound(
+      users.data(), users.size(), ctx.kind(), ctx.domain(), 3,
+      [&](proto::ClientSession& session, size_t,
+          proto::AnswerScratch& scratch, ReportBatch& batch) {
+        ++answered;
+        return session.AnswerTo(ctx, &scratch, &batch);
+      },
+      [&](ReportBatch&) {
+        return ++emits == 2 ? Status::Internal("uplink down")
+                            : Status::Ok();
+      });
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(failed.status().message(), "uplink down");
+  EXPECT_EQ(emits, 2u);
+  EXPECT_EQ(answered, 6u);
+}
+
+TEST(ClientFleetTest, AnswerRoundCountsEveryUnlabeledUserFailedOnPe) {
+  // An unlabeled fleet cannot answer the classification refinement: every
+  // user fails, and an empty batch is never emitted.
+  MechanismConfig config = TestConfig();
+  ClientFleet fleet = PlantedFleet(20, config);
+  auto ctx = proto::RoundContext::ClassRefinement(
+      {4.0, 3, {{0, 1, 2}, {2, 1, 0}}}, config.metric);
+  ASSERT_TRUE(ctx.ok()) << ctx.status().ToString();
+  std::vector<size_t> users(fleet.num_users());
+  for (size_t u = 0; u < users.size(); ++u) users[u] = u;
+  size_t emits = 0;
+  auto failed = fleet.AnswerRound(
+      users.data(), users.size(), ctx->kind(), ctx->domain(), 4,
+      [&](proto::ClientSession& session, size_t,
+          proto::AnswerScratch& scratch, ReportBatch& batch) {
+        return session.AnswerTo(*ctx, &scratch, &batch);
+      },
+      [&](ReportBatch&) {
+        ++emits;
+        return Status::Ok();
+      });
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_EQ(*failed, users.size());
+  EXPECT_EQ(emits, 0u);
+}
+
+/// Clears the process-wide shutdown flag before and after each test, so a
+/// shutdown raised here never leaks into another test.
+class ClientFleetShutdownTest : public ::testing::Test {
+ protected:
+  void SetUp() override { ResetShutdownForTest(); }
+  void TearDown() override { ResetShutdownForTest(); }
+};
+
+TEST_F(ClientFleetShutdownTest, AnswerRoundStopsBeforeTheNextUser) {
+  // The flag rises during the k-th answer, k neither a block nor a batch
+  // multiple: the loop answers no one after it and still emits every
+  // report it holds, full batches and the partial last one.
+  constexpr size_t kAnswers = 11;
+  ClientFleet fleet = PlantedFleet(40, TestConfig());
+  proto::RoundContext ctx = LengthRound();
+  std::vector<size_t> users(fleet.num_users());
+  for (size_t u = 0; u < users.size(); ++u) users[u] = u;
+  size_t answered = 0, emitted = 0;
+  auto failed = fleet.AnswerRound(
+      users.data(), users.size(), ctx.kind(), ctx.domain(), 4,
+      [&](proto::ClientSession& session, size_t,
+          proto::AnswerScratch& scratch, ReportBatch& batch) {
+        if (++answered == kAnswers) RequestShutdown();
+        return session.AnswerTo(ctx, &scratch, &batch);
+      },
+      [&](ReportBatch& batch) {
+        emitted += batch.size();
+        return Status::Ok();
+      });
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_EQ(*failed, 0u);
+  EXPECT_EQ(answered, kAnswers);
+  EXPECT_EQ(emitted, kAnswers);
 }
 
 TEST(ClientFleetTest, FromWordsTilesTheList) {

@@ -1,6 +1,7 @@
 # Runs BINARY with FLAG VALUE and passes only if it exits 1 and names FLAG
-# on stderr: a misspelt flag, or a value after a bare boolean flag, must
-# stop a collection binary before any work, never run it on defaults.
+# on stderr: a misspelt flag, a value after a bare boolean flag, or a
+# malformed count must stop a collection binary before any work, never
+# run it on defaults.
 # Usage:
 #   cmake -DBINARY=<path> -DFLAG=--usres -DVALUE=10 -P expect_flag_rejected.cmake
 execute_process(COMMAND ${BINARY} ${FLAG} ${VALUE}
